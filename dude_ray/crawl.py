@@ -17,8 +17,9 @@ Ray shape per round:
         │  parts (numpy lexsort → global order_in_round ranks; URL
         │  strings never transit the driver)
         ▼
-    CrawlWorker pool — PERSISTENT raw actors (created once per crawl so
-    the corpus partition cache + compiled selectors stay warm; the one
+    CrawlWorker pool — PERSISTENT raw actors (pooled across crawls with
+    the shards, see "Actor pool" below; one crawl's corpus partition
+    cache + compiled selectors stay warm across its rounds — the one
     stage whose state per-execution Dataset pools cannot amortize):
         fetch = partitioned corpus lookup (LRU part cache,
         load-aware dispatch: cold parts cache-affine, hot parts fan out
@@ -29,7 +30,7 @@ Ray shape per round:
         the driver, which replays maybe-lost chunks — lossless)
         │  result blocks stay in the object store (refs)
         ▼
-    remote writer tasks → round-partitioned parquet (atomic dir commit)
+    worker write_part calls → round-partitioned parquet (atomic dir commit)
 
 ``pipelined=True`` (bench mode) drops the per-round barrier: releases
 consume whatever offers have landed; the visit SET is provably
@@ -51,6 +52,30 @@ correctness is unaffected, only recovery time).  Halve
 ``checkpoint_every`` if the 2× recovery bound matters more than the
 ~zero-stall steady state.
 
+Actor pool: booting the shard and worker processes costs seconds of
+CPU each (Ray's worker start-up plus the pyarrow/ray.data imports), far
+more than a small crawl's frontier work.  So the shards and workers
+live in one module-level pool, keyed on (Ray session, ``num_shards``,
+resolved ``concurrency``), and are reused by the next ``run_crawl``
+with the same key; a different key replaces the pool.  Reset contract,
+at the start of every call:
+
+* any pooled actor that died or restarted since the last call is
+  replaced, so each crawl has the full restart budget;
+* each shard runs ``reset`` (a fresh ``__init__`` with this crawl's
+  robots, allowed domains, capacity and gates; ``restore`` follows on
+  resume);
+* each worker adopts this crawl's config — corpus, rules, shard handles
+  — with a fresh ``CorpusFetcher`` and zeroed counters.  The config
+  travels with every chunk task as (epoch, [config ref]), so a worker
+  that Ray restarts mid-crawl (``__init__`` holds no crawl config)
+  reconfigures itself before its retried chunk runs.
+
+Nothing in ``METRICS.json`` therefore carries over from an earlier
+call.  The pool holds no logical CPU between calls.  A normal return
+leaves it alive; an exception kills it.  Calls from several threads of
+one process take turns on it.
+
 Scale notes: released URL batches cross the store as Arrow columns and
 transit the driver once per round for the global key sort; the
 10^10-frontier variant keeps them as ObjectRefs (each shard's block is
@@ -64,6 +89,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 from typing import Optional
 
 import pyarrow as pa
@@ -83,18 +109,27 @@ from .stages.extract import (
 )
 from .stages.fetch import CorpusFetcher
 from .stages.links import collect_links, route_edges
-from .state.frontier import FrontierShard
+from .state.frontier import FrontierShard, release_free_memory
 
 
 class CrawlWorker:
     """Persistent crawl worker: fetch + parse-once + extract spans +
-    route edges.  Created ONCE per crawl (raw Ray actor pool, not a
-    per-round Ray Data pool) so the corpus partition cache and compiled
-    selector programs stay warm across frontier rounds — the frontier
-    loop is the one stage whose statefulness the per-execution Dataset
-    actor pools cannot amortize.  Batches are routed with corpus-part
+    route edges.  A raw Ray actor kept in the crawl's actor pool (not a
+    per-round Ray Data pool): the corpus partition cache and compiled
+    selector programs stay warm across a crawl's frontier rounds, and
+    the process itself is reused by the next crawl — the frontier loop
+    is the one stage whose statefulness the per-execution Dataset actor
+    pools cannot amortize.  Batches are routed with corpus-part
     affinity (worker = part % pool_size) so each worker caches only its
     slice of the corpus.
+
+    The crawl's config is not a constructor argument: each chunk task
+    carries the crawl's ``epoch`` and its config as ``[ObjectRef]``
+    (a list, so Ray does not fetch it per task), and the worker
+    rebuilds its per-crawl state whenever the epoch changes
+    (``configure``).  A worker that Ray restarts reruns an ``__init__``
+    that holds no crawl config, so its retried chunk always runs under
+    the config of the crawl it belongs to.
 
     One DOM parse serves both span extraction and link collection.
     Offers are fire-and-forget (the worker never blocks on shard RPCs).
@@ -110,33 +145,51 @@ class CrawlWorker:
       Re-offering is idempotent (first-offer-wins seen set); a replay's
       span output is discarded."""
 
-    def __init__(self, corpus_dir: str, num_parts: int, rules, shards,
-                 follow_urls: bool = True):
+    def __init__(self):
+        import gc
         import time as _t
 
-        self.fetcher = CorpusFetcher(corpus_dir, num_parts)
-        self.compiled = _CompiledRules(list(rules))
-        self.shards = shards
-        self.follow_urls = follow_urls
-        self._last_offers: list = []
-        self._pending_offers: list = []
         # incarnation token: changes iff this actor restarted (new
         # process) — the driver's cheap worker-death detector
         self.token = f"{os.getpid()}-{_t.time_ns()}"
+        self.epoch = None
+        self.fetcher = self.compiled = self.shards = None
+        self.follow_urls = True
+        self._last_offers: list = []
+        self._pending_offers: list = []
         self.busy_s = 0.0
         self.n_batches = 0
         # DOM trees are cyclic (parent pointers) so cyclic GC must stay
         # on, but the default gen0 threshold (700) makes every worker
         # scan its whole young heap thousands of times per batch of
         # parses — a measurable fraction of the 8→32 busy-time
-        # inflation.  Freeze the warm corpus/selector state out of GC
-        # and collect much less often; DOMs are batch-local so peak
-        # heap stays bounded by a few batches.
-        import gc
-
-        gc.collect()
-        gc.freeze()
+        # inflation.  The warm corpus/selector state is frozen out of
+        # GC (``configure``) and collections run much less often; DOMs
+        # are batch-local so peak heap stays bounded by a few batches.
         gc.set_threshold(50_000, 20, 20)
+
+    def configure(self, epoch: int, cfg: list) -> str:
+        """Adopt crawl ``epoch``'s config (``cfg[0]``: an ObjectRef of
+        the dict ``run_crawl`` puts) unless already on it; returns the
+        incarnation token.  A new epoch drops the previous crawl's state
+        and returns its memory first."""
+        if epoch != self.epoch:
+            import gc
+
+            conf = ray.get(cfg[0])
+            self.fetcher = self.compiled = None
+            self._last_offers, self._pending_offers = [], []
+            gc.unfreeze()
+            release_free_memory()
+            self.fetcher = CorpusFetcher(conf["corpus_dir"], conf["num_parts"])
+            self.compiled = _CompiledRules(list(conf["rules"]))
+            self.shards = conf["shards"]
+            self.busy_s = 0.0
+            self.n_batches = 0
+            self.epoch = epoch
+            gc.collect()
+            gc.freeze()
+        return self.token
 
     def process(self, batch: pa.Table) -> pa.Table:
         import time as _t
@@ -147,7 +200,8 @@ class CrawlWorker:
         self.n_batches += 1
         return out
 
-    def process_slice(self, shard_table: pa.Table, idx, order, rnd: int):
+    def process_slice(self, shard_table: pa.Table, idx, order, rnd: int,
+                      epoch: int, cfg: list):
         """Scale-path entry: the driver dispatches (shard table ref, row
         indices, visit ranks) instead of materialized row chunks, so URL
         payload flows shard → object store → worker without transiting
@@ -157,9 +211,11 @@ class CrawlWorker:
         Called with ``num_returns=2``: (result table, this chunk's
         in-flight offer ObjectRefs).  The driver fetches only the tiny
         second return to confirm edge delivery — the table ref goes
-        straight to the writer tasks."""
+        straight to the writers.  ``epoch``/``cfg``: the crawl this
+        chunk belongs to (see ``configure``)."""
         import numpy as np
 
+        self.configure(epoch, cfg)
         batch = shard_table.take(pa.array(idx))
         batch = batch.append_column(
             "round", pa.array(np.full(len(idx), rnd, dtype=np.int32)))
@@ -175,6 +231,19 @@ class CrawlWorker:
             ray.get(self._pending_offers)
             self._pending_offers.clear()
         return self.token
+
+    def write_part(self, refs: list, path: str) -> int:
+        """Concat finished result blocks (already in the object store)
+        and write one parquet part file — no driver transit, no
+        per-round streaming-executor spin-up, and no task worker: the
+        crawl's writes run on its pooled workers (see ``run_crawl``)."""
+        import pyarrow.parquet as pq
+
+        t = pa.concat_tables(ray.get(refs))
+        tmp = path + ".tmp"
+        pq.write_table(t, tmp)
+        os.replace(tmp, path)
+        return t.num_rows
 
     def worker_stats(self) -> dict:
         return {"busy_s": round(self.busy_s, 2), "n_batches": self.n_batches}
@@ -242,26 +311,90 @@ class CrawlWorker:
         })
 
 
-@ray.remote
-def _write_round_shard(refs: list, path: str) -> int:
-    """Writer task: concat the round's result blocks (already in the
-    object store) and write one parquet part file — no driver transit,
-    no per-round streaming-executor spin-up."""
-    import pyarrow.parquet as pq
-
-    tables = ray.get(refs) if refs and isinstance(refs[0], ray.ObjectRef) else refs
-    t = pa.concat_tables(tables)
-    tmp = path + ".tmp"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
-    return t.num_rows
-
-
 def _atomic_write(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(data)
     os.replace(tmp, path)
+
+
+# Workers are fault-tolerant: their only state is warm caches (corpus
+# parts, compiled selectors) rebuilt by ``configure``, so a crashed
+# worker restarts and its failed chunk task retries.  The retry's side
+# effects are safe — edge offers are at-least-once and the frontier's
+# first-offer dedup makes them idempotent; the chunk result itself is
+# exactly-once via the object ref.  Each chunk returns its offer refs
+# (see CrawlWorker); _confirm_offers replays any chunk whose offers may
+# have died with their owner, so worker death at ANY point is lossless
+# in-run.  Frontier SHARDS stay non-restartable (they are the stateful
+# component; their recovery path is the checkpoint snapshots).  Like the
+# shards', the workers' tasks record no task events (see FrontierShard).
+_WorkerActor = ray.remote(max_restarts=3, max_task_retries=3,
+                          enable_task_events=False)(CrawlWorker)
+
+
+class _ActorPool:
+    """The crawl's shards and workers, kept alive between ``run_crawl``
+    calls with the same ``key`` (see the module docstring)."""
+
+    def __init__(self, key: tuple, num_shards: int, concurrency: int):
+        self.key = key
+        self.shards = [FrontierShard.remote() for _ in range(num_shards)]
+        self.workers = [_WorkerActor.remote() for _ in range(concurrency)]
+
+    def replace_unhealthy(self) -> None:
+        """Replace every actor that is not ALIVE or has restarted since
+        it was created."""
+        import ray._private.state as gcs_state
+
+        def healthy(actor) -> bool:
+            info = gcs_state.actors(actor_id=actor._actor_id.hex())
+            return info.get("State") == "ALIVE" and info.get("NumRestarts") == 0
+
+        for actors, new in ((self.shards, FrontierShard.remote),
+                            (self.workers, _WorkerActor.remote)):
+            for i, actor in enumerate(actors):
+                if not healthy(actor):
+                    ray.kill(actor)
+                    actors[i] = new()
+
+    def kill(self) -> None:
+        if self.key[0] != _session():
+            return  # its Ray session ended, and its actors with it
+        for actor in self.shards + self.workers:
+            ray.kill(actor)
+
+
+_POOL: Optional[_ActorPool] = None
+_POOL_LOCK = threading.Lock()
+_EPOCH = 0
+
+
+def _session() -> str:
+    return ray._private.worker.global_worker.node.session_name
+
+
+def _acquire_pool(num_shards: int, concurrency: int) -> tuple[_ActorPool, str]:
+    """This call's actor pool and whether it was "cold" (created now)
+    or "warm" (reused).  At most one pool exists: a different key (a
+    new Ray session, shard count or worker count) replaces it."""
+    global _POOL
+    key = (_session(), num_shards, concurrency)
+    if _POOL is not None and _POOL.key == key:
+        _POOL.replace_unhealthy()
+        return _POOL, "warm"
+    _drop_pool()
+    _POOL = _ActorPool(key, num_shards, concurrency)
+    return _POOL, "cold"
+
+
+def _drop_pool() -> None:
+    """Kill the pooled crawl actors, if any (the next crawl starts a
+    new pool)."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.kill()
 
 
 def run_crawl(
@@ -296,7 +429,16 @@ def run_crawl(
     per-host FIFO order — the equivalence contract — is unchanged; it
     amortizes per-round pipeline startup when only crawl-delayed hosts
     remain.  ``stop_after_rounds`` simulates a crash for resume tests.
+
+    The shards and workers come from the module's actor pool and stay
+    alive for the next call (see "Actor pool" in the module docstring);
+    ``METRICS.json`` reports ``pool`` ("cold": created by this call,
+    "warm": reused) and ``startup_s``, the seconds from the call's start
+    until the first frontier release returned.
     """
+    import time as _time
+
+    call_t0 = _time.time()
     corpus_dir = ensure_corpus(sf_dir, scale=corpus_scale, seed_every=seed_every,
                                num_parts=num_parts_hint)
     manifest = load_manifest(corpus_dir)
@@ -327,394 +469,419 @@ def run_crawl(
                 f"{_meta_peek['corpus_dir']!r}, not {corpus_dir!r}")
         num_shards = _meta_peek.get("num_shards", num_shards)
 
-    # robots table is small config → broadcast once via constructor args
-    shards = [
-        FrontierShard.remote(
-            i, robots, allowed, capacity=seen_capacity // num_shards + 1,
-            exact_confirm=exact_confirm,
-            ignore_robots_txt=ignore_robots_txt, politeness=politeness,
-            adblock_rules=tuple(adblock_rules))
-        for i in range(num_shards)
-    ]
-
-    start_round = 0
-    if resume and os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
-        start_round = meta["completed_rounds"]
-        ray.get([
-            s.restore.remote(open(os.path.join(ckpt_dir, f"shard_{i}.bin"), "rb").read())
-            for i, s in enumerate(shards)
-        ])
-        # drop any partially written round after the checkpoint
-        for name in os.listdir(out_dir):
-            if name.startswith("round_"):
-                tag = name.split("_")[1]
-                if name.endswith(".wip") or int(tag.split(".")[0]) >= start_round:
-                    shutil.rmtree(os.path.join(out_dir, name))
-    else:
-        # seeds enter through the same host-hash exchange as discovered
-        # edges, keyed before every round-0 discovery
-        ray.get(route_edges(seed_list, [0] * len(seed_list),
-                            [(-1, i, 0) for i in range(len(seed_list))], shards))
-
     rules = rules or flagship_rules()
     if concurrency is None:
-        # leave headroom for the (fractional-CPU) shards, writers and
-        # driver — oversubscription slows every stage
+        # leave headroom for the shards and the driver —
+        # oversubscription slows every stage
         total = int(ray.cluster_resources().get("CPU", 4))
         # ~75% of CPUs: parsing is allocation/bandwidth-bound, so a full
         # pool loses more to memory contention than it gains in slots
         concurrency = max(2, min(total - 2, (total * 3) // 4))
 
-    # Workers are fault-tolerant: their only state is warm caches
-    # (corpus parts, compiled selectors) rebuilt in __init__, so a
-    # crashed worker restarts and its failed chunk task retries.  The
-    # retry's side effects are safe — edge offers are at-least-once and
-    # the frontier's first-offer dedup makes them idempotent; the chunk
-    # result itself is exactly-once via the object ref.  Each chunk
-    # returns its offer refs (see CrawlWorker); _confirm_offers replays
-    # any chunk whose offers may have died with their owner, so worker
-    # death at ANY point is lossless in-run.  Frontier SHARDS stay
-    # non-restartable (they are the stateful component; their recovery
-    # path is the checkpoint snapshots).
-    WorkerActor = ray.remote(max_restarts=3, max_task_retries=3)(CrawlWorker)
-    workers = [
-        WorkerActor.remote(corpus_dir, num_parts, rules, shards)
-        for _ in range(concurrency)
-    ]
-    # surface init errors early + capture incarnation tokens (the
-    # worker-death detector for the offer-delivery fast path)
-    worker_tokens0 = ray.get([w.flush_offers.remote() for w in workers])
+    global _EPOCH
+    _POOL_LOCK.acquire()  # the pooled actors serve one crawl at a time
+    try:
+        _EPOCH += 1
+        epoch = _EPOCH
+        pool, pool_state = _acquire_pool(num_shards, concurrency)
+        shards, workers = pool.shards, pool.workers
+        # Nothing below blocks until every actor has its reset queued:
+        # on a cold pool the shard and worker processes boot in parallel.
+        # Per-caller actor task order puts each shard's reset before its
+        # restore / seed offers and each worker's configure before any
+        # chunk.  The robots table is put once, not once per shard.
+        robots_ref = ray.put(robots)
+        ready = [
+            s.reset.remote(
+                i, robots_ref, allowed, capacity=seen_capacity // num_shards + 1,
+                exact_confirm=exact_confirm,
+                ignore_robots_txt=ignore_robots_txt, politeness=politeness,
+                adblock_rules=tuple(adblock_rules))
+            for i, s in enumerate(shards)
+        ]
+        cfg = [ray.put({"corpus_dir": corpus_dir, "num_parts": num_parts,
+                        "rules": rules, "shards": shards})]
+        # incarnation tokens: the worker-death detector for the
+        # offer-delivery fast path (and init errors surface here)
+        token_refs = [w.configure.remote(epoch, cfg) for w in workers]
 
-    import time as _time
-
-    _prof = os.environ.get("DUDE_RAY_PROFILE") == "1"
-    _pt = {"release": 0.0, "build": 0.0, "dispatch": 0.0, "write": 0.0,
-           "ckpt": 0.0, "n_rounds": 0}
-
-    pending_writes: list = []
-    pending_ckpt = None  # deferred persist of the PREVIOUS checkpoint
-    part_owners: dict[int, list[int]] = {}
-    inflight: list = []
-    # (offers_ref, tick table ref, row sel, ranks, round) per dispatched
-    # chunk — the delivery-confirmation ledger.  Holding the tick table
-    # ref keeps the chunk replayable until its offers are confirmed.
-    offer_pending: list = []
-    _rr = [0]
-
-    worker_tokens: list = list(worker_tokens0)
-
-    def _confirm_offers() -> bool:
-        """Barrier: every outstanding chunk's edge offers are applied in
-        their shards.  Fast path (no worker died): one owner-local flush
-        RPC per worker; unchanged incarnation tokens prove every offer
-        since the last barrier either flushed now or earlier.  Slow path
-        (a token changed or a flush RPC failed): verify each outstanding
-        chunk's offer refs and replay maybe-lost chunks on another
-        worker — re-offering is idempotent (first-offer-wins) and the
-        replay's span output is discarded (the original result was
-        already written).  Returns True if anything was replayed (the
-        frontier may have gained edges, so emptiness must be
-        re-checked)."""
-        if not offer_pending:
-            return False
-        try:
-            toks = ray.get([w.flush_offers.remote() for w in workers])
-        except Exception:
-            toks = None
-        if toks is not None and toks == worker_tokens:
-            offer_pending.clear()
-            return False
-        replayed = False
-        for o_ref, t_ref, sel, order_vals, ernd in offer_pending:
-            try:
-                ray.get(ray.get(o_ref))
-                continue
-            except Exception:
-                pass
-            for _ in range(2 * len(workers)):
-                _rr[0] = (_rr[0] + 1) % len(workers)
-                _tbl, o2 = workers[_rr[0]].process_slice.options(
-                    num_returns=2).remote(t_ref, sel, order_vals, ernd)
-                try:
-                    ray.get(ray.get(o2))
-                    replayed = True
-                    break
-                except Exception:
-                    continue
-            else:
-                raise RuntimeError(
-                    "edge replay failed on every worker — frontier "
-                    "state is incomplete; resume from checkpoint")
-        offer_pending.clear()
-        worker_tokens[:] = ray.get([w.flush_offers.remote() for w in workers])
-        return replayed
-
-    _loop_t0 = _time.time()
-    rnd = start_round
-    release_refs = None
-    while rnd < max_rounds:
-        if stop_after_rounds is not None and rnd - start_round >= stop_after_rounds:
-            break
-        _t0 = _time.time()
-        # one RPC per shard per round; the tick loop runs inside the
-        # shard (politeness accounting is virtual-clock per tick).  Each
-        # shard key-sorts its released rows locally and ray.puts the
-        # Arrow table; only fixed-width key/part metadata (28 B/row)
-        # reaches the driver — URL strings never transit it.  In
-        # pipelined mode the NEXT round's release is issued right after
-        # dispatch, so the shards compute it while workers are busy and
-        # this ray.get usually returns immediately.
-        if release_refs is None:
-            release_refs = [
-                s.release_round.remote(ticks_per_round, release_budget,
-                                       burst=politeness_burst,
-                                       num_parts=num_parts)
-                for s in shards
-            ]
-        tick_out = ray.get(release_refs)
-        release_refs = None
-        tick_out = [t for t in tick_out if t["n"]]
-        n_released = sum(t["n"] for t in tick_out)
-        if not n_released:
-            if pipelined and inflight:
-                # wait for at least one straggler wave; the confirmation
-                # below (or at the next checkpoint) barriers its offers
-                done, still = ray.wait(inflight, num_returns=1,
-                                       fetch_local=False)
-                inflight[:] = still
-                continue
-            if _confirm_offers():
-                continue  # replayed edges may have refilled the frontier
-            pending = sum(ray.get([s.pending.remote() for s in shards]))
-            if pending == 0:
-                break
-            continue  # only delayed hosts remain; the next tick may release
-
-        _pt["release"] += _time.time() - _t0
-        _t0 = _time.time()
-        # Global visit ranks from key metadata only (numpy lexsort over
-        # int64 columns): order_in_round is assigned in global
-        # enqueue-key order (the visit-order label and the parent
-        # component of children keys).  Shard tables are already
-        # key-sorted, so each shard's rank slice is ascending and rows
-        # are addressed by (shard ref, index array) — the driver never
-        # concatenates, sorts, or even sees the string payload.
-        import numpy as np
-
-        keys = np.concatenate([t["keys"] for t in tick_out], axis=1)
-        g = np.lexsort((keys[2], keys[1], keys[0]))
-        ranks = np.empty(keys.shape[1], dtype=np.int64)
-        ranks[g] = np.arange(keys.shape[1], dtype=np.int64)
-        offs = np.cumsum([0] + [t["n"] for t in tick_out])
-        _pt["build"] += _time.time() - _t0
-        _t0 = _time.time()
-        # group this round's batches by corpus part, then assign workers:
-        # cold parts stay on their affine worker (lookup-cache locality);
-        # a hot part fans out so one hot host cannot serialize the round
-        # (hot-host skew splitting).  Chunks never span shards: a chunk
-        # is (shard index, row-index array, rank array) and the worker
-        # takes the rows from the shard table ref directly.
-        refs = []
-        per_part: dict[int, list] = {}
-        for i, t in enumerate(tick_out):
-            lr = ranks[offs[i]:offs[i + 1]]
-            pt_arr = t["parts"]
-            perm = np.lexsort((lr, pt_arr))
-            pt_s = pt_arr[perm]
-            bounds = np.flatnonzero(np.diff(pt_s)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [len(pt_s)]))
-            for s0, e0 in zip(starts, ends):
-                part = int(pt_s[s0])
-                lst = per_part.setdefault(part, [])
-                for a in range(s0, e0, batch_size):
-                    b = min(a + batch_size, e0)
-                    sel = perm[a:b]
-                    lst.append((i, sel, lr[sel]))
-        # load-aware dispatch with bounded cache replication: each part
-        # has a persistent owner set (workers that have its lookup
-        # partition cached); batches go to the least-loaded owner, and a
-        # part's owner set only grows when all owners are above the
-        # round's fair share (hot-host skew splitting with an explicit
-        # replication bound instead of a fixed fan-out).
-        W = len(workers)
-        load = [0.0] * W
-        fair = n_released / W
-        for part, chunks in sorted(per_part.items(),
-                                   key=lambda kv: -len(kv[1])):
-            own = part_owners.setdefault(part, [part % W])
-            for si, sel, order_vals in chunks:
-                w = min(own, key=lambda i: load[i])
-                if load[w] >= fair and len(own) < W:
-                    cand = min(range(W), key=lambda i: load[i])
-                    if cand not in own and load[cand] < load[w]:
-                        own.append(cand)
-                        w = cand
-                load[w] += len(sel)
-                t_ref, o_ref = workers[w].process_slice.options(
-                    num_returns=2).remote(
-                    tick_out[si]["ref"], sel, order_vals, rnd)
-                refs.append(t_ref)
-                offer_pending.append(
-                    (o_ref, tick_out[si]["ref"], sel, order_vals, rnd))
-        do_ckpt = (rnd + 1) % checkpoint_every == 0
-        if pipelined:
-            # pipelined (bench) mode: no per-round barrier — the next
-            # release consumes whatever offers have landed; the visit
-            # SET is invariant (gates are per-URL and static; dedup is
-            # first-offer-wins on an order-independent set), only the
-            # deterministic enqueue-key labels are given up.  Straggler
-            # batches overlap the next wave instead of stalling it.
-            # Prefetch the next release NOW so the shards' tick/sort/put
-            # work overlaps this round's fetching — EXCEPT on checkpoint
-            # rounds: a release pops URLs from the shard queues, so it
-            # must be ordered AFTER the snapshot on each shard actor, or
-            # a crash between the two loses the popped URLs from both
-            # the snapshot and the (never-written) next round.  The
-            # prefetch for checkpoint rounds is issued after the
-            # snapshot RPCs below.
-            if not do_ckpt:
-                release_refs = [
-                    s.release_round.remote(ticks_per_round, release_budget,
-                                           burst=politeness_burst,
-                                           num_parts=num_parts)
-                    for s in shards
-                ]
-            inflight.extend(refs)
-            # backpressure: allow 4 batches per worker in flight so the
-            # pool stays fed across round transitions (the release
-            # prefetch + this window together hide the per-round gap);
-            # bounded, so object-store pressure stays O(workers)
-            over = len(inflight) - 4 * len(workers)
-            if over > 0:
-                _, still = ray.wait(inflight, num_returns=over,
-                                    fetch_local=False)
-                inflight[:] = still
+        start_round = 0
+        if resume and os.path.exists(meta_path):
+            with open(meta_path) as f:
+                meta = json.load(f)
+            start_round = meta["completed_rounds"]
+            for i, s in enumerate(shards):
+                with open(os.path.join(ckpt_dir, f"shard_{i}.bin"), "rb") as f:
+                    ready.append(s.restore.remote(f.read()))
+            # drop any partially written round after the checkpoint
+            for name in os.listdir(out_dir):
+                if name.startswith("round_"):
+                    tag = name.split("_")[1]
+                    if name.endswith(".wip") or int(tag.split(".")[0]) >= start_round:
+                        shutil.rmtree(os.path.join(out_dir, name))
         else:
-            # barrier on worker completion AND edge delivery (the
-            # confirmation doubles as the round's offer flush); parquet
-            # writes proceed asynchronously and are gathered lazily — a
-            # checkpoint must not outrun its rounds' files, so pending
-            # writes are drained before each snapshot
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
-            _confirm_offers()
-        _pt["dispatch"] += _time.time() - _t0
-        _t0 = _time.time()
-        round_dir = os.path.join(out_dir, f"round_{rnd:05d}")
-        tmp_dir = round_dir + ".wip"
-        os.makedirs(tmp_dir, exist_ok=True)
-        n_writers = max(1, min(8, len(refs) // 4))
-        write_refs = []
-        for wi in range(n_writers):
-            shard_refs = refs[wi::n_writers]
-            if shard_refs:
-                write_refs.append(_write_round_shard.remote(
-                    shard_refs, os.path.join(tmp_dir, f"part-{wi:03d}.parquet")))
-        pending_writes.append((write_refs, tmp_dir, round_dir))
-        _pt["write"] += _time.time() - _t0
-        _t0 = _time.time()
+            # seeds enter through the same host-hash exchange as discovered
+            # edges, keyed before every round-0 discovery
+            ready += route_edges(seed_list, [0] * len(seed_list),
+                                 [(-1, i, 0) for i in range(len(seed_list))], shards)
+        got = ray.get(ready + token_refs)
+        worker_tokens0 = got[len(ready):]
 
-        if do_ckpt:
-            if pipelined:
-                # a snapshot must contain every edge of its committed
-                # rounds: barrier straggler chunks of earlier rounds
-                # (the current round's chunks completed in the dispatch
-                # barrier above), then confirm offer delivery — the
-                # replaying barrier — before shard state is serialized.
-                if inflight:
-                    ray.wait(inflight, num_returns=len(inflight),
-                             fetch_local=False)
-                _confirm_offers()
-                inflight.clear()
-            # issue snapshot AND the next release back-to-back: per-actor
-            # task-queue order guarantees each shard serializes its state
-            # BEFORE popping the next round's URLs, and the shards do
-            # both while the driver drains data files below — the disk
-            # work leaves the worker-feeding critical path entirely.
-            snap_refs = [s.snapshot.remote() for s in shards]
-            if pipelined:
+        _prof = os.environ.get("DUDE_RAY_PROFILE") == "1"
+        _pt = {"release": 0.0, "build": 0.0, "dispatch": 0.0, "write": 0.0,
+               "ckpt": 0.0, "n_rounds": 0}
+
+        unwritten: list = []  # (round, result refs, tmp dir, round dir)
+        pending_writes: list = []  # (write refs, tmp dir, round dir)
+        pending_ckpt = None  # deferred persist of the PREVIOUS checkpoint
+        part_owners: dict[int, list[int]] = {}
+        inflight: list = []
+        # (offers_ref, tick table ref, row sel, ranks, round) per dispatched
+        # chunk — the delivery-confirmation ledger.  Holding the tick table
+        # ref keeps the chunk replayable until its offers are confirmed.
+        offer_pending: list = []
+        _rr = [0]
+
+        worker_tokens: list = list(worker_tokens0)
+
+        def _confirm_offers() -> bool:
+            """Barrier: every outstanding chunk's edge offers are applied in
+            their shards.  Fast path (no worker died): one owner-local flush
+            RPC per worker; unchanged incarnation tokens prove every offer
+            since the last barrier either flushed now or earlier.  Slow path
+            (a token changed or a flush RPC failed): verify each outstanding
+            chunk's offer refs and replay maybe-lost chunks on another
+            worker — re-offering is idempotent (first-offer-wins) and the
+            replay's span output is discarded (the original result was
+            already written).  Returns True if anything was replayed (the
+            frontier may have gained edges, so emptiness must be
+            re-checked)."""
+            if not offer_pending:
+                return False
+            try:
+                toks = ray.get([w.flush_offers.remote() for w in workers])
+            except Exception:
+                toks = None
+            if toks is not None and toks == worker_tokens:
+                offer_pending.clear()
+                return False
+            replayed = False
+            for o_ref, t_ref, sel, order_vals, ernd in offer_pending:
+                try:
+                    ray.get(ray.get(o_ref))
+                    continue
+                except Exception:
+                    pass
+                for _ in range(2 * len(workers)):
+                    _rr[0] = (_rr[0] + 1) % len(workers)
+                    _tbl, o2 = workers[_rr[0]].process_slice.options(
+                        num_returns=2).remote(t_ref, sel, order_vals, ernd, epoch, cfg)
+                    try:
+                        ray.get(ray.get(o2))
+                        replayed = True
+                        break
+                    except Exception:
+                        continue
+                else:
+                    raise RuntimeError(
+                        "edge replay failed on every worker — frontier "
+                        "state is incomplete; resume from checkpoint")
+            offer_pending.clear()
+            worker_tokens[:] = ray.get([w.flush_offers.remote() for w in workers])
+            return replayed
+
+        def _submit_writes(drain: bool) -> None:
+            """Hand rounds whose chunks have all finished to the workers'
+            ``write_part``, oldest first (``drain``: the caller has waited
+            for every chunk).  A write never waits on chunks, so it never
+            stalls the worker that runs it; in the strict mode, and at
+            checkpoints, the workers are idle when their writes arrive."""
+            while unwritten:
+                wrnd, refs, tmp_dir, round_dir = unwritten[0]
+                if not drain:
+                    done, _ = ray.wait(refs, num_returns=len(refs), timeout=0,
+                                       fetch_local=False)
+                    if len(done) < len(refs):
+                        return
+                unwritten.pop(0)
+                n_writers = max(1, min(8, len(refs) // 4))
+                write_refs = [
+                    workers[(wrnd + wi) % len(workers)].write_part.remote(
+                        refs[wi::n_writers],
+                        os.path.join(tmp_dir, f"part-{wi:03d}.parquet"))
+                    for wi in range(n_writers)
+                ]
+                pending_writes.append((write_refs, tmp_dir, round_dir))
+
+        _loop_t0 = _time.time()
+        startup_s = None
+        rnd = start_round
+        release_refs = None
+        while rnd < max_rounds:
+            if stop_after_rounds is not None and rnd - start_round >= stop_after_rounds:
+                break
+            _t0 = _time.time()
+            # one RPC per shard per round; the tick loop runs inside the
+            # shard (politeness accounting is virtual-clock per tick).  Each
+            # shard key-sorts its released rows locally and ray.puts the
+            # Arrow table; only fixed-width key/part metadata (28 B/row)
+            # reaches the driver — URL strings never transit it.  In
+            # pipelined mode the NEXT round's release is issued right after
+            # dispatch, so the shards compute it while workers are busy and
+            # this ray.get usually returns immediately.
+            if release_refs is None:
                 release_refs = [
                     s.release_round.remote(ticks_per_round, release_budget,
                                            burst=politeness_burst,
                                            num_parts=num_parts)
                     for s in shards
                 ]
-            # the persist itself is DEFERRED one checkpoint interval so
-            # the crawl loop never waits on disk while workers starve:
-            # by the time it runs, its write tasks and snapshot refs
-            # completed long ago and the ray.get returns instantly.
-            # Checkpoint validity ordering is unchanged WITHIN each
-            # persist: round files first, snapshot bytes second, the
-            # meta marker LAST — a crash before the deferred persist
-            # simply falls back to the previous on-disk checkpoint and
-            # the rounds replay idempotently (exactly the crash-between-
-            # snapshot-and-meta window that already existed).
-            due_writes, pending_writes = pending_writes, []
+            tick_out = ray.get(release_refs)
+            release_refs = None
+            if startup_s is None:
+                startup_s = _time.time() - call_t0
+            tick_out = [t for t in tick_out if t["n"]]
+            n_released = sum(t["n"] for t in tick_out)
+            if not n_released:
+                if pipelined and inflight:
+                    # wait for at least one straggler wave; the confirmation
+                    # below (or at the next checkpoint) barriers its offers
+                    done, still = ray.wait(inflight, num_returns=1,
+                                           fetch_local=False)
+                    inflight[:] = still
+                    continue
+                if _confirm_offers():
+                    continue  # replayed edges may have refilled the frontier
+                pending = sum(ray.get([s.pending.remote() for s in shards]))
+                if pending == 0:
+                    break
+                continue  # only delayed hosts remain; the next tick may release
 
-            def _persist_ckpt(snap_refs=snap_refs, due=due_writes,
-                              upto=rnd + 1):
-                for wrefs, tdir, rdir in due:
-                    ray.get(wrefs)
-                    os.replace(tdir, rdir)  # atomic round commit
-                for i, raw in enumerate(ray.get(snap_refs)):
-                    _atomic_write(os.path.join(ckpt_dir, f"shard_{i}.bin"),
-                                  raw)
-                _atomic_write(meta_path, json.dumps({
-                    "completed_rounds": upto,
-                    "num_shards": num_shards,
-                    "corpus_dir": corpus_dir,
-                }).encode())
+            _pt["release"] += _time.time() - _t0
+            _t0 = _time.time()
+            # Global visit ranks from key metadata only (numpy lexsort over
+            # int64 columns): order_in_round is assigned in global
+            # enqueue-key order (the visit-order label and the parent
+            # component of children keys).  Shard tables are already
+            # key-sorted, so each shard's rank slice is ascending and rows
+            # are addressed by (shard ref, index array) — the driver never
+            # concatenates, sorts, or even sees the string payload.
+            import numpy as np
 
-            if pending_ckpt is not None:
-                pending_ckpt()  # previous interval's persist: instant now
-            pending_ckpt = _persist_ckpt
-        _pt["ckpt"] += _time.time() - _t0
-        _pt["n_rounds"] += 1
-        rnd += 1
+            keys = np.concatenate([t["keys"] for t in tick_out], axis=1)
+            g = np.lexsort((keys[2], keys[1], keys[0]))
+            ranks = np.empty(keys.shape[1], dtype=np.int64)
+            ranks[g] = np.arange(keys.shape[1], dtype=np.int64)
+            offs = np.cumsum([0] + [t["n"] for t in tick_out])
+            _pt["build"] += _time.time() - _t0
+            _t0 = _time.time()
+            # group this round's batches by corpus part, then assign workers:
+            # cold parts stay on their affine worker (lookup-cache locality);
+            # a hot part fans out so one hot host cannot serialize the round
+            # (hot-host skew splitting).  Chunks never span shards: a chunk
+            # is (shard index, row-index array, rank array) and the worker
+            # takes the rows from the shard table ref directly.
+            refs = []
+            per_part: dict[int, list] = {}
+            for i, t in enumerate(tick_out):
+                lr = ranks[offs[i]:offs[i + 1]]
+                pt_arr = t["parts"]
+                perm = np.lexsort((lr, pt_arr))
+                pt_s = pt_arr[perm]
+                bounds = np.flatnonzero(np.diff(pt_s)) + 1
+                starts = np.concatenate(([0], bounds))
+                ends = np.concatenate((bounds, [len(pt_s)]))
+                for s0, e0 in zip(starts, ends):
+                    part = int(pt_s[s0])
+                    lst = per_part.setdefault(part, [])
+                    for a in range(s0, e0, batch_size):
+                        b = min(a + batch_size, e0)
+                        sel = perm[a:b]
+                        lst.append((i, sel, lr[sel]))
+            # load-aware dispatch with bounded cache replication: each part
+            # has a persistent owner set (workers that have its lookup
+            # partition cached); batches go to the least-loaded owner, and a
+            # part's owner set only grows when all owners are above the
+            # round's fair share (hot-host skew splitting with an explicit
+            # replication bound instead of a fixed fan-out).
+            W = len(workers)
+            load = [0.0] * W
+            fair = n_released / W
+            for part, chunks in sorted(per_part.items(),
+                                       key=lambda kv: -len(kv[1])):
+                own = part_owners.setdefault(part, [part % W])
+                for si, sel, order_vals in chunks:
+                    w = min(own, key=lambda i: load[i])
+                    if load[w] >= fair and len(own) < W:
+                        cand = min(range(W), key=lambda i: load[i])
+                        if cand not in own and load[cand] < load[w]:
+                            own.append(cand)
+                            w = cand
+                    load[w] += len(sel)
+                    t_ref, o_ref = workers[w].process_slice.options(
+                        num_returns=2).remote(
+                        tick_out[si]["ref"], sel, order_vals, rnd, epoch, cfg)
+                    refs.append(t_ref)
+                    offer_pending.append(
+                        (o_ref, tick_out[si]["ref"], sel, order_vals, rnd))
+            do_ckpt = (rnd + 1) % checkpoint_every == 0
+            if pipelined:
+                # pipelined (bench) mode: no per-round barrier — the next
+                # release consumes whatever offers have landed; the visit
+                # SET is invariant (gates are per-URL and static; dedup is
+                # first-offer-wins on an order-independent set), only the
+                # deterministic enqueue-key labels are given up.  Straggler
+                # batches overlap the next wave instead of stalling it.
+                # Prefetch the next release NOW so the shards' tick/sort/put
+                # work overlaps this round's fetching — EXCEPT on checkpoint
+                # rounds: a release pops URLs from the shard queues, so it
+                # must be ordered AFTER the snapshot on each shard actor, or
+                # a crash between the two loses the popped URLs from both
+                # the snapshot and the (never-written) next round.  The
+                # prefetch for checkpoint rounds is issued after the
+                # snapshot RPCs below.
+                if not do_ckpt:
+                    release_refs = [
+                        s.release_round.remote(ticks_per_round, release_budget,
+                                               burst=politeness_burst,
+                                               num_parts=num_parts)
+                        for s in shards
+                    ]
+                inflight.extend(refs)
+                # backpressure: allow 4 batches per worker in flight so the
+                # pool stays fed across round transitions (the release
+                # prefetch + this window together hide the per-round gap);
+                # bounded, so object-store pressure stays O(workers)
+                over = len(inflight) - 4 * len(workers)
+                if over > 0:
+                    _, still = ray.wait(inflight, num_returns=over,
+                                        fetch_local=False)
+                    inflight[:] = still
+            else:
+                # barrier on worker completion AND edge delivery (the
+                # confirmation doubles as the round's offer flush); parquet
+                # writes proceed asynchronously and are gathered lazily — a
+                # checkpoint must not outrun its rounds' files, so pending
+                # writes are drained before each snapshot
+                ray.wait(refs, num_returns=len(refs), fetch_local=False)
+                _confirm_offers()
+            _pt["dispatch"] += _time.time() - _t0
+            _t0 = _time.time()
+            round_dir = os.path.join(out_dir, f"round_{rnd:05d}")
+            tmp_dir = round_dir + ".wip"
+            os.makedirs(tmp_dir, exist_ok=True)
+            unwritten.append((rnd, refs, tmp_dir, round_dir))
+            _submit_writes(drain=False)
+            _pt["write"] += _time.time() - _t0
+            _t0 = _time.time()
 
-    if _prof:
-        print("CRAWL_PROFILE", json.dumps({k: round(v, 2) if isinstance(v, float) else v
-                                           for k, v in _pt.items()}))
+            if do_ckpt:
+                if pipelined:
+                    # a snapshot must contain every edge of its committed
+                    # rounds: barrier straggler chunks of earlier rounds
+                    # (the current round's chunks completed in the dispatch
+                    # barrier above), then confirm offer delivery — the
+                    # replaying barrier — before shard state is serialized.
+                    if inflight:
+                        ray.wait(inflight, num_returns=len(inflight),
+                                 fetch_local=False)
+                    _confirm_offers()
+                    inflight.clear()
+                _submit_writes(drain=True)
+                # issue snapshot AND the next release back-to-back: per-actor
+                # task-queue order guarantees each shard serializes its state
+                # BEFORE popping the next round's URLs, and the shards do
+                # both while the driver drains data files below — the disk
+                # work leaves the worker-feeding critical path entirely.
+                snap_refs = [s.snapshot.remote() for s in shards]
+                if pipelined:
+                    release_refs = [
+                        s.release_round.remote(ticks_per_round, release_budget,
+                                               burst=politeness_burst,
+                                               num_parts=num_parts)
+                        for s in shards
+                    ]
+                # the persist itself is DEFERRED one checkpoint interval so
+                # the crawl loop never waits on disk while workers starve:
+                # by the time it runs, its writes and snapshot refs
+                # completed long ago and the ray.get returns instantly.
+                # Checkpoint validity ordering is unchanged WITHIN each
+                # persist: round files first, snapshot bytes second, the
+                # meta marker LAST — a crash before the deferred persist
+                # simply falls back to the previous on-disk checkpoint and
+                # the rounds replay idempotently (exactly the crash-between-
+                # snapshot-and-meta window that already existed).
+                due_writes, pending_writes = pending_writes, []
 
-    if inflight:
-        ray.wait(inflight, num_returns=len(inflight), fetch_local=False)
-    _confirm_offers()
-    if pending_ckpt is not None:
-        pending_ckpt()  # persist the last checkpoint interval
-    for wrefs, tdir, rdir in pending_writes:
-        ray.get(wrefs)
-        os.replace(tdir, rdir)
-    pending_writes.clear()
+                def _persist_ckpt(snap_refs=snap_refs, due=due_writes,
+                                  upto=rnd + 1):
+                    for wrefs, tdir, rdir in due:
+                        ray.get(wrefs)
+                        os.replace(tdir, rdir)  # atomic round commit
+                    for i, raw in enumerate(ray.get(snap_refs)):
+                        _atomic_write(os.path.join(ckpt_dir, f"shard_{i}.bin"),
+                                      raw)
+                    _atomic_write(meta_path, json.dumps({
+                        "completed_rounds": upto,
+                        "num_shards": num_shards,
+                        "corpus_dir": corpus_dir,
+                    }).encode())
 
-    loop_sec = _time.time() - _loop_t0
+                if pending_ckpt is not None:
+                    pending_ckpt()  # previous interval's persist: instant now
+                pending_ckpt = _persist_ckpt
+            _pt["ckpt"] += _time.time() - _t0
+            _pt["n_rounds"] += 1
+            rnd += 1
 
-    # final metrics → lineage manifest (SURVEY A4)
-    stats = ray.get([s.get_stats.remote() for s in shards])
-    hosts = [row for s in shards for row in ray.get(s.host_accounting.remote())]
-    wstats = ray.get([w.worker_stats.remote() for w in workers])
-    if _prof:
-        busy = sorted(w["busy_s"] for w in wstats)
-        print("WORKER_BUSY", json.dumps({"sum": round(sum(busy), 1),
-                                         "min": busy[0], "max": busy[-1],
-                                         "n": len(busy)}))
-    _atomic_write(os.path.join(out_dir, "METRICS.json"), json.dumps({
-        "rounds": rnd, "loop_sec": round(loop_sec, 3),
-        "released_total": int(sum(s.get("released", 0) for s in stats)),
-        # engine-level accounting for the scaling criterion: worker busy
-        # seconds measure actual compute, independent of VM wall-clock
-        # noise (see bench.py --scaling)
-        "worker_busy_s": round(sum(w["busy_s"] for w in wstats), 2),
-        "n_workers": len(wstats),
-        "shards": stats, "hosts": hosts,
-    }).encode())
+        if _prof:
+            print("CRAWL_PROFILE", json.dumps({k: round(v, 2) if isinstance(v, float) else v
+                                               for k, v in _pt.items()}))
 
-    for s in shards:
-        ray.kill(s)
-    for w in workers:
-        ray.kill(w)
-    return read_crawl_output(out_dir)
+        if inflight:
+            ray.wait(inflight, num_returns=len(inflight), fetch_local=False)
+        _confirm_offers()
+        _submit_writes(drain=True)
+        if pending_ckpt is not None:
+            pending_ckpt()  # persist the last checkpoint interval
+        for wrefs, tdir, rdir in pending_writes:
+            ray.get(wrefs)
+            os.replace(tdir, rdir)
+        pending_writes.clear()
+
+        loop_sec = _time.time() - _loop_t0
+
+        # final metrics → lineage manifest (SURVEY A4)
+        stats = ray.get([s.get_stats.remote() for s in shards])
+        hosts = [row for s in shards for row in ray.get(s.host_accounting.remote())]
+        wstats = ray.get([w.worker_stats.remote() for w in workers])
+        if _prof:
+            busy = sorted(w["busy_s"] for w in wstats)
+            print("WORKER_BUSY", json.dumps({"sum": round(sum(busy), 1),
+                                             "min": busy[0], "max": busy[-1],
+                                             "n": len(busy)}))
+        _atomic_write(os.path.join(out_dir, "METRICS.json"), json.dumps({
+            "rounds": rnd, "loop_sec": round(loop_sec, 3),
+            "released_total": int(sum(s.get("released", 0) for s in stats)),
+            # engine-level accounting for the scaling criterion: worker busy
+            # seconds measure actual compute, independent of VM wall-clock
+            # noise (see bench.py --scaling)
+            "worker_busy_s": round(sum(w["busy_s"] for w in wstats), 2),
+            "n_workers": len(wstats),
+            "startup_s": round(startup_s if startup_s is not None
+                               else _loop_t0 - call_t0, 3),
+            "pool": pool_state,
+            "shards": stats, "hosts": hosts,
+        }).encode())
+
+        return read_crawl_output(out_dir)
+    except BaseException:
+        # a failed crawl leaves its actors in an unknown state (and
+        # alive): kill the pool, the next call builds a new one
+        _drop_pool()
+        raise
+    finally:
+        _POOL_LOCK.release()
 
 
 def read_crawl_output(out_dir: str):

@@ -76,6 +76,22 @@ def tree_combine(partials, keys, sums=(), mins=(), maxs=(),
 
 
 
+def _empty_result(schema: pa.Schema):
+    """A 0-row Dataset whose ``to_pandas`` keeps ``schema``'s columns.
+    Ray Data builds that frame from the non-empty blocks only, so a
+    plain empty Dataset converts to a frame without columns."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    class EmptyResult(MaterializedDataset):
+        def to_pandas(self, limit=None):
+            return schema.empty_table().to_pandas()
+
+    ds = ray.data.from_arrow(schema.empty_table())
+    ds.__class__ = EmptyResult
+    return ds
+
+
 def _py_round(arr, n: int) -> pa.Array:
     """Correctly-rounded decimal rounding (Python round == DuckDB round),
     unlike pc.round which can be 1 ulp off; used only on small final
@@ -4006,8 +4022,16 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
             "revenue": _py_round(batch["rev"], 2),
         })
 
-    return (out.map_batches(finalize, batch_format="pyarrow")
-            .sort(["supp_nation", "cust_nation", "l_year"]))
+    # the result is a few rows (nation pairs × years), materialized so
+    # that an empty one can be returned with its declared columns
+    res = (out.map_batches(finalize, batch_format="pyarrow")
+           .sort(["supp_nation", "cust_nation", "l_year"]).materialize())
+    if res.count():
+        return res
+    return _empty_result(pa.schema([("supp_nation", pa.string()),
+                                    ("cust_nation", pa.string()),
+                                    ("l_year", pa.int64()),
+                                    ("revenue", pa.float64())]))
 
 
 def volume_shipping_oracle_sql(nation_a: str = Q7_NATION_A,

@@ -69,6 +69,26 @@ SKIP_DUP = "duplicate"
 Key = tuple  # (round, parent_order, link_index)
 
 
+def release_free_memory() -> None:
+    """Hand the heap a finished crawl left behind back to the OS: cyclic
+    garbage, Arrow's pooled buffers and glibc's free arenas.  Pooled
+    crawl actors call it when they reset, so a long-lived actor's
+    resident size tracks one crawl, not the largest of all of them."""
+    import ctypes
+    import gc
+
+    import pyarrow as pa
+
+    gc.collect()
+    pa.default_memory_pool().release_unused()
+    try:
+        trim = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return  # not glibc
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 class _HostState:
     __slots__ = ("queue", "next_free_tick", "crawl_delay", "released")
 
@@ -119,6 +139,15 @@ class FrontierShardLocal:
         self._ready: list[tuple[Key, str]] = []      # (head_key, host)
         self._sleeping: list[tuple[int, str]] = []   # (next_free_tick, host)
         self.stats = collections.Counter()
+        self._last_hosts: list[str] = []
+
+    def reset(self, *args, **kwargs) -> None:
+        """Start a new crawl in this object: drop every trace of the
+        previous one, return its memory, and re-run ``__init__`` with
+        the new crawl's robots, allowed domains, capacity and gates."""
+        self.__dict__.clear()
+        release_free_memory()
+        FrontierShardLocal.__init__(self, *args, **kwargs)
 
     # ---- robots (memoized per host) -----------------------------------
     def _robots(self, host: str) -> RobotFileParser:
@@ -454,10 +483,18 @@ class FrontierShardLocalArrow(FrontierShardLocal):
                 "ref": ray.put(t.drop_columns(["part"]))}
 
 
-# Frontier shards are bursty, mostly-idle bookkeepers: fractional CPU so
-# an 8-CPU cluster does not spend every core on frontier actors.
-@ray.remote(num_cpus=0.25)
+# Frontier shards are bursty, mostly-idle bookkeepers that live in the
+# crawl's actor pool between calls: they hold no logical CPU, so an idle
+# pool never starves later Ray Data jobs, and a 1-CPU session can still
+# place the crawl's workers (4 × 0.25 CPU left no room for one).  Their
+# hundreds of small tasks per crawl record no task events: the GCS would
+# keep every one of them for the whole session.
+@ray.remote(num_cpus=0, enable_task_events=False)
 class FrontierShard(FrontierShardLocalArrow):
     """Ray actor wrapper — state lives in the actor's heap; extract
-    workers call ``offer`` directly (hash-partitioned edge exchange)."""
-    pass
+    workers call ``offer`` directly (hash-partitioned edge exchange).
+    Pooled across crawls: created without config, ``reset`` starts
+    each crawl from scratch."""
+
+    def __init__(self):
+        pass

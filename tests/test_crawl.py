@@ -22,6 +22,39 @@ def visits_in_key_order(rows):
     return sorted(rows, key=lambda r: (r["ek_round"], r["ek_parent"], r["ek_link"]))
 
 
+def assert_visits_equal_oracle(rows, oracle):
+    """Same visited URLs with the same statuses, each visited once."""
+    got = [(r["doc_id"], r["status"]) for r in rows]
+    assert len(got) == len(set(got))
+    assert set(got) == {(v["url"], v["status"]) for v in oracle.visits}
+
+
+def assert_per_host_fifo_equals_oracle(rows, oracle):
+    """Each host's pages in visit order (round, then order in round)
+    equal the sequential replay's order for that host."""
+    per_host = collections.defaultdict(list)
+    for r in sorted(rows, key=lambda r: (r["round"], r["order_in_round"])):
+        per_host[r["host"]].append(r["doc_id"])
+    assert per_host == oracle.per_host_order()
+
+
+def assert_spans_match_corpus(rows):
+    import pyarrow.dataset as pads
+
+    from dude_ray.sources.corpus import ensure_corpus
+
+    t = pads.dataset(f"{ensure_corpus(SF)}/web", partitioning="hive").to_table(
+        columns=["doc_id", "spans"])
+    golden = dict(zip(t["doc_id"].to_pylist(), t["spans"].to_pylist()))
+    checked = 0
+    for r in rows:
+        if r["status"] != "ok":
+            continue
+        assert r["spans"] == golden[r["doc_id"]], r["doc_id"]
+        checked += 1
+    assert checked > 100
+
+
 @pytest.fixture(scope="module")
 def oracle(ray_session, tmp_path_factory):
     from dude_ray.oracle import load_corpus_index, sequential_crawl
@@ -116,22 +149,7 @@ def test_politeness_accounting(crawl_rows):
 
 
 def test_spans_match_corpus_golden(crawl_rows, ray_session):
-    import pyarrow.dataset as pads
-
-    from dude_ray.sources.corpus import ensure_corpus
-
-    rows, _ = crawl_rows
-    corpus_dir = ensure_corpus(SF)
-    t = pads.dataset(f"{corpus_dir}/web", partitioning="hive").to_table(
-        columns=["doc_id", "spans"])
-    golden = dict(zip(t["doc_id"].to_pylist(), t["spans"].to_pylist()))
-    checked = 0
-    for r in rows:
-        if r["status"] != "ok":
-            continue
-        assert r["spans"] == golden[r["doc_id"]], r["doc_id"]
-        checked += 1
-    assert checked > 100
+    assert_spans_match_corpus(crawl_rows[0])
 
 
 def test_resume_from_checkpoint(ray_session, tmp_path_factory, crawl_rows):
@@ -206,57 +224,75 @@ def test_pipelined_resume_complete_visit_set(ray_session, tmp_path_factory,
     assert set(got) == strict_set
 
 
-def test_worker_death_mid_crawl_recovers(ray_session, tmp_path_factory,
-                                         crawl_rows):
-    """Kill a crawl worker process mid-run: the actor restarts (caches
-    rebuilt in __init__), its failed chunk retries, and the visit set is
-    complete — offer idempotence makes the retry safe."""
+def _kill_worker_once_dispatching(out_dir):
+    """Start a thread that SIGKILLs one ALIVE CrawlWorker process as
+    soon as ``out_dir`` holds a ``round_00000*`` dir, i.e. once this
+    call has started dispatching (pooled workers are alive before the
+    call starts, and a kill then would not hit the crawl itself).
+    Returns (stop event, killed-pid list, thread)."""
+    import os
+    import signal
     import threading
     import time as _t
 
-    import ray
+    import ray._private.state as _st
 
-    from dude_ray.crawl import run_crawl
-
-    strict_set = {r["doc_id"] for r in crawl_rows[0]}
-    out = tmp_path_factory.mktemp("crawl") / "killworker"
+    from dude_ray import crawl
 
     stop = threading.Event()
     killed: list[int] = []
 
-    def killer():
-        # wait until workers exist, then SIGKILL one actor process
-        deadline = _t.time() + 30
-        while _t.time() < deadline and not stop.is_set():
-            try:
-                # GCS state (works with include_dashboard=False, unlike
-                # ray.util.state which needs the dashboard head)
-                import ray._private.state as _st
+    def dispatching() -> bool:
+        try:
+            return any(n.startswith("round_00000") for n in os.listdir(out_dir))
+        except FileNotFoundError:
+            return False
 
+    def killer():
+        deadline = _t.time() + 60
+        while _t.time() < deadline and not stop.is_set():
+            if dispatching():
+                # GCS state (works with include_dashboard=False, unlike
+                # ray.util.state which needs the dashboard head) of this
+                # call's workers, not of a replaced pool's dying ones
+                ids = {w._actor_id.hex() for w in crawl._POOL.workers}
                 alive = [a for a in _st.actors().values()
-                         if a.get("ActorClassName") == "CrawlWorker"
+                         if a.get("ActorID") in ids
                          and a.get("State") == "ALIVE" and a.get("Pid")]
                 if alive:
-                    import os as _os
-                    import signal as _sig
-
-                    _os.kill(alive[0]["Pid"], _sig.SIGKILL)
+                    os.kill(alive[0]["Pid"], signal.SIGKILL)
                     killed.append(alive[0]["Pid"])
                     return
-            except Exception:
-                pass
-            _t.sleep(0.3)
+            _t.sleep(0.005)
 
     t = threading.Thread(target=killer, daemon=True)
     t.start()
+    return stop, killed, t
+
+
+def _crawl_with_worker_kill(out, **kw):
+    from dude_ray.crawl import run_crawl
+
+    stop, killed, t = _kill_worker_once_dispatching(str(out))
     try:
-        ds = run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3,
-                       politeness=True, politeness_burst=1000)
+        ds = run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3, **kw)
     finally:
         stop.set()
         t.join(timeout=5)
     assert killed, "killer thread never found a CrawlWorker to SIGKILL"
-    got = [r["doc_id"] for r in ds.take_all()]
+    return ds.take_all()
+
+
+def test_worker_death_mid_crawl_recovers(ray_session, tmp_path_factory,
+                                         crawl_rows):
+    """Kill a crawl worker process mid-run: the actor restarts (caches
+    rebuilt from the crawl config its chunks carry), its failed chunk
+    retries, and the visit set is complete — offer idempotence makes
+    the retry safe."""
+    strict_set = {r["doc_id"] for r in crawl_rows[0]}
+    out = tmp_path_factory.mktemp("crawl") / "killworker"
+    rows = _crawl_with_worker_kill(out, politeness=True, politeness_burst=1000)
+    got = [r["doc_id"] for r in rows]
     assert len(got) == len(set(got))
     assert set(got) == strict_set
 
@@ -269,50 +305,32 @@ def test_worker_death_pipelined_recovers(ray_session, tmp_path_factory,
     set must still equal the oracle's (closes the old loss window where
     a completed chunk's un-flushed fire-and-forget offers died with
     their owner)."""
-    import threading
-    import time as _t
-
-    from dude_ray.crawl import run_crawl
-
     strict_set = {r["doc_id"] for r in crawl_rows[0]}
     out = tmp_path_factory.mktemp("crawl") / "killworker_pipelined"
-
-    stop = threading.Event()
-    killed: list[int] = []
-
-    def killer():
-        deadline = _t.time() + 30
-        while _t.time() < deadline and not stop.is_set():
-            try:
-                import ray._private.state as _st
-
-                alive = [a for a in _st.actors().values()
-                         if a.get("ActorClassName") == "CrawlWorker"
-                         and a.get("State") == "ALIVE" and a.get("Pid")]
-                if alive:
-                    import os as _os
-                    import signal as _sig
-
-                    _os.kill(alive[0]["Pid"], _sig.SIGKILL)
-                    killed.append(alive[0]["Pid"])
-                    return
-            except Exception:
-                pass
-            _t.sleep(0.3)
-
-    t = threading.Thread(target=killer, daemon=True)
-    t.start()
-    try:
-        ds = run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3,
-                       politeness=True, politeness_burst=1000,
-                       pipelined=True)
-    finally:
-        stop.set()
-        t.join(timeout=5)
-    assert killed, "killer thread never found a CrawlWorker to SIGKILL"
-    got = [r["doc_id"] for r in ds.take_all()]
+    rows = _crawl_with_worker_kill(out, politeness=True, politeness_burst=1000,
+                                   pipelined=True)
+    got = [r["doc_id"] for r in rows]
     assert len(got) == len(set(got))
     assert set(got) == strict_set
+
+
+def test_worker_death_after_warm_pool_on_other_corpus(ray_session,
+                                                      tmp_path_factory, oracle):
+    """A restarted pooled worker must serve the crawl its retried chunk
+    belongs to, not the one that created the pool: warm the pool on the
+    2x-scaled corpus (most of this crawl's URLs are missing there, the
+    rest are other pages), then SIGKILL a worker mid-crawl of the 1x
+    corpus — visits, statuses and spans must equal this crawl's
+    sequential oracle and corpus."""
+    from dude_ray.crawl import run_crawl
+
+    warm = tmp_path_factory.mktemp("crawl") / "warm_x2"
+    run_crawl(SF, out_dir=str(warm), num_shards=3, concurrency=3,
+              corpus_scale=2).materialize()
+    out = tmp_path_factory.mktemp("crawl") / "killworker_x1"
+    rows = _crawl_with_worker_kill(out, politeness=True, politeness_burst=1000)
+    assert_visits_equal_oracle(rows, oracle)
+    assert_spans_match_corpus(rows)
 
 
 def test_pipelined_same_visit_set(ray_session, tmp_path_factory, crawl_rows):
@@ -401,3 +419,142 @@ def test_crawl_skip_counts_local_oracle(ray_session):
            .sort_values("reason").reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want, check_dtype=False,
                                   check_exact=True)
+
+
+# ---- the actor pool shared by consecutive crawls ----------------------
+
+def _pool_actors_alive():
+    import ray._private.state as _st
+
+    return [a for a in _st.actors().values()
+            if a.get("ActorClassName") in ("FrontierShard", "CrawlWorker")
+            and a.get("State") == "ALIVE"]
+
+
+def test_strict_crawl_after_pipelined_equals_oracles(ray_session, tmp_path_factory,
+                                                     oracle):
+    """A pooled shard keeps nothing of a pipelined Bloom-only crawl: the
+    strict crawl (exact seen-set, one release per host and tick) that
+    follows it on the same pool matches the global visit sequence and
+    the per-host FIFO order of the sequential replay."""
+    from dude_ray.crawl import crawl_metrics, run_crawl
+
+    base = tmp_path_factory.mktemp("crawl")
+    run_crawl(SF, out_dir=str(base / "pipelined"), num_shards=3, concurrency=3,
+              politeness=True, politeness_burst=1000, pipelined=True,
+              exact_confirm=False).materialize()
+    ds = run_crawl(SF, out_dir=str(base / "strict"), num_shards=3, concurrency=3,
+                   politeness=False, politeness_burst=1, exact_confirm=True)
+    rows = ds.take_all()
+    assert crawl_metrics(str(base / "strict"))["pool"] == "warm"
+    assert [r["doc_id"] for r in visits_in_key_order(rows)] == oracle.visit_urls()
+    assert_per_host_fifo_equals_oracle(rows, oracle)
+
+
+def test_back_to_back_crawls_report_identical_counters(ray_session,
+                                                       tmp_path_factory):
+    """METRICS.json holds this call's values only: two identical crawls
+    on one pool report the same shard counters (Bloom fill included)
+    and host accounting, and the second reports a warm pool with its
+    start-up time."""
+    from dude_ray.crawl import crawl_metrics, run_crawl
+
+    base = tmp_path_factory.mktemp("crawl")
+    ms = []
+    for name in ("a", "b"):
+        run_crawl(SF, out_dir=str(base / name), num_shards=3, concurrency=3,
+                  politeness=True, exact_confirm=False).materialize()
+        ms.append(crawl_metrics(str(base / name)))
+    a, b = ms
+    assert b["pool"] == "warm" and b["startup_s"] > 0
+    assert a["shards"] == b["shards"]
+    assert a["hosts"] == b["hosts"]
+    assert a["released_total"] == b["released_total"]
+
+
+def test_pool_holds_no_cpu_between_calls(ray_session, tmp_path_factory):
+    """Pooled shards and workers hold no logical CPU once a crawl has
+    returned, so later Ray jobs in the session get every CPU."""
+    import time as _t
+
+    import ray
+
+    from dude_ray.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("crawl") / "cpu"
+    run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3)
+    assert _pool_actors_alive()
+    total = ray.cluster_resources()["CPU"]
+    deadline = _t.time() + 10  # the resource view updates asynchronously
+    while ray.available_resources().get("CPU", 0) != total and _t.time() < deadline:
+        _t.sleep(0.1)
+    assert ray.available_resources().get("CPU", 0) == total
+
+
+def test_failed_crawl_kills_pool(ray_session, tmp_path_factory, oracle):
+    """An exception inside a crawl kills every pooled shard and worker
+    (none keeps running or holding resources), and the next crawl
+    builds a fresh pool and equals the oracle."""
+    import time as _t
+
+    from dude_ray.crawl import crawl_metrics, run_crawl
+    from dude_ray.pipelines.flagship import flagship_rules
+    from dude_ray.rule import Rule, Selector
+
+    def boom(element):
+        raise RuntimeError("handler failed")
+
+    rules = flagship_rules() + [Rule(group=Selector(css=".custom-group"),
+                                     selector=Selector(css=".title"),
+                                     url_matcher="*", handler=boom)]
+    base = tmp_path_factory.mktemp("crawl")
+    with pytest.raises(Exception, match="handler failed"):
+        run_crawl(SF, out_dir=str(base / "fails"), num_shards=3, concurrency=3,
+                  politeness=False, rules=rules)
+    deadline = _t.time() + 30
+    while _pool_actors_alive() and _t.time() < deadline:
+        _t.sleep(0.1)
+    assert not _pool_actors_alive()
+
+    ds = run_crawl(SF, out_dir=str(base / "after"), num_shards=3, concurrency=3,
+                   politeness=False)
+    assert crawl_metrics(str(base / "after"))["pool"] == "cold"
+    assert [r["doc_id"] for r in visits_in_key_order(ds.take_all())] == \
+        oracle.visit_urls()
+
+
+def test_crawl_in_one_cpu_session(tmp_path, oracle):
+    """The crawl needs no logical CPU beyond placing its workers (shards
+    hold none, and the workers write the output), so it completes in a
+    Ray session with one logical CPU and equals the oracle."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    out = tmp_path / "one_cpu"
+    code = (
+        "import json, ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from dude_ray.crawl import run_crawl\n"
+        f"rows = run_crawl({SF!r}, out_dir={str(out)!r}).take_all()\n"
+        "print('VISITS ' + json.dumps([[r['doc_id'], r['status']] for r in rows]))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # own process group: a hung session is stopped with all its daemons
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=root, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, stderr[-3000:]
+    line = [ln for ln in stdout.splitlines() if ln.startswith("VISITS ")][-1]
+    got = [tuple(v) for v in json.loads(line.split(" ", 1)[1])]
+    assert len(got) == len(set(got))
+    assert set(got) == {(v["url"], v["status"]) for v in oracle.visits}

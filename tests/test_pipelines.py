@@ -2345,6 +2345,40 @@ def test_volume_shipping_local_oracle(ray_session):
                                       check_exact=True)
 
 
+def test_volume_shipping_no_qualifying_rows(ray_session, tmp_path):
+    """Star tables with no supplier in either nation: the engine returns
+    the declared 4 columns and 0 rows, as DuckDB does, not a frame
+    without columns."""
+    import duckdb
+    import pandas as pd
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from dude_ray.pipelines.relational import (run_volume_shipping,
+                                               volume_shipping_oracle_sql)
+
+    sf = SF
+    na, nb = "NATION_12", "NATION_13"
+    nation = pq.read_table(f"{sf}/nation.parquet")
+    keys = nation.filter(pc.is_in(nation["n_name"], pa.array([na, nb])))["n_nationkey"]
+    for t in ("lineitem", "orders", "customer", "nation"):
+        pq.write_table(pq.read_table(f"{sf}/{t}.parquet"), tmp_path / f"{t}.parquet")
+    sup = pq.read_table(f"{sf}/supplier.parquet")
+    pq.write_table(sup.filter(pc.invert(pc.is_in(sup["s_nationkey"], keys))),
+                   tmp_path / "supplier.parquet")
+
+    con = duckdb.connect()
+    for t in ("supplier", "lineitem", "orders", "customer", "nation"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{tmp_path}/{t}.parquet')")
+    want = con.execute(volume_shipping_oracle_sql(na, nb)).df()
+    assert len(want) == 0 and len(want.columns) == 4
+    got = run_volume_shipping(str(tmp_path), nation_a=na,
+                              nation_b=nb).to_pandas()
+    assert list(got.columns) == list(want.columns)
+    assert len(got) == 0
+
+
 def test_audience_overlap_local_oracle(ray_session):
     """Bitmask-histogram pair counts equal the DuckDB self-join
     recompute at sf0.001, invariant to the user-bucket width."""

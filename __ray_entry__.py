@@ -229,14 +229,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
     entries that had never appeared in any driver CORRECTNESS file
     through round 4 (registry tail positions 51-65 plus kmeans_assign,
     label_centroids, events_hopping_window, value_percent_rank,
-    bloom_registers, anchor_texts).  Slots 22-50 are the entries this
-    round MODIFIES (the (band, hash-prefix) minhash candidate split
-    and its dependants; the Arrow-native sweep of sketches/sampling/
-    streaming stages) plus the flagship — so the driver record also
-    re-verifies every changed code path.  The rotation tail (51+) —
-    all previously driver-hash-matched — stays verified by
-    tools/check_oracle.py (the same rows+schema+hash protocol over ALL
-    entries) and by pytest."""
+    bloom_registers, anchor_texts).  Slots 22-50 are the entries the
+    latest changes touched, so the driver record re-verifies every
+    changed code path: the round-5 operators plus, since the dimension
+    broadcasts became :func:`~dude_ray.pipelines.relational.dim_lookup`
+    task stages, every query that holds one (segment_revenue,
+    top_orders_per_segment, returned_items, top_supplier,
+    disjunctive_revenue, promo_revenue, volume_shipping, market_share,
+    rfm_segments, large_orders; shipping_priority and
+    revenue_by_nation sit in slots 1-21) and funnel_latency (NULL
+    percentiles when nothing converts).  They displaced five
+    already-hash-matched, unchanged operators (winsorize,
+    pareto_front, rrf_fusion, asof_attribution, type_lift) into the
+    tail.  The rotation tail (51+) — all previously
+    driver-hash-matched — stays verified by tools/check_oracle.py (the
+    same rows+schema+hash protocol over ALL entries) and by pytest."""
     from dude_ray.pipelines import (cleaning, dedup, graph, relational,
                                     sampling, similarity, textops)
 
@@ -263,14 +270,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "value_percent_rank": _q_value_percent_rank,
         "bloom_registers": _q_bloom_registers,
         "anchor_texts": _q_anchor_texts,
-        # -- slots 22-50: operators NEW in round 5 (first driver
-        # verification), prioritizing (a) the late-round additions,
-        # (b) the two entries whose oracles were UPGRADED from
-        # rows-only to SQL-checked this round (extract_spans,
-        # crawl_host_counts), then the r5 operators whose shapes have
-        # no already-verified sibling.  Evicted near-siblings
-        # (small_qty_revenue~large_orders, qty_cube~qty_rollup, ...)
-        # open the 51+ tail and stay green in check_oracle ------------
+        # -- slots 22-50: the round-5 operators and every query whose
+        # dimension broadcast is a dim_lookup task stage (see the
+        # docstring).  Evicted near-siblings (small_qty_revenue~
+        # large_orders, qty_cube~qty_rollup, ...) open the 51+ tail
+        # and stay green in check_oracle ------------------------------
         "source_similarity": textops.run_source_similarity,
         "graph_degree_dist": graph.run_graph_degree_dist,
         "user_entropy": relational.run_user_entropy,
@@ -287,17 +291,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "link_components": _q_link_components,
         "link_depth": _q_link_depth,
         "large_orders": relational.run_large_orders,
-        "winsorize": relational.run_winsorize,
-        "pareto_front": relational.run_pareto_front,
-        "rrf_fusion": relational.run_rrf_fusion,
-        "asof_attribution": relational.run_asof_attribution,
+        "segment_revenue": relational.run_segment_revenue,
+        "top_orders_per_segment": relational.run_top_orders_per_segment,
+        "returned_items": relational.run_returned_items,
+        "top_supplier": relational.run_top_supplier,
         "disjunctive_revenue": relational.run_disjunctive_revenue,
         "promo_revenue": relational.run_promo_revenue,
         "volume_shipping": relational.run_volume_shipping,
         "audience_overlap": relational.run_audience_overlap,
         "spend_deciles": relational.run_spend_deciles,
         "market_share": relational.run_market_share,
-        "type_lift": relational.run_type_lift,
+        "funnel_latency": relational.run_funnel_latency,
         "rfm_segments": relational.run_rfm_segments,
         "ann_recall": similarity.run_ann_recall,
         "dedup_recall": dedup.run_dedup_recall,
@@ -351,12 +355,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dup_source_matrix": dedup.run_dup_source_matrix,
         "markov_entropy_rate": relational.run_markov_entropy_rate,
         "walk_visit_rank": _q_walk_visit_rank,
-        "funnel_latency": relational.run_funnel_latency,
         "basket_pairs": relational.run_basket_pairs,
         "crawl_budget": _q_crawl_budget,
         # -- evicted near-siblings (all hash-matched) ------------------
-        "returned_items": relational.run_returned_items,
-        "top_supplier": relational.run_top_supplier,
+        "winsorize": relational.run_winsorize,
+        "pareto_front": relational.run_pareto_front,
+        "rrf_fusion": relational.run_rrf_fusion,
+        "asof_attribution": relational.run_asof_attribution,
+        "type_lift": relational.run_type_lift,
         "small_qty_revenue": relational.run_small_qty_revenue,
         "qty_cube": relational.run_qty_cube,
         "event_trigrams": relational.run_event_trigrams,
@@ -445,10 +451,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_terms_per_source": cleaning.run_top_terms_per_source,
         "ann_topk": similarity.run_ann_topk,
         "events_window": relational.run_events_window,
-        "segment_revenue": relational.run_segment_revenue,
         "pricing_summary": relational.run_pricing_summary,
         "user_sessions": relational.run_user_sessions,
-        "top_orders_per_segment": relational.run_top_orders_per_segment,
         "asof_join": relational.run_asof_join,
         "events_band_join": relational.run_events_band_join,
         "value_percentiles": relational.run_value_percentiles,

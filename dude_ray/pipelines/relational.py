@@ -5,8 +5,9 @@ oracles.
 
 Shuffle discipline: every aggregate here pre-combines inside
 ``map_batches`` (one partial row per key per batch) before the — then
-tiny — ``groupby``; the dimension side of each join is broadcast via
-``ray.put``, never shuffled.
+tiny — ``groupby``; a dimension that fits a worker is broadcast once
+via ``ray.put`` of a :func:`dim_table` and probed by :func:`dim_lookup`
+inside plain task stages, never shuffled.
 """
 
 from __future__ import annotations
@@ -74,6 +75,33 @@ def tree_combine(partials, keys, sums=(), mins=(), maxs=(),
     return lvl1.repartition(1).map_batches(
         combine, batch_format="pyarrow", batch_size=None)
 
+
+def dim_table(keys, *cols):
+    """A join dimension as sorted lookup arrays ``(keys, *cols)``:
+    stable-sorted by the int64 ``keys``, each column permuted alongside.
+    Raises ``ValueError`` on a duplicate key — a lookup resolves every
+    key to exactly one dimension row.  This is the broadcast form of a
+    dimension: ``ray.put`` it once, probe it with :func:`dim_lookup`."""
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("dim_table: duplicate dimension keys")
+    return (keys, *(np.asarray(c)[order] for c in cols))
+
+
+def dim_lookup(table, keys):
+    """Probe a :func:`dim_table` with ``keys`` in one clamped
+    ``searchsorted``: returns ``(found, *cols_at_keys)``.  Column values
+    where ``found`` is False are arbitrary (zeros on an empty
+    dimension), so callers mask with ``found``."""
+    dk, *cols = table
+    keys = np.asarray(keys, dtype=np.int64)
+    if not len(dk):
+        return (np.zeros(len(keys), dtype=bool),
+                *(np.zeros(len(keys), dtype=c.dtype) for c in cols))
+    pos = np.minimum(np.searchsorted(dk, keys), len(dk) - 1)
+    return (dk[pos] == keys, *(c[pos] for c in cols))
 
 
 def _empty_result(schema: pa.Schema):
@@ -193,34 +221,47 @@ def run_events_stats(sf_dir: str):
 # broadcast join: orders ⋈ customer (dimension side broadcast, J2 analog)
 # --------------------------------------------------------------------------
 
-def run_segment_revenue(sf_dir: str):
-    """Revenue per market segment: the customer dimension is broadcast
-    (ray.put once, read per actor) and joined inside map_batches — no
-    shuffle of the fact table."""
+def _segment_lookup(sf_dir: str):
+    """The customer → market-segment dimension, broadcast once as a
+    :func:`dim_table` of int segment codes.  Returns ``(segments,
+    cats)``: ``segments(custkeys)`` gives each order's code and
+    ``cats`` names the codes.  The last name, 'UNKNOWN', is the code of
+    a NULL segment and of a customer missing from the dimension (the
+    oracle's LEFT JOIN + coalesce)."""
     import ray
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    seg_map_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
+    codes, segs = pd.factorize(cust["c_mktsegment"])
+    unknown = len(segs)
+    codes[codes < 0] = unknown
+    ref = ray.put(dim_table(cust["c_custkey"], codes))
 
-    class SegmentJoin:
-        def __init__(self):
-            # dict → pandas Series once per actor for vectorized .map
-            self.seg = pd.Series(ray.get(seg_map_ref))
+    def segments(custkeys) -> np.ndarray:
+        found, code = dim_lookup(ray.get(ref),
+                                 custkeys.to_numpy(zero_copy_only=False))
+        return np.where(found, code, unknown)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = pd.Series(batch["o_custkey"].to_numpy(zero_copy_only=False))
-            segs = keys.map(self.seg).fillna("UNKNOWN")
-            t = pa.table({"mktsegment": pa.array(segs, type=pa.string()),
-                          "price": batch["o_totalprice"]})
-            g = t.group_by("mktsegment").aggregate(
-                [("price", "count"), ("price", "sum")])
-            return pa.table({"mktsegment": g["mktsegment"],
-                             "n": pc.cast(g["price_count"], pa.int64()),
-                             "revenue": g["price_sum"]})
+    return segments, pa.array(list(segs) + ["UNKNOWN"], type=pa.string())
+
+
+def run_segment_revenue(sf_dir: str):
+    """Revenue per market segment: the customer dimension is broadcast
+    (``ray.put`` once, probed per batch by :func:`dim_lookup`) and
+    joined inside map_batches — no shuffle of the fact table."""
+    segments, cats = _segment_lookup(sf_dir)
+
+    def segment_join(batch: pa.Table) -> pa.Table:
+        t = pa.table({"code": segments(batch["o_custkey"]),
+                      "price": batch["o_totalprice"]})
+        g = t.group_by("code").aggregate(
+            [("price", "count"), ("price", "sum")])
+        return pa.table({"mktsegment": cats.take(g["code"]),
+                         "n": pc.cast(g["price_count"], pa.int64()),
+                         "revenue": g["price_sum"]})
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    partials = ds.map_batches(SegmentJoin, batch_format="pyarrow",
-                              batch_size=8192, concurrency=(1, 2))
+    partials = ds.map_batches(segment_join, batch_format="pyarrow",
+                              batch_size=8192)
     out = tree_combine(partials, ["mktsegment"], sums=("n", "revenue"))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -371,30 +412,22 @@ def run_top_orders_per_segment(sf_dir: str, k: int = 3):
     broadcast join: the customer dimension is broadcast, each batch
     emits its local per-segment top-k (the shuffle only ever carries
     k × segments rows per batch), one final combine ranks."""
-    import ray
+    segments, cats = _segment_lookup(sf_dir)
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    seg_map_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
-
-    class LocalTopK:
-        def __init__(self):
-            self.seg = pd.Series(ray.get(seg_map_ref))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = pd.Series(batch["o_custkey"].to_numpy(zero_copy_only=False))
-            df = pd.DataFrame({
-                "mktsegment": keys.map(self.seg).fillna("UNKNOWN"),
-                "o_orderkey": batch["o_orderkey"].to_numpy(zero_copy_only=False),
-                "o_totalprice": batch["o_totalprice"].to_numpy(zero_copy_only=False),
-            })
-            top = df.sort_values(["o_totalprice", "o_orderkey"],
-                                 ascending=[False, True]) \
-                    .groupby("mktsegment", sort=False).head(k)
-            return pa.table({
-                "mktsegment": pa.array(top["mktsegment"], type=pa.string()),
-                "o_orderkey": pa.array(top["o_orderkey"], type=pa.int64()),
-                "o_totalprice": pa.array(top["o_totalprice"], type=pa.float64()),
-            })
+    def local_topk(batch: pa.Table) -> pa.Table:
+        df = pd.DataFrame({
+            "code": segments(batch["o_custkey"]),
+            "o_orderkey": batch["o_orderkey"].to_numpy(zero_copy_only=False),
+            "o_totalprice": batch["o_totalprice"].to_numpy(zero_copy_only=False),
+        })
+        top = df.sort_values(["o_totalprice", "o_orderkey"],
+                             ascending=[False, True]) \
+                .groupby("code", sort=False).head(k)
+        return pa.table({
+            "mktsegment": cats.take(pa.array(top["code"])),
+            "o_orderkey": pa.array(top["o_orderkey"], type=pa.int64()),
+            "o_totalprice": pa.array(top["o_totalprice"], type=pa.float64()),
+        })
 
     def finalize(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -413,8 +446,8 @@ def run_top_orders_per_segment(sf_dir: str, k: int = 3):
         })
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-    partials = ds.map_batches(LocalTopK, batch_format="pyarrow",
-                              batch_size=16384, concurrency=(1, 2))
+    partials = ds.map_batches(local_topk, batch_format="pyarrow",
+                              batch_size=16384)
     return partials.repartition(1).map_batches(finalize,
                                                batch_format="pyarrow",
                                                batch_size=None)
@@ -1107,28 +1140,23 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_mktsegment"]).to_pandas()
-    seg_keys_ref = ray.put(np.sort(
-        cust.loc[cust["c_mktsegment"] == segment, "c_custkey"]
-        .to_numpy(dtype=np.int64)))
+    seg_ref = ray.put(dim_table(
+        cust.loc[cust["c_mktsegment"] == segment, "c_custkey"]))
 
-    class OrderSide:
-        def __init__(self):
-            self.keys = ray.get(seg_keys_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-            dt = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            m = (dt < cut_us) & np.isin(ck, self.keys)
-            kept = batch.filter(pa.array(m))
-            n = len(kept)
-            return pa.table({
-                "okey": kept["o_orderkey"],
-                "rev": pa.nulls(n, type=pa.float64()),
-                "odate": pc.strftime(kept["o_orderdate"], format="%Y-%m-%d"),
-                "opri": kept["o_orderpriority"],
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            })
+    def order_side(batch: pa.Table) -> pa.Table:
+        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
+        dt = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
+            zero_copy_only=False)
+        in_seg = dim_lookup(ray.get(seg_ref), ck)[0]
+        kept = batch.filter(pa.array((dt < cut_us) & in_seg))
+        n = len(kept)
+        return pa.table({
+            "okey": kept["o_orderkey"],
+            "rev": pa.nulls(n, type=pa.float64()),
+            "odate": pc.strftime(kept["o_orderdate"], format="%Y-%m-%d"),
+            "opri": kept["o_orderpriority"],
+            "side": pa.array(np.zeros(n, dtype=np.int8)),
+        })
 
     def line_side(batch: pa.Table) -> pa.Table:
         sd = pc.cast(batch["l_shipdate"], pa.int64()).to_numpy(
@@ -1150,8 +1178,7 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate",
                     "o_orderpriority"]).map_batches(
-        OrderSide, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        order_side, batch_format="pyarrow", batch_size=65536)
     lines = _read(sf_dir, "lineitem",
                   ["l_orderkey", "l_extendedprice", "l_discount",
                    "l_shipdate"]).map_batches(
@@ -1412,9 +1439,9 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
     canonical MULTI-WAY join plan.
 
     Plan (the 100 TB shape): region⋈nation collapse on the driver
-    (tiny); supplier and customer reduce to two sorted int64
-    (key → nationkey) lookup arrays broadcast ONCE via ``ray.put``
-    and searchsorted inside map_batches — dimension rows never
+    (tiny); supplier and customer reduce to two (key → nationkey)
+    :func:`dim_table` lookups broadcast ONCE via ``ray.put`` and
+    probed by :func:`dim_lookup` in task stages — dimension rows never
     shuffle.  Both fact scans filter + project + pre-aggregate per
     batch (lineitem collapses to one partial row per
     (orderkey, supp_nation, batch)), then the SAME data-scaled
@@ -1439,81 +1466,55 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
     rkeys = set(reg.loc[reg["r_name"] == region, "r_regionkey"])
     nat = nat[nat["n_regionkey"].isin(rkeys)]
     nat_names = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
-    nset = nat["n_nationkey"].to_numpy(dtype=np.int64)
-
-    def _lookup_arrays(df, key, natcol):
-        df = df[np.isin(df[natcol].to_numpy(dtype=np.int64), nset)]
-        order = np.argsort(df[key].to_numpy(dtype=np.int64), kind="stable")
-        return (df[key].to_numpy(dtype=np.int64)[order],
-                df[natcol].to_numpy(dtype=np.int64)[order])
 
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    sup_ref = ray.put(_lookup_arrays(sup, "s_suppkey", "s_nationkey"))
-    cust_ref = ray.put(_lookup_arrays(cust, "c_custkey", "c_nationkey"))
+    sup = sup[sup["s_nationkey"].isin(nat["n_nationkey"])]
+    cust = cust[cust["c_nationkey"].isin(nat["n_nationkey"])]
+    sup_ref = ray.put(dim_table(sup["s_suppkey"], sup["s_nationkey"]))
+    cust_ref = ray.put(dim_table(cust["c_custkey"], cust["c_nationkey"]))
 
-    def _map_nation(keys: np.ndarray, ref) -> tuple[np.ndarray, np.ndarray]:
-        """searchsorted lookup; returns (found_mask, nationkey)."""
-        lk, ln = ref
-        pos = np.searchsorted(lk, keys)
-        pos_c = np.minimum(pos, len(lk) - 1) if len(lk) else pos
-        found = (len(lk) > 0) & (lk[pos_c] == keys) if len(lk) else \
-            np.zeros(len(keys), dtype=bool)
-        return found, ln[pos_c] if len(lk) else np.zeros(len(keys), np.int64)
+    def order_side(batch: pa.Table) -> pa.Table:
+        dt = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
+            zero_copy_only=False)
+        in_range = (dt >= start_us) & (dt < end_us)
+        kept = batch.filter(pa.array(in_range))
+        found, cnat = dim_lookup(ray.get(cust_ref), kept["o_custkey"]
+                                 .to_numpy(zero_copy_only=False))
+        kept = kept.filter(pa.array(found))
+        n = len(kept)
+        return pa.table({
+            "okey": kept["o_orderkey"],
+            "nat": pa.array(cnat[found], type=pa.int64()),
+            "rev": pa.nulls(n, type=pa.float64()),
+            "side": pa.array(np.zeros(n, dtype=np.int8)),
+        })
 
-    class OrderSide:
-        def __init__(self):
-            self.cust = ray.get(cust_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            dt = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            in_range = (dt >= start_us) & (dt < end_us)
-            kept = batch.filter(pa.array(in_range))
-            ck = kept["o_custkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            found, cnat = _map_nation(ck, self.cust)
-            kept = kept.filter(pa.array(found))
-            n = len(kept)
-            return pa.table({
-                "okey": kept["o_orderkey"],
-                "nat": pa.array(cnat[found], type=pa.int64()),
-                "rev": pa.nulls(n, type=pa.float64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            })
-
-    class LineSide:
-        def __init__(self):
-            self.sup = ray.get(sup_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            found, snat = _map_nation(sk, self.sup)
-            kept = batch.filter(pa.array(found))
-            rev = pc.multiply(kept["l_extendedprice"],
-                              pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-            g = (pa.table({"okey": kept["l_orderkey"],
-                           "nat": pa.array(snat[found], type=pa.int64()),
-                           "rev": rev})
-                 .group_by(["okey", "nat"]).aggregate([("rev", "sum")]))
-            n = len(g)
-            return pa.table({
-                "okey": g["okey"],
-                "nat": g["nat"],
-                "rev": g["rev_sum"],
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-            })
+    def line_side(batch: pa.Table) -> pa.Table:
+        found, snat = dim_lookup(ray.get(sup_ref), batch["l_suppkey"]
+                                 .to_numpy(zero_copy_only=False))
+        kept = batch.filter(pa.array(found))
+        rev = pc.multiply(kept["l_extendedprice"],
+                          pc.subtract(pa.scalar(1.0), kept["l_discount"]))
+        g = (pa.table({"okey": kept["l_orderkey"],
+                       "nat": pa.array(snat[found], type=pa.int64()),
+                       "rev": rev})
+             .group_by(["okey", "nat"]).aggregate([("rev", "sum")]))
+        n = len(g)
+        return pa.table({
+            "okey": g["okey"],
+            "nat": g["nat"],
+            "rev": g["rev_sum"],
+            "side": pa.array(np.ones(n, dtype=np.int8)),
+        })
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
-        OrderSide, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        order_side, batch_format="pyarrow", batch_size=65536)
     lines = _read(sf_dir, "lineitem",
                   ["l_orderkey", "l_suppkey", "l_extendedprice",
                    "l_discount"]).map_batches(
-        LineSide, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        line_side, batch_format="pyarrow", batch_size=65536)
 
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
@@ -2260,12 +2261,11 @@ def run_small_qty_revenue(sf_dir: str, frac: float = 0.2,
         rev = np.bincount(kc, weights=fact["cents"].to_numpy(
             dtype=np.float64)[keep], minlength=len(uniq)).astype(np.int64)
         n_small = np.bincount(kc, minlength=len(uniq)).astype(np.int64)
-        brand = dict(zip(dim["pkey"].to_numpy(dtype=np.int64),
-                         dim["p_brand"]))
-        out = pd.DataFrame({
-            "p_brand": [brand.get(int(k)) for k in uniq],
-            "revenue_cents": rev, "n_small": n_small})
-        out = out[(out["n_small"] > 0) & out["p_brand"].notna()]
+        found, brand = dim_lookup(
+            dim_table(dim["pkey"], dim["p_brand"].to_numpy()), uniq)
+        out = pd.DataFrame({"p_brand": brand, "revenue_cents": rev,
+                            "n_small": n_small})
+        out = out[(n_small > 0) & found]
         return (out.groupby("p_brand", sort=False)
                 [["revenue_cents", "n_small"]].sum().reset_index())
 
@@ -2379,17 +2379,14 @@ def run_large_orders(sf_dir: str, min_qty: float = Q18_MIN_QTY,
         big = tot > min_qty
         if not big.any():
             return empty
-        keys = uniq[big]
-        d = dim.set_index(dim["okey"].to_numpy(dtype=np.int64))
-        d = d.loc[d.index.intersection(keys)]
-        qty_by_key = dict(zip(uniq[big], tot[big]))
+        found, qty = dim_lookup(dim_table(uniq[big], tot[big]), dim["okey"])
+        d = dim[found]
         return pd.DataFrame({
-            "o_orderkey": d.index.to_numpy(dtype=np.int64),
+            "o_orderkey": d["okey"].to_numpy(dtype=np.int64),
             "ckey": d["ckey"].to_numpy(dtype=np.int64),
             "odate_us": d["odate_us"].to_numpy(dtype=np.int64),
             "o_totalprice": d["tprice"].to_numpy(dtype=np.float64),
-            "total_qty": np.array([int(qty_by_key[k]) for k in d.index],
-                                  dtype=np.int64),
+            "total_qty": qty[found].astype(np.int64),
         })
 
     n1 = sum(n for t in ("lineitem", "orders") for _f, _rg, n in
@@ -2435,18 +2432,18 @@ def run_large_orders(sf_dir: str, min_qty: float = Q18_MIN_QTY,
                 "odate_us": pd.Series(dtype="int64"),
                 "o_totalprice": pd.Series(dtype="float64"),
                 "total_qty": pd.Series(dtype="int64")})
-        names = dict(zip(dim["ckey"].to_numpy(dtype=np.int64),
-                         dim["c_name"]))
         ck = fact["ckey"].to_numpy(dtype=np.int64)
+        found, name = dim_lookup(
+            dim_table(dim["ckey"], dim["c_name"].to_numpy()), ck)
         return pd.DataFrame({
-            "c_name": [names.get(int(k)) for k in ck],
+            "c_name": name,
             "c_custkey": ck,
             "o_orderkey": fact["o_orderkey"].to_numpy(dtype=np.int64),
             "odate_us": fact["odate_us"].to_numpy(dtype=np.int64),
             "o_totalprice": fact["o_totalprice"].to_numpy(
                 dtype=np.float64),
             "total_qty": fact["total_qty"].to_numpy(dtype=np.int64),
-        }).dropna(subset=["c_name"])
+        })[found]
 
     n2 = sum(n for _f, _rg, n in
              parquet_row_groups(f"{sf_dir}/customer.parquet"))
@@ -3483,20 +3480,16 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
            .limit(k).to_pandas())
 
     nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    keys_ref = ray.put(np.sort(top["ckey"].to_numpy(dtype=np.int64)))
+    keys_ref = ray.put(dim_table(top["ckey"]))
 
-    class CustAttrs:
-        def __init__(self):
-            self.keys = ray.get(keys_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(np.isin(ck, self.keys)))
+    def cust_attrs(batch: pa.Table) -> pa.Table:
+        ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(dim_lookup(ray.get(keys_ref), ck)[0]))
 
     attrs = (_read(sf_dir, "customer",
                    ["c_custkey", "c_name", "c_acctbal", "c_nationkey"])
-             .map_batches(CustAttrs, batch_format="pyarrow",
-                          batch_size=65536, concurrency=(1, 4))
+             .map_batches(cust_attrs, batch_format="pyarrow",
+                          batch_size=65536)
              .to_pandas())
     out = (top.merge(attrs, left_on="ckey", right_on="c_custkey")
            .merge(nat, left_on="c_nationkey", right_on="n_nationkey")
@@ -3607,19 +3600,15 @@ def run_top_supplier(sf_dir: str, start: str = Q15_START,
         lambda t: t.filter(pc.equal(t["rev"], gmax)),
         batch_format="pyarrow").to_pandas())
 
-    keys_ref = ray.put(np.sort(winners["skey"].to_numpy(dtype=np.int64)))
+    keys_ref = ray.put(dim_table(winners["skey"]))
 
-    class SupAttrs:
-        def __init__(self):
-            self.keys = ray.get(keys_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sk = batch["s_suppkey"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(np.isin(sk, self.keys)))
+    def sup_attrs(batch: pa.Table) -> pa.Table:
+        sk = batch["s_suppkey"].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(dim_lookup(ray.get(keys_ref), sk)[0]))
 
     attrs = (_read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-             .map_batches(SupAttrs, batch_format="pyarrow",
-                          batch_size=65536, concurrency=(1, 4))
+             .map_batches(sup_attrs, batch_format="pyarrow",
+                          batch_size=65536)
              .to_pandas())
     out = (winners.merge(attrs, left_on="skey", right_on="s_suppkey")
            .sort_values("skey"))
@@ -3671,10 +3660,10 @@ def run_disjunctive_revenue(sf_dir: str, clauses=Q19_CLAUSES):
     Plan (the 100 TB shape): the part side FIRST filters to rows any
     clause could accept (brand ∈ clause brands AND size ≤ max size —
     ~6 % of parts here), THEN broadcasts three sorted int64 arrays
-    (partkey, brand-code, size) once via ``ray.put``; each lineitem
-    batch resolves its partkeys by searchsorted and evaluates every
-    clause vectorized (a boolean OR-reduction, no row loop), emitting
-    a single partial revenue sum per batch.  If the filtered part side
+    (partkey, brand-code, size) once as a :func:`dim_table`; each
+    lineitem batch resolves its partkeys by :func:`dim_lookup` and
+    evaluates every clause vectorized (a boolean OR-reduction, no row
+    loop), emitting a single partial revenue sum per batch.  If the filtered part side
     ever outgrew a worker heap the orderkey-colocate pattern of
     :func:`run_revenue_by_nation` applies unchanged; at TPC-H ratios
     the filtered broadcast is ~10⁻³ of the fact bytes.
@@ -3692,51 +3681,33 @@ def run_disjunctive_revenue(sf_dir: str, clauses=Q19_CLAUSES):
     part = part[part["p_brand"].isin(brands) &
                 (part["p_size"] >= min(c[1] for c in clauses)) &
                 (part["p_size"] <= max_size)]
-    order = np.argsort(part["p_partkey"].to_numpy(dtype=np.int64),
-                       kind="stable")
-    lookup_ref = ray.put((
-        part["p_partkey"].to_numpy(dtype=np.int64)[order],
-        part["p_brand"].map(brand_code).to_numpy(dtype=np.int64)[order],
-        part["p_size"].to_numpy(dtype=np.int64)[order],
-    ))
+    lookup_ref = ray.put(dim_table(
+        part["p_partkey"],
+        part["p_brand"].map(brand_code).to_numpy(dtype=np.int64),
+        part["p_size"].to_numpy(dtype=np.int64)))
     codes = [(brand_code[b], lo, hi, qlo, qhi)
              for b, lo, hi, qlo, qhi in clauses]
 
-    class Clause:
-        def __init__(self):
-            self.pk, self.pb, self.psz = ray.get(lookup_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self.pk, lk)
-            pos_c = np.minimum(pos, max(len(self.pk) - 1, 0))
-            found = (self.pk[pos_c] == lk) if len(self.pk) else \
-                np.zeros(len(lk), dtype=bool)
-            pb = self.pb[pos_c] if len(self.pk) else np.zeros(len(lk),
-                                                              np.int64)
-            psz = self.psz[pos_c] if len(self.pk) else np.zeros(len(lk),
-                                                                np.int64)
-            m = np.zeros(len(lk), dtype=bool)
-            for bc, lo, hi, qlo, qhi in codes:
-                m |= ((pb == bc) & (psz >= lo) & (psz <= hi)
-                      & (qty >= qlo) & (qty <= qhi))
-            kept = batch.filter(pa.array(found & m))
-            rev = pc.multiply(kept["l_extendedprice"],
-                              pc.subtract(pa.scalar(1.0),
-                                          kept["l_discount"]))
-            s = pc.sum(rev).as_py()
-            return pa.table({"k": pa.array([0], type=pa.int64()),
-                             "rev": pa.array(
-                                 [0.0 if s is None else s],
-                                 type=pa.float64())})
+    def clause(batch: pa.Table) -> pa.Table:
+        qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
+        found, pb, psz = dim_lookup(ray.get(lookup_ref), batch["l_partkey"]
+                                    .to_numpy(zero_copy_only=False))
+        m = np.zeros(len(batch), dtype=bool)
+        for bc, lo, hi, qlo, qhi in codes:
+            m |= ((pb == bc) & (psz >= lo) & (psz <= hi)
+                  & (qty >= qlo) & (qty <= qhi))
+        kept = batch.filter(pa.array(found & m))
+        rev = pc.multiply(kept["l_extendedprice"],
+                          pc.subtract(pa.scalar(1.0), kept["l_discount"]))
+        s = pc.sum(rev).as_py()
+        return pa.table({"k": pa.array([0], type=pa.int64()),
+                         "rev": pa.array([0.0 if s is None else s],
+                                         type=pa.float64())})
 
     partials = _read(sf_dir, "lineitem",
                      ["l_partkey", "l_quantity", "l_extendedprice",
                       "l_discount"]).map_batches(
-        Clause, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        clause, batch_format="pyarrow", batch_size=65536)
     out = tree_combine(partials, ["k"], sums=("rev",))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -3778,9 +3749,9 @@ def run_promo_revenue(sf_dir: str, start: str = Q14_START,
     Plan (the 100 TB shape): the part side reduces to ONE broadcast
     structure — a sorted partkey array plus a parallel is-promo
     bitmask (1 bit of payload per part, ~10⁻⁴ of the fact bytes);
-    each lineitem batch resolves membership by searchsorted and emits
-    a single two-sum partial row (promo revenue, total revenue), so
-    the combine is a fixed-size scalar merge regardless of corpus
+    each lineitem batch resolves membership by :func:`dim_lookup` and
+    emits a single two-sum partial row (promo revenue, total revenue),
+    so the combine is a fixed-size scalar merge regardless of corpus
     size.
 
     Float contract: the ratio rounds to 2 dp after the final merge
@@ -3793,47 +3764,31 @@ def run_promo_revenue(sf_dir: str, start: str = Q14_START,
     end_us = np.int64(pd.Timestamp(end).value // 1000)
 
     part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
-    order = np.argsort(part["p_partkey"].to_numpy(dtype=np.int64),
-                       kind="stable")
-    lookup_ref = ray.put((
-        part["p_partkey"].to_numpy(dtype=np.int64)[order],
-        (part["p_type"] == "PROMO").to_numpy(dtype=bool)[order],
-    ))
+    lookup_ref = ray.put(dim_table(
+        part["p_partkey"], (part["p_type"] == "PROMO").to_numpy(dtype=bool)))
 
-    class Partial:
-        def __init__(self):
-            self.pk, self.promo = ray.get(lookup_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sd = pc.cast(batch["l_shipdate"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            kept = batch.filter(pa.array((sd >= start_us)
-                                         & (sd < end_us)))
-            lk = kept["l_partkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            pos = np.searchsorted(self.pk, lk)
-            pos_c = np.minimum(pos, max(len(self.pk) - 1, 0))
-            found = (self.pk[pos_c] == lk) if len(self.pk) else \
-                np.zeros(len(lk), dtype=bool)
-            rev = pc.multiply(
-                kept["l_extendedprice"],
-                pc.subtract(pa.scalar(1.0), kept["l_discount"])
-            ).to_numpy(zero_copy_only=False)
-            is_promo = found & self.promo[pos_c] if len(self.pk) else \
-                np.zeros(len(lk), dtype=bool)
-            return pa.table({
-                "k": pa.array([0], type=pa.int64()),
-                "promo": pa.array([float(rev[found & is_promo].sum())],
-                                  type=pa.float64()),
-                "total": pa.array([float(rev[found].sum())],
-                                  type=pa.float64()),
-            })
+    def partial(batch: pa.Table) -> pa.Table:
+        sd = pc.cast(batch["l_shipdate"], pa.int64()).to_numpy(
+            zero_copy_only=False)
+        kept = batch.filter(pa.array((sd >= start_us) & (sd < end_us)))
+        found, promo = dim_lookup(ray.get(lookup_ref), kept["l_partkey"]
+                                  .to_numpy(zero_copy_only=False))
+        rev = pc.multiply(
+            kept["l_extendedprice"],
+            pc.subtract(pa.scalar(1.0), kept["l_discount"])
+        ).to_numpy(zero_copy_only=False)
+        return pa.table({
+            "k": pa.array([0], type=pa.int64()),
+            "promo": pa.array([float(rev[found & promo].sum())],
+                              type=pa.float64()),
+            "total": pa.array([float(rev[found].sum())],
+                              type=pa.float64()),
+        })
 
     partials = _read(sf_dir, "lineitem",
                      ["l_partkey", "l_shipdate", "l_extendedprice",
                       "l_discount"]).map_batches(
-        Partial, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        partial, batch_format="pyarrow", batch_size=65536)
     out = tree_combine(partials, ["k"], sums=("promo", "total"))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -3882,7 +3837,7 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
     the bidirectional dimension-pair join.
 
     Plan (the 100 TB shape): supplier and customer each reduce to a
-    sorted (key → nationkey) broadcast restricted to the two nations
+    (key → nationkey) :func:`dim_table` restricted to the two nations
     (the :func:`run_revenue_by_nation` pattern — dimension rows never
     shuffle); lineitem pre-aggregates per batch to one partial row per
     (orderkey, supp-nation, year); orders contributes (orderkey,
@@ -3903,85 +3858,58 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
     nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     nat = nat[nat["n_name"].isin([nation_a, nation_b])]
     nat_names = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
-    nset = nat["n_nationkey"].to_numpy(dtype=np.int64)
-
-    def _lookup(df, key, natcol):
-        df = df[np.isin(df[natcol].to_numpy(dtype=np.int64), nset)]
-        order = np.argsort(df[key].to_numpy(dtype=np.int64),
-                           kind="stable")
-        return (df[key].to_numpy(dtype=np.int64)[order],
-                df[natcol].to_numpy(dtype=np.int64)[order])
 
     sup = _read(sf_dir, "supplier",
                 ["s_suppkey", "s_nationkey"]).to_pandas()
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
-    sup_ref = ray.put(_lookup(sup, "s_suppkey", "s_nationkey"))
-    cust_ref = ray.put(_lookup(cust, "c_custkey", "c_nationkey"))
+    sup = sup[sup["s_nationkey"].isin(nat["n_nationkey"])]
+    cust = cust[cust["c_nationkey"].isin(nat["n_nationkey"])]
+    sup_ref = ray.put(dim_table(sup["s_suppkey"], sup["s_nationkey"]))
+    cust_ref = ray.put(dim_table(cust["c_custkey"], cust["c_nationkey"]))
 
-    def _resolve(keys: np.ndarray, lk, ln):
-        if not len(lk):
-            return (np.zeros(len(keys), dtype=bool),
-                    np.zeros(len(keys), dtype=np.int64))
-        pos = np.minimum(np.searchsorted(lk, keys), len(lk) - 1)
-        return lk[pos] == keys, ln[pos]
+    def order_side(batch: pa.Table) -> pa.Table:
+        found, cnat = dim_lookup(ray.get(cust_ref), batch["o_custkey"]
+                                 .to_numpy(zero_copy_only=False))
+        kept = batch.filter(pa.array(found))
+        n = len(kept)
+        return pa.table({
+            "okey": kept["o_orderkey"],
+            "nat": pa.array(cnat[found], type=pa.int64()),
+            "year": pa.nulls(n, type=pa.int64()),
+            "rev": pa.nulls(n, type=pa.float64()),
+            "side": pa.array(np.zeros(n, dtype=np.int8)),
+        })
 
-    class OrderSide:
-        def __init__(self):
-            self.lk, self.ln = ray.get(cust_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            found, cnat = _resolve(ck, self.lk, self.ln)
-            kept = batch.filter(pa.array(found))
-            n = len(kept)
-            return pa.table({
-                "okey": kept["o_orderkey"],
-                "nat": pa.array(cnat[found], type=pa.int64()),
-                "year": pa.nulls(n, type=pa.int64()),
-                "rev": pa.nulls(n, type=pa.float64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            })
-
-    class LineSide:
-        def __init__(self):
-            self.lk, self.ln = ray.get(sup_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sd = pc.cast(batch["l_shipdate"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            batch = batch.filter(pa.array((sd >= start_us)
-                                          & (sd < end_us)))
-            sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            found, snat = _resolve(sk, self.lk, self.ln)
-            kept = batch.filter(pa.array(found))
-            year = pc.cast(pc.year(kept["l_shipdate"]), pa.int64())
-            rev = pc.multiply(kept["l_extendedprice"],
-                              pc.subtract(pa.scalar(1.0),
-                                          kept["l_discount"]))
-            g = (pa.table({"okey": kept["l_orderkey"],
-                           "nat": pa.array(snat[found], type=pa.int64()),
-                           "year": year, "rev": rev})
-                 .group_by(["okey", "nat", "year"])
-                 .aggregate([("rev", "sum")]))
-            n = len(g)
-            return pa.table({
-                "okey": g["okey"], "nat": g["nat"], "year": g["year"],
-                "rev": g["rev_sum"],
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-            })
+    def line_side(batch: pa.Table) -> pa.Table:
+        sd = pc.cast(batch["l_shipdate"], pa.int64()).to_numpy(
+            zero_copy_only=False)
+        batch = batch.filter(pa.array((sd >= start_us) & (sd < end_us)))
+        found, snat = dim_lookup(ray.get(sup_ref), batch["l_suppkey"]
+                                 .to_numpy(zero_copy_only=False))
+        kept = batch.filter(pa.array(found))
+        year = pc.cast(pc.year(kept["l_shipdate"]), pa.int64())
+        rev = pc.multiply(kept["l_extendedprice"],
+                          pc.subtract(pa.scalar(1.0), kept["l_discount"]))
+        g = (pa.table({"okey": kept["l_orderkey"],
+                       "nat": pa.array(snat[found], type=pa.int64()),
+                       "year": year, "rev": rev})
+             .group_by(["okey", "nat", "year"])
+             .aggregate([("rev", "sum")]))
+        n = len(g)
+        return pa.table({
+            "okey": g["okey"], "nat": g["nat"], "year": g["year"],
+            "rev": g["rev_sum"],
+            "side": pa.array(np.ones(n, dtype=np.int8)),
+        })
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey"]).map_batches(
-        OrderSide, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        order_side, batch_format="pyarrow", batch_size=65536)
     lines = _read(sf_dir, "lineitem",
                   ["l_orderkey", "l_suppkey", "l_shipdate",
                    "l_extendedprice", "l_discount"]).map_batches(
-        LineSide, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        line_side, batch_format="pyarrow", batch_size=65536)
 
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
@@ -4338,97 +4266,65 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
                         "n_nationkey"].to_numpy(dtype=np.int64)
 
     part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
-    pk = np.sort(part.loc[part["p_type"] == ptype,
-                          "p_partkey"].to_numpy(dtype=np.int64))
-
     sup = _read(sf_dir, "supplier",
                 ["s_suppkey", "s_nationkey"]).to_pandas()
-    s_order = np.argsort(sup["s_suppkey"].to_numpy(dtype=np.int64),
-                         kind="stable")
-    sk = sup["s_suppkey"].to_numpy(dtype=np.int64)[s_order]
-    s_target = np.isin(sup["s_nationkey"].to_numpy(dtype=np.int64)[s_order],
-                       target_nk)
-
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
-    ck = np.sort(cust.loc[np.isin(cust["c_nationkey"].to_numpy(
-        dtype=np.int64), region_nations),
-        "c_custkey"].to_numpy(dtype=np.int64))
+    line_ref = ray.put((
+        dim_table(part.loc[part["p_type"] == ptype, "p_partkey"]),
+        dim_table(sup["s_suppkey"], sup["s_nationkey"].isin(target_nk))))
+    order_ref = ray.put(dim_table(
+        cust.loc[cust["c_nationkey"].isin(region_nations), "c_custkey"]))
 
-    line_ref = ray.put((pk, sk, s_target))
-    order_ref = ray.put(ck)
+    def order_side(batch: pa.Table) -> pa.Table:
+        od = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
+            zero_copy_only=False)
+        batch = batch.filter(pa.array((od >= start_us) & (od < end_us)))
+        keep = dim_lookup(ray.get(order_ref), batch["o_custkey"]
+                          .to_numpy(zero_copy_only=False))[0]
+        kept = batch.filter(pa.array(keep))
+        n = len(kept)
+        return pa.table({
+            "okey": kept["o_orderkey"],
+            "year": pc.cast(pc.year(kept["o_orderdate"]), pa.int64()),
+            "tvol": pa.nulls(n, type=pa.float64()),
+            "vol": pa.nulls(n, type=pa.float64()),
+            "side": pa.array(np.zeros(n, dtype=np.int8)),
+        })
 
-    def _member(keys: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
-        if not len(sorted_arr):
-            return np.zeros(len(keys), dtype=bool)
-        pos = np.minimum(np.searchsorted(sorted_arr, keys),
-                         len(sorted_arr) - 1)
-        return sorted_arr[pos] == keys
-
-    class OrderSide:
-        def __init__(self):
-            self.ck = ray.get(order_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            od = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            batch = batch.filter(pa.array((od >= start_us)
-                                          & (od < end_us)))
-            keep = _member(batch["o_custkey"].to_numpy(
-                zero_copy_only=False).astype(np.int64), self.ck)
-            kept = batch.filter(pa.array(keep))
-            n = len(kept)
-            return pa.table({
-                "okey": kept["o_orderkey"],
-                "year": pc.cast(pc.year(kept["o_orderdate"]), pa.int64()),
-                "tvol": pa.nulls(n, type=pa.float64()),
-                "vol": pa.nulls(n, type=pa.float64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            })
-
-    class LineSide:
-        def __init__(self):
-            self.pk, self.sk, self.s_target = ray.get(line_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keep = _member(batch["l_partkey"].to_numpy(
-                zero_copy_only=False).astype(np.int64), self.pk)
-            kept = batch.filter(pa.array(keep))
-            skeys = kept["l_suppkey"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            pos = (np.minimum(np.searchsorted(self.sk, skeys),
-                              max(len(self.sk) - 1, 0))
-                   if len(self.sk) else np.zeros(len(skeys), dtype=np.int64))
-            is_t = (self.sk[pos] == skeys) & self.s_target[pos] \
-                if len(self.sk) else np.zeros(len(skeys), dtype=bool)
-            vol = pc.multiply(kept["l_extendedprice"],
-                              pc.subtract(pa.scalar(1.0),
-                                          kept["l_discount"])).to_numpy(
-                zero_copy_only=False)
-            g = (pa.table({
-                "okey": kept["l_orderkey"],
-                "tvol": pa.array(np.where(is_t, vol, 0.0),
-                                 type=pa.float64()),
-                "vol": pa.array(vol, type=pa.float64())})
-                 .group_by(["okey"])
-                 .aggregate([("tvol", "sum"), ("vol", "sum")]))
-            n = len(g)
-            return pa.table({
-                "okey": g["okey"],
-                "year": pa.nulls(n, type=pa.int64()),
-                "tvol": g["tvol_sum"], "vol": g["vol_sum"],
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-            })
+    def line_side(batch: pa.Table) -> pa.Table:
+        parts, sups = ray.get(line_ref)
+        keep = dim_lookup(parts, batch["l_partkey"]
+                          .to_numpy(zero_copy_only=False))[0]
+        kept = batch.filter(pa.array(keep))
+        found, target = dim_lookup(sups, kept["l_suppkey"]
+                                   .to_numpy(zero_copy_only=False))
+        vol = pc.multiply(kept["l_extendedprice"],
+                          pc.subtract(pa.scalar(1.0),
+                                      kept["l_discount"])).to_numpy(
+            zero_copy_only=False)
+        g = (pa.table({
+            "okey": kept["l_orderkey"],
+            "tvol": pa.array(np.where(found & target, vol, 0.0),
+                             type=pa.float64()),
+            "vol": pa.array(vol, type=pa.float64())})
+             .group_by(["okey"])
+             .aggregate([("tvol", "sum"), ("vol", "sum")]))
+        n = len(g)
+        return pa.table({
+            "okey": g["okey"],
+            "year": pa.nulls(n, type=pa.int64()),
+            "tvol": g["tvol_sum"], "vol": g["vol_sum"],
+            "side": pa.array(np.ones(n, dtype=np.int8)),
+        })
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
-        OrderSide, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        order_side, batch_format="pyarrow", batch_size=65536)
     lines = _read(sf_dir, "lineitem",
                   ["l_orderkey", "l_partkey", "l_suppkey",
                    "l_extendedprice", "l_discount"]).map_batches(
-        LineSide, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, 4))
+        line_side, batch_format="pyarrow", batch_size=65536)
 
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
@@ -4599,7 +4495,7 @@ def run_rfm_segments(sf_dir: str, target_rows_per_group: int = 65536):
     / small counts / distinct spends — bounded domains, same caveat
     as :func:`run_value_percentiles`), whose cumulative counts
     broadcast as the exact CUME_DIST tables; second to score each
-    customer by searchsorted and pre-aggregate (r,f,m) cells per
+    customer by :func:`dim_lookup` and pre-aggregate (r,f,m) cells per
     batch.  The final merge sees ≤ 27 segment rows.
 
     Float contract: CUME_DIST is an exact-int division c/N on both
@@ -4663,47 +4559,41 @@ def run_rfm_segments(sf_dir: str, target_rows_per_group: int = 65536):
         per_cust.map_batches(_hists, batch_format="pyarrow",
                              batch_size=65536),
         ["mid", "value"], sums=("cnt",)).to_pandas()
-    cume: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    cume = []
     total = 0
     for mid in range(len(METRICS)):
         h = hist[hist["mid"] == mid].sort_values("value")
-        v = h["value"].to_numpy(dtype=np.int64)
         c = np.cumsum(h["cnt"].to_numpy(dtype=np.int64))
-        cume[mid] = (v, c)
+        cume.append(dim_table(h["value"], c))
         total = int(c[-1]) if len(c) else 0
-    cume_ref = ray.put((cume, total))
+    cume_ref = ray.put(cume)
 
-    class Scorer:
-        def __init__(self):
-            self.cume, self.total = ray.get(cume_ref)
+    def scorer(batch: pa.Table) -> pa.Table:
+        tables = ray.get(cume_ref)
 
-        def _score(self, mid: int, vals: np.ndarray) -> np.ndarray:
-            v, c = self.cume[mid]
-            pos = np.searchsorted(v, vals, side="right")
-            le = c[pos - 1]  # every value is present → pos >= 1
-            return np.ceil(3.0 * (le / self.total)).astype(np.int64)
+        def score(mid: int, col: str) -> pa.Array:
+            # every value is in its table; le = #customers with a value ≤ it
+            _, le = dim_lookup(tables[mid],
+                               batch[col].to_numpy(zero_copy_only=False))
+            return pa.array(np.ceil(3.0 * (le / total)).astype(np.int64))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            t = pa.table({
-                "r_score": pa.array(self._score(0, batch["last_us"]
-                    .to_numpy(zero_copy_only=False))),
-                "f_score": pa.array(self._score(1, batch["n"]
-                    .to_numpy(zero_copy_only=False))),
-                "m_score": pa.array(self._score(2, batch["cents"]
-                    .to_numpy(zero_copy_only=False))),
-                "n_cust": pa.array(np.ones(len(batch), dtype=np.int64)),
-                "cents": batch["cents"],
-            })
-            g = t.group_by(["r_score", "f_score", "m_score"]).aggregate(
-                [("n_cust", "sum"), ("cents", "sum")])
-            return pa.table({
-                "r_score": g["r_score"], "f_score": g["f_score"],
-                "m_score": g["m_score"], "n_cust": g["n_cust_sum"],
-                "cents": g["cents_sum"]})
+        t = pa.table({
+            "r_score": score(0, "last_us"),
+            "f_score": score(1, "n"),
+            "m_score": score(2, "cents"),
+            "n_cust": pa.array(np.ones(len(batch), dtype=np.int64)),
+            "cents": batch["cents"],
+        })
+        g = t.group_by(["r_score", "f_score", "m_score"]).aggregate(
+            [("n_cust", "sum"), ("cents", "sum")])
+        return pa.table({
+            "r_score": g["r_score"], "f_score": g["f_score"],
+            "m_score": g["m_score"], "n_cust": g["n_cust_sum"],
+            "cents": g["cents_sum"]})
 
     out = tree_combine(
-        per_cust.map_batches(Scorer, batch_format="pyarrow",
-                             batch_size=65536, concurrency=(1, 4)),
+        per_cust.map_batches(scorer, batch_format="pyarrow",
+                             batch_size=65536),
         ["r_score", "f_score", "m_score"], sums=("n_cust", "cents"))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -6768,7 +6658,9 @@ def run_funnel_latency(sf_dir: str, ps=(0.5, 0.9, 0.99),
     because the second-grain domain is bounded by the dataset's time
     span, which is what keeps the merged histogram fixed-size no
     matter how many users convert.  All integer arithmetic; the rank
-    contract is the shared ceil(p·n) smallest-value rule."""
+    contract is the shared ceil(p·n) smallest-value rule.  With no
+    converting user the row reads n_users 0 and NULL latencies, the
+    SQL aggregates over no rows."""
     funnel = run_event_funnel(sf_dir, users_per_group=users_per_group)
 
     def _hist(t: pa.Table) -> pa.Table:
@@ -6792,21 +6684,29 @@ def run_funnel_latency(sf_dir: str, ps=(0.5, 0.9, 0.99),
         cum = df["n"].cumsum().to_numpy()
         vals = df["v"].to_numpy()
         total = int(cum[-1]) if len(cum) else 0
+
+        def at_rank(rank: int) -> pa.Array:
+            # no converting user: NULL, like SQL aggregates of no rows
+            val = int(vals[np.searchsorted(cum, rank)]) if total else None
+            return pa.array([val], type=pa.int64())
+
         cols = {"n_users": pa.array([total], type=pa.int64()),
-                "min_s": pa.array([int(vals[0]) if total else 0],
-                                  type=pa.int64())}
+                "min_s": at_rank(1)}
         for p in ps:
-            rank = int(np.ceil(p * total)) if total else 0
-            val = (int(vals[np.searchsorted(cum, rank, side="left")])
-                   if total else 0)
-            cols[f"p{int(p * 100)}_s"] = pa.array([val],
-                                                  type=pa.int64())
-        cols["max_s"] = pa.array([int(vals[-1]) if total else 0],
-                                 type=pa.int64())
+            cols[f"p{int(p * 100)}_s"] = at_rank(int(np.ceil(p * total)))
+        cols["max_s"] = at_rank(total)
         return pa.table(cols)
 
-    return hist.repartition(1).map_batches(
-        _quantiles, batch_format="pyarrow", batch_size=None)
+    res = hist.repartition(1).map_batches(
+        _quantiles, batch_format="pyarrow", batch_size=None).materialize()
+    if res.count():
+        return res
+    # an empty funnel leaves no block for _quantiles to run on
+    import ray.data
+
+    return ray.data.from_arrow(_quantiles(pa.table({
+        "delay_s": pa.array([], type=pa.int64()),
+        "n": pa.array([], type=pa.int64())})))
 
 
 def funnel_latency_oracle_sql(ps=(0.5, 0.9, 0.99)) -> str:

@@ -305,6 +305,41 @@ def test_top_orders_per_segment_ranked(ray_session):
         assert prices == sorted(prices, reverse=True)
 
 
+@pytest.mark.parametrize("drop_every", [None, 3])
+@pytest.mark.parametrize("name", ["segment_revenue", "top_orders_per_segment"])
+def test_segment_queries_local_oracle(ray_session, tmp_path, name, drop_every):
+    """The customer-segment broadcast joins equal their DuckDB oracles
+    at sf0.001; with every third customer removed, orders of a missing
+    customer land in 'UNKNOWN' as the oracle's LEFT JOIN + coalesce
+    does."""
+    import duckdb
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    sf = SF
+    if drop_every:
+        sf = str(tmp_path)
+        cust = pq.read_table(f"{SF}/customer.parquet")
+        keep = np.arange(len(cust)) % drop_every != 0
+        pq.write_table(cust.filter(pa.array(keep)), f"{sf}/customer.parquet")
+        pq.write_table(pq.read_table(f"{SF}/orders.parquet"),
+                       f"{sf}/orders.parquet")
+    con = duckdb.connect()
+    for t in ("customer", "orders"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{sf}/{t}.parquet')")
+    want = con.execute(entry.oracle_sql()[name]).df()
+    got = entry.queries()[name](sf).to_pandas()[list(want.columns)]
+    cols = list(want.columns)
+    pd.testing.assert_frame_equal(
+        got.sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True),
+        check_dtype=False, check_exact=True)
+    assert ("UNKNOWN" in set(got["mktsegment"])) == bool(drop_every)
+
+
 def test_media_frames_and_thumbs(ray_session):
     """Frame sampling (flat_map shape) and resize plumbing: every
     sampled frame index respects every_n and n_frames; thumbnails have
@@ -3559,6 +3594,32 @@ def test_funnel_latency_local_oracle(ray_session):
     assert (r["min_s"] <= r["p50_s"] <= r["p90_s"] <= r["p99_s"]
             <= r["max_s"])
     assert int(r["n_users"]) == len(run_event_funnel(sf).to_pandas())
+
+
+def test_funnel_latency_no_conversions(ray_session, tmp_path):
+    """With no purchase event nobody converts: one row with n_users 0
+    and NULL min/percentiles/max, as the oracle's aggregates over no
+    rows give."""
+    import duckdb
+    import pandas as pd
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from dude_ray.pipelines.relational import (funnel_latency_oracle_sql,
+                                               run_funnel_latency)
+
+    ev = pq.read_table(f"{SF}/events.parquet")
+    pq.write_table(ev.filter(pc.not_equal(ev["event_type"], "purchase")),
+                   tmp_path / "events.parquet")
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/events.parquet')")
+    want = con.execute(funnel_latency_oracle_sql()).df()
+    got = run_funnel_latency(str(tmp_path)).to_pandas()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=True)
+    assert int(got["n_users"].iloc[0]) == 0
+    assert got.drop(columns="n_users").isna().all(axis=None)
 
 
 def test_basket_pairs_local_oracle(ray_session):

@@ -230,7 +230,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     through round 4 (registry tail positions 51-65 plus kmeans_assign,
     label_centroids, events_hopping_window, value_percent_rank,
     bloom_registers, anchor_texts).  Slots 22-50 are the entries the
-    latest changes touched, so the driver record re-verifies every
+    latest changes touched, so the gate record re-verifies every
     changed code path: the round-5 operators plus, since the dimension
     broadcasts became :func:`~dude_ray.pipelines.relational.dim_lookup`
     task stages, every query that holds one (segment_revenue,
@@ -241,9 +241,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     percentiles when nothing converts).  They displaced five
     already-hash-matched, unchanged operators (winsorize,
     pareto_front, rrf_fusion, asof_attribution, type_lift) into the
-    tail.  The rotation tail (51+) — all previously
-    driver-hash-matched — stays verified by tools/check_oracle.py (the
-    same rows+schema+hash protocol over ALL entries) and by pytest."""
+    tail.  The rotation tail (51+) — all previously hash-matched by
+    the gate — stays verified by tools/check_oracle.py (the same
+    rows+schema+hash protocol over ALL entries) and by pytest."""
     from dude_ray.pipelines import (cleaning, dedup, graph, relational,
                                     sampling, similarity, textops)
 

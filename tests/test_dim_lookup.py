@@ -45,20 +45,3 @@ def test_duplicate_keys_rejected():
     with pytest.raises(ValueError):
         dim_table([1, 2, 1], ["a", "b", "c"])
 
-
-def test_broadcast_joins_start_no_map_actor(ray_session):
-    """The broadcast joins are task stages: running two of them creates
-    no Ray Data ``_MapWorker`` actor."""
-    import ray._private.state as gcs
-
-    from dude_ray.pipelines.relational import (run_revenue_by_nation,
-                                               run_volume_shipping)
-
-    def map_actors():
-        return {a["ActorID"] for a in gcs.actors().values()
-                if "MapWorker" in a.get("ActorClassName", "")}
-
-    before = map_actors()
-    run_revenue_by_nation("/root/testdata/sf0.001").materialize()
-    run_volume_shipping("/root/testdata/sf0.001").materialize()
-    assert map_actors() == before

@@ -2380,6 +2380,24 @@ def test_volume_shipping_local_oracle(ray_session):
                                       check_exact=True)
 
 
+def test_broadcast_joins_start_no_map_actor(ray_session):
+    """The broadcast joins are task stages: running two of them creates
+    no Ray Data ``MapWorker`` actor."""
+    import ray._private.state as gcs
+
+    from dude_ray.pipelines.relational import (run_revenue_by_nation,
+                                               run_volume_shipping)
+
+    def map_actors():
+        return {a["ActorID"] for a in gcs.actors().values()
+                if "MapWorker" in a.get("ActorClassName", "")}
+
+    before = map_actors()
+    run_revenue_by_nation(SF).materialize()
+    run_volume_shipping(SF).materialize()
+    assert map_actors() == before
+
+
 def test_volume_shipping_no_qualifying_rows(ray_session, tmp_path):
     """Star tables with no supplier in either nation: the engine returns
     the declared 4 columns and 0 rows, as DuckDB does, not a frame

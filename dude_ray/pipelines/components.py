@@ -1575,8 +1575,8 @@ def run_seed_walks(sf_dir: str, length: int = 8,
 
     corpus_dir = ensure_corpus(sf_dir, scale=1, seed_every=2,
                                num_parts=DEFAULT_NUM_PARTS)
-    seeds = sorted(canonicalize_url(s["url"])
-                   for s in load_seeds(corpus_dir))
+    seeds = sorted({canonicalize_url(s["url"])
+                    for s in load_seeds(corpus_dir)})
 
     if n_edges <= local_threshold:
         rdf = ranked.to_pandas()

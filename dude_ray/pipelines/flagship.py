@@ -7,8 +7,8 @@ interleaved-media kinds of the ``input_hint`` span vocabulary
 (link / image / next / text).
 
 ``run_extract`` is the headline non-crawl pipeline: read corpus →
-stateless ``map_batches(SpanExtractor)`` → span table.  The crawl
-variant (frontier + politeness) lives in dude_ray.crawl.
+stateless ``map_batches(SpanExtractor(...))`` task stage → span table.
+The crawl variant (frontier + politeness) lives in dude_ray.crawl.
 """
 
 from __future__ import annotations
@@ -75,12 +75,13 @@ def read_corpus(corpus_dir: str, columns: Optional[list[str]] = None):
     return read_parquet_clean(f"{corpus_dir}/web", columns=columns)
 
 
-def run_extract(sf_dir: str, concurrency: Optional[int] = None,
-                batch_size: int = 256, corpus_scale: int = 1,
+def run_extract(sf_dir: str, batch_size: int = 256, corpus_scale: int = 1,
                 seed_every: int = 2, num_parts: Optional[int] = None):
     """Headline extraction pipeline: corpus html → span sequences.
 
-    Stateless map_batches (selector programs compiled once per worker);
+    A task stage: ``map_batches`` gets a ``SpanExtractor`` instance,
+    which each task unpickles and whose selectors compile lazily on
+    first use, so no worker process is started or kept for it.
     pyarrow batches end-to-end; reads only (doc_id, html).
     ``corpus_scale`` selects the corpus profile (bench uses the same
     scaled corpus as the crawl so "whole-corpus extraction" measures the
@@ -92,21 +93,8 @@ def run_extract(sf_dir: str, concurrency: Optional[int] = None,
                                seed_every=seed_every,
                                num_parts=num_parts or DEFAULT_NUM_PARTS)
     ds = read_corpus(corpus_dir, columns=["doc_id", "html"])
-    kwargs = dict(
-        fn_constructor_kwargs={"rules": flagship_rules()},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    import ray
-
-    conc = concurrency or max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-    # FIXED pool size, not (1, conc) autoscaling: the ramp-up of Ray
-    # Data's autoscaling actor pool left the corpus half-extracted on a
-    # single actor for seconds at a time — measured 39–46 s vs 21 s for
-    # the identical whole-corpus extraction at 32 CPUs (2026-08-18).
-    # The pipeline is two ops (read → extract); the extractor dominates,
-    # so holding all slots from t=0 is strictly right here.
-    return ds.map_batches(SpanExtractor, concurrency=conc, **kwargs)
+    return ds.map_batches(SpanExtractor(flagship_rules()),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
 def export_spans(sf_dir: str, dest: str, **extract_kwargs) -> str:
@@ -130,13 +118,13 @@ def run_anchor_texts(sf_dir: str, target_rows_per_group: int = 65536,
     target URL produces per-target (n_incoming, n_distinct_anchors,
     top_anchor) — top anchor by count, lexicographic tie-break.
 
-    Scale shape: extract is the existing stateless actor-pool stage;
-    the explode emits pre-counted (target, anchor, n) partials per
-    batch, so the single shuffle carries one row per (target, anchor)
-    per batch — bounded by distinct anchor phrasings, not by link
-    volume.  Non-SQL-expressible end-to-end (the spans come from the
-    HTML parse), so correctness is pytest: a serial recompute over the
-    same extractor output (see tests/test_pipelines.py)."""
+    Scale shape: extract is the stateless span-extraction task stage,
+    fused with the explode, which emits pre-counted (target, anchor, n)
+    partials per batch, so the single shuffle carries one row per
+    (target, anchor) per batch — bounded by distinct anchor phrasings,
+    not by link volume.  Non-SQL-expressible end-to-end (the spans come
+    from the HTML parse), so correctness is pytest: a serial recompute
+    over the same extractor output (see tests/test_pipelines.py)."""
     import pandas as pd
 
     from ..canonical import LinkCanonicalizer

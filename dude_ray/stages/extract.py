@@ -20,10 +20,13 @@ Pure-function layer (unit-testable without Ray):
 * ``flat_to_spans``      — flattened rows → the span-sequence output
   contract (kind, text, media_ref, offset) of ``input_hint``.
 
-Ray layer: ``SpanExtractor`` — a callable class for
-``ds.map_batches(SpanExtractor, fn_constructor_kwargs=..., batch_format="pyarrow")``.
-Selector programs compile once per actor in ``__init__``; per batch it
-parses each document's HTML and emits one span-list row per doc.
+Ray layer: ``SpanExtractor`` — a callable instance for
+``ds.map_batches(SpanExtractor(rules), batch_format="pyarrow")``, which
+Ray Data runs as a task stage (no actor pool: the rules are cheap,
+immutable config, not state that must live across batches).  Each task
+unpickles the ~1 KB instance and compiles the selectors it meets on
+first use; per batch it parses each document's HTML and emits one
+span-list row per doc.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ def compile_selector(sel: Selector) -> Callable[[Element], List[Union[Element, s
 
 
 class _CompiledRules:
-    """Per-worker compiled form of a rule list (selectors → closures)."""
+    """Compiled form of a rule list (selectors → closures, compiled
+    lazily by :meth:`matcher` and cached on the instance)."""
 
     def __init__(self, rules: List[Rule]):
         self.rules = rules
@@ -105,7 +109,7 @@ class _CompiledRules:
         distinct_groups = sorted({r.group.to_str(with_type=True) for r in rules})
         self.group_ordinal = {g: i for i, g in enumerate(distinct_groups)}
         # (group, selector) order is URL-independent — sort ONCE per
-        # worker; per-doc enumeration only filters (stably) over this
+        # rule list; per-doc enumeration only filters (stably) over this
         self.presorted = sorted(rules, key=rule_sorter)
 
     def matcher(self, sel: Selector) -> Callable:
@@ -320,13 +324,15 @@ def spans_to_arrow(span_lists: List[List[dict]]) -> pa.Array:
 class SpanExtractor:
     """``map_batches`` callable: html docs in → span sequences out.
 
-    Stateless across batches (selector programs are immutable config) —
-    passed as a *class* so compilation happens once per actor/worker,
-    not once per batch.  Input batch columns: ``doc_id`` (canonical
-    URL), ``html``; passthrough columns preserved via ``keep``.
+    Stateless across batches (the rules are immutable config), so it is
+    passed as an *instance* and runs as a task stage: each task gets a
+    pickled copy whose selectors compile on first use (~0.3 ms for the
+    flagship rules, against ~1 ms per page).  Input batch columns:
+    ``doc_id`` (canonical URL), ``html``; passthrough columns preserved
+    via ``keep``.
     """
 
-    def __init__(self, rules: List[Rule], keep: Tuple[str, ...] = ()):  # compiled once
+    def __init__(self, rules: List[Rule], keep: Tuple[str, ...] = ()):
         self.compiled = _CompiledRules(rules)
         self.keep = keep
 
@@ -349,24 +355,3 @@ class SpanExtractor:
         for name in self.keep:
             cols[name] = batch[name]
         return pa.table(cols)
-
-
-class FlatExtractor:
-    """``map_batches`` callable: html docs in → flattened dude-style rows
-    out (one output row per merge group, columns = underscore metadata
-    + union of handler keys; missing values null — the Arrow analog of
-    the reference's CSV header union, /root/reference/dude/storage.py:70-82)."""
-
-    def __init__(self, rules: List[Rule]):
-        self.compiled = _CompiledRules(rules)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_rows: List[dict] = []
-        for url, html in zip(batch["doc_id"].to_pylist(), batch["html"].to_pylist()):
-            for item in extract_page_flat(self.compiled, html, url):
-                item["_page_url"] = url
-                out_rows.append(item)
-        if not out_rows:
-            return pa.table({"_page_url": pa.array([], type=pa.string())})
-        names = sorted({k for r in out_rows for k in r})
-        return pa.table({n: [r.get(n) for r in out_rows] for n in names})

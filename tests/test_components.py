@@ -317,6 +317,26 @@ def test_seed_walks_local_oracle(ray_session):
             prev = row["node"]
 
 
+def test_seed_walks_duplicate_seeds(ray_session, monkeypatch):
+    """A seed URL listed twice walks once: duplicate seeds give the same
+    rows as the deduplicated list, on both walk tiers."""
+    import pandas as pd
+
+    import dude_ray.sources.corpus as corpus
+    from dude_ray.pipelines.components import run_seed_walks
+
+    want = {thr: run_seed_walks(SF, local_threshold=thr)
+            .to_pandas().reset_index(drop=True) for thr in (2_000_000, 0)}
+    load = corpus.load_seeds
+    monkeypatch.setattr(corpus, "load_seeds",
+                        lambda d: load(d) + load(d)[::-1])
+    for thr, w in want.items():
+        got = (run_seed_walks(SF, local_threshold=thr)
+               .to_pandas().reset_index(drop=True))
+        pd.testing.assert_frame_equal(got, w, check_exact=True)
+    assert len(want[0]) > 0
+
+
 def test_walk_visit_rank_local_oracle(ray_session):
     """Walk-frequency top-k equals the DuckDB unrolled-walk recompute
     at sf0.001; the visit total reconciles with the walk row count

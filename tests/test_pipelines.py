@@ -1146,21 +1146,15 @@ def test_char_entropy_local_oracle(ray_session):
         assert 0.0 <= r["char_entropy"] <= np.log2(len(c)) + 1e-9
 
 
-def test_anchor_texts_local_oracle(ray_session):
-    """Anchor aggregation equals a serial recompute over the SAME
-    extractor output (target resolution, counts, distinct anchors,
-    top-anchor tie-break), and is group-width-invariant."""
+def _serial_anchor_texts(span_rows) -> dict:
+    """target → (n_incoming, n_distinct_anchors, top_anchor), recomputed
+    serially from (doc_id, spans) rows."""
     from collections import Counter
 
     from dude_ray.canonical import LinkCanonicalizer
-    from dude_ray.pipelines.flagship import run_anchor_texts, run_extract
-
-    got = {r["target"]: (r["n_incoming"], r["n_distinct_anchors"],
-                         r["top_anchor"])
-           for r in run_anchor_texts(SF).take_all()}
 
     counts: dict = {}
-    for row in run_extract(SF).take_all():
+    for row in span_rows:
         canon = LinkCanonicalizer(row["doc_id"])
         for s in row["spans"]:
             if s["kind"] != "link" or not s["media_ref"]:
@@ -1171,6 +1165,20 @@ def test_anchor_texts_local_oracle(ray_session):
     for t, c in counts.items():
         top = min(c.items(), key=lambda kv: (-kv[1], kv[0]))[0]
         want[t] = (sum(c.values()), len(c), top)
+    return want
+
+
+def test_anchor_texts_local_oracle(ray_session):
+    """Anchor aggregation equals a serial recompute over the SAME
+    extractor output (target resolution, counts, distinct anchors,
+    top-anchor tie-break), and is group-width-invariant."""
+    from dude_ray.pipelines.flagship import run_anchor_texts, run_extract
+
+    got = {r["target"]: (r["n_incoming"], r["n_distinct_anchors"],
+                         r["top_anchor"])
+           for r in run_anchor_texts(SF).take_all()}
+
+    want = _serial_anchor_texts(run_extract(SF).take_all())
     assert got == want
     assert len(want) > 50
 
@@ -1179,6 +1187,64 @@ def test_anchor_texts_local_oracle(ray_session):
              for r in run_anchor_texts(
                  SF, target_rows_per_group=64).take_all()}
     assert again == got
+
+
+def test_extract_in_one_cpu_session():
+    """Span extraction is a task stage, so ``run_extract`` and
+    ``run_anchor_texts`` complete in a Ray session with one logical CPU
+    and equal the in-process ``SpanExtractor`` output."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from dude_ray.pipelines.flagship import flagship_rules
+    from dude_ray.sources.corpus import DEFAULT_NUM_PARTS, generate_batch
+    from dude_ray.stages.extract import SpanExtractor
+
+    code = (
+        "import json, ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from dude_ray.pipelines.flagship import run_anchor_texts, run_extract\n"
+        f"spans = run_extract({SF!r}).take_all()\n"
+        "print('SPANS ' + json.dumps([[r['doc_id'], r['spans']] for r in spans]))\n"
+        f"anchors = run_anchor_texts({SF!r}).take_all()\n"
+        "print('ANCHORS ' + json.dumps([[r['target'], r['n_incoming'],"
+        " r['n_distinct_anchors'], r['top_anchor']] for r in anchors]))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # own process group: a hung session is stopped with all its daemons
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=root, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, stderr[-3000:]
+
+    def payload(tag):
+        line = [ln for ln in stdout.splitlines() if ln.startswith(tag + " ")][-1]
+        return json.loads(line.split(" ", 1)[1])
+
+    docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    corpus = generate_batch(docs, n_docs=docs.num_rows,
+                            num_parts=DEFAULT_NUM_PARTS)
+    local = SpanExtractor(flagship_rules())(corpus.select(["doc_id", "html"]))
+    want = dict(zip(local["doc_id"].to_pylist(), local["spans"].to_pylist()))
+    got = dict(payload("SPANS"))
+    assert len(got) == len(want) == docs.num_rows
+    assert got == want
+
+    rows = [{"doc_id": d, "spans": sp} for d, sp in want.items()]
+    assert {t: (n, nd, top) for t, n, nd, top in payload("ANCHORS")} == \
+        _serial_anchor_texts(rows)
 
 
 def test_chunk_dedup_planted_and_local(ray_session, tmp_path):
@@ -2381,10 +2447,13 @@ def test_volume_shipping_local_oracle(ray_session):
 
 
 def test_broadcast_joins_start_no_map_actor(ray_session):
-    """The broadcast joins are task stages: running two of them creates
-    no Ray Data ``MapWorker`` actor."""
+    """The broadcast joins and span extraction are task stages: running
+    two broadcast-join queries, the anchor-text aggregation and the link
+    graph build creates no Ray Data ``MapWorker`` actor."""
     import ray._private.state as gcs
 
+    from dude_ray.pipelines.flagship import run_anchor_texts
+    from dude_ray.pipelines.graph import link_edges
     from dude_ray.pipelines.relational import (run_revenue_by_nation,
                                                run_volume_shipping)
 
@@ -2395,6 +2464,8 @@ def test_broadcast_joins_start_no_map_actor(ray_session):
     before = map_actors()
     run_revenue_by_nation(SF).materialize()
     run_volume_shipping(SF).materialize()
+    run_anchor_texts(SF).materialize()
+    link_edges(SF)
     assert map_actors() == before
 
 

@@ -41,8 +41,8 @@ def _crawl_once() -> dict:
 
     out_dir = f"/tmp/dude_ray_bench/crawl_{NUM_CPUS}_{os.getpid()}"
     t0 = time.time()
-    # shards scale with the cluster (fractional-CPU actors): more shards
-    # = more parallel release/sort/put work per round
+    # logical frontier shards scale with the cluster; they all live in
+    # one frontier process, so the count sets the host-hash partition only
     run_crawl(SF_DIR, out_dir=out_dir,
               num_shards=max(4, NUM_CPUS // 4),
               batch_size=192, checkpoint_every=8,

@@ -1,4 +1,4 @@
-"""The distributed crawl — frontier actor pool + fetch/extract rounds.
+"""The distributed crawl — frontier actor + worker pool + fetch/extract rounds.
 
 Reference lifecycle being replayed (SURVEY §3.3,
 /root/reference/dude/base.py:361-376 + optional/beautifulsoup_scraper
@@ -12,22 +12,23 @@ SET is identical and per-host FIFO order is preserved.
 
 Ray shape per round:
 
-    shards.release_round()  ──►  key-sorted Arrow table per shard, kept
-        │  in the object store; driver sees only int64 keys + int32
-        │  parts (numpy lexsort → global order_in_round ranks; URL
-        │  strings never transit the driver)
+    frontier.release_round()  ──►  one RPC; a key-sorted Arrow table per
+        │  logical shard, kept in the object store; driver sees only
+        │  int64 keys + int32 parts (numpy lexsort → global
+        │  order_in_round ranks; URL strings never transit the driver)
         ▼
     CrawlWorker pool — PERSISTENT raw actors (pooled across crawls with
-    the shards, see "Actor pool" below; one crawl's corpus partition
+    the frontier, see "Actor pool" below; one crawl's corpus partition
     cache + compiled selectors stay warm across its rounds — the one
     stage whose state per-execution Dataset pools cannot amortize):
         fetch = partitioned corpus lookup (LRU part cache,
         load-aware dispatch: cold parts cache-affine, hot parts fan out
         over a bounded, persistent owner set)
         parse DOM once → span extraction + link collection
-        links → canonicalize+SHA-1 → host-hash exchange → shards.offer
-        (fire-and-forget; refs returned with the chunk and confirmed by
-        the driver, which replays maybe-lost chunks — lossless)
+        links → canonicalize+SHA-1 → host-hash shard buckets →
+        frontier.offer, one RPC per chunk (fire-and-forget; refs
+        returned with the chunk and confirmed by the driver, which
+        replays maybe-lost chunks — lossless)
         │  result blocks stay in the object store (refs)
         ▼
     worker write_part calls → round-partitioned parquet (atomic dir commit)
@@ -39,8 +40,9 @@ a set), only the deterministic enqueue-key labels are given up —
 asserted by tests/test_crawl.py::test_pipelined_same_visit_set.
 
 Checkpoint/resume: every ``checkpoint_every`` rounds pending writes are
-drained, output partitions commit atomically, and every shard snapshots
-(Bloom bytes + queues + counters) — ``resume=True`` restores the newest
+drained, output partitions commit atomically, and the frontier
+snapshots every shard in one call (Bloom bytes + queues + counters, one
+``shard_{i}.bin`` per logical shard) — ``resume=True`` restores the newest
 complete (round, snapshot) pair, deletes partial round dirs and
 continues; per-partition lineage lives in ``CHECKPOINT/meta.json``.
 REPLAY BOUND: the persist itself is deferred one checkpoint interval
@@ -52,24 +54,26 @@ correctness is unaffected, only recovery time).  Halve
 ``checkpoint_every`` if the 2× recovery bound matters more than the
 ~zero-stall steady state.
 
-Actor pool: booting the shard and worker processes costs seconds of
+Actor pool: booting the frontier and worker processes costs seconds of
 CPU each (Ray's worker start-up plus the pyarrow/ray.data imports), far
-more than a small crawl's frontier work.  So the shards and workers
-live in one module-level pool, keyed on (Ray session, ``num_shards``,
-resolved ``concurrency``), and are reused by the next ``run_crawl``
-with the same key; a different key replaces the pool.  Reset contract,
-at the start of every call:
+more than a small crawl's frontier work.  So the frontier and workers
+live in one module-level pool, keyed on (Ray session, resolved
+``concurrency``), and are reused by the next ``run_crawl`` with the
+same key; a different key replaces the pool.  The one frontier process
+hosts any number of logical shards, so ``num_shards`` is not part of
+the key.  Reset contract, at the start of every call:
 
 * any pooled actor that died or restarted since the last call is
   replaced, so each crawl has the full restart budget;
-* each shard runs ``reset`` (a fresh ``__init__`` with this crawl's
-  robots, allowed domains, capacity and gates; ``restore`` follows on
-  resume);
-* each worker adopts this crawl's config — corpus, rules, shard handles
-  — with a fresh ``CorpusFetcher`` and zeroed counters.  The config
-  travels with every chunk task as (epoch, [config ref]), so a worker
-  that Ray restarts mid-crawl (``__init__`` holds no crawl config)
-  reconfigures itself before its retried chunk runs.
+* the frontier runs ``reset``, which builds ``num_shards`` fresh
+  shards with this crawl's robots, allowed domains, capacity and gates
+  (``restore`` follows on resume);
+* each worker adopts this crawl's config — corpus, rules, frontier
+  handle and shard count — with a fresh ``CorpusFetcher`` and zeroed
+  counters.  The config travels with every chunk task as (epoch,
+  [config ref]), so a worker that Ray restarts mid-crawl (``__init__``
+  holds no crawl config) reconfigures itself before its retried chunk
+  runs.
 
 Nothing in ``METRICS.json`` therefore carries over from an earlier
 call.  The pool holds no logical CPU between calls.  A normal return
@@ -109,7 +113,7 @@ from .stages.extract import (
 )
 from .stages.fetch import CorpusFetcher
 from .stages.links import collect_links, route_edges
-from .state.frontier import FrontierShard, release_free_memory
+from .state.frontier import Frontier, release_free_memory
 
 
 class CrawlWorker:
@@ -132,7 +136,8 @@ class CrawlWorker:
     the config of the crawl it belongs to.
 
     One DOM parse serves both span extraction and link collection.
-    Offers are fire-and-forget (the worker never blocks on shard RPCs).
+    Offers are fire-and-forget (the worker never blocks on frontier
+    RPCs).
     Edge-delivery accounting is two-tier:
     * fast path — ``flush_offers`` barriers this worker's pending offer
       refs owner-locally (cheap) and returns the worker's incarnation
@@ -153,7 +158,8 @@ class CrawlWorker:
         # process) — the driver's cheap worker-death detector
         self.token = f"{os.getpid()}-{_t.time_ns()}"
         self.epoch = None
-        self.fetcher = self.compiled = self.shards = None
+        self.fetcher = self.compiled = self.frontier = None
+        self.num_shards = 0
         self.follow_urls = True
         self._last_offers: list = []
         self._pending_offers: list = []
@@ -183,7 +189,8 @@ class CrawlWorker:
             release_free_memory()
             self.fetcher = CorpusFetcher(conf["corpus_dir"], conf["num_parts"])
             self.compiled = _CompiledRules(list(conf["rules"]))
-            self.shards = conf["shards"]
+            self.frontier = conf["frontier"]
+            self.num_shards = conf["num_shards"]
             self.busy_s = 0.0
             self.n_batches = 0
             self.epoch = epoch
@@ -292,7 +299,7 @@ class CrawlWorker:
             # returned with the chunk (process_slice) for the driver's
             # slow-path delivery verification
             offers = route_edges(edge_urls, edge_depths, edge_keys,
-                                 self.shards)
+                                 self.frontier, self.num_shards)
             self._pending_offers.extend(offers)
             self._last_offers.extend(offers)
         return pa.table({
@@ -326,20 +333,20 @@ def _atomic_write(path: str, data: bytes) -> None:
 # exactly-once via the object ref.  Each chunk returns its offer refs
 # (see CrawlWorker); _confirm_offers replays any chunk whose offers may
 # have died with their owner, so worker death at ANY point is lossless
-# in-run.  Frontier SHARDS stay non-restartable (they are the stateful
-# component; their recovery path is the checkpoint snapshots).  Like the
-# shards', the workers' tasks record no task events (see FrontierShard).
+# in-run.  The FRONTIER stays non-restartable (it is the stateful
+# component; its recovery path is the checkpoint snapshots).  Like the
+# frontier's, the workers' tasks record no task events (see Frontier).
 _WorkerActor = ray.remote(max_restarts=3, max_task_retries=3,
                           enable_task_events=False)(CrawlWorker)
 
 
 class _ActorPool:
-    """The crawl's shards and workers, kept alive between ``run_crawl``
+    """The crawl's frontier and workers, kept alive between ``run_crawl``
     calls with the same ``key`` (see the module docstring)."""
 
-    def __init__(self, key: tuple, num_shards: int, concurrency: int):
+    def __init__(self, key: tuple, concurrency: int):
         self.key = key
-        self.shards = [FrontierShard.remote() for _ in range(num_shards)]
+        self.frontier = Frontier.remote()
         self.workers = [_WorkerActor.remote() for _ in range(concurrency)]
 
     def replace_unhealthy(self) -> None:
@@ -351,17 +358,18 @@ class _ActorPool:
             info = gcs_state.actors(actor_id=actor._actor_id.hex())
             return info.get("State") == "ALIVE" and info.get("NumRestarts") == 0
 
-        for actors, new in ((self.shards, FrontierShard.remote),
-                            (self.workers, _WorkerActor.remote)):
-            for i, actor in enumerate(actors):
-                if not healthy(actor):
-                    ray.kill(actor)
-                    actors[i] = new()
+        if not healthy(self.frontier):
+            ray.kill(self.frontier)
+            self.frontier = Frontier.remote()
+        for i, actor in enumerate(self.workers):
+            if not healthy(actor):
+                ray.kill(actor)
+                self.workers[i] = _WorkerActor.remote()
 
     def kill(self) -> None:
         if self.key[0] != _session():
             return  # its Ray session ended, and its actors with it
-        for actor in self.shards + self.workers:
+        for actor in [self.frontier] + self.workers:
             ray.kill(actor)
 
 
@@ -374,17 +382,17 @@ def _session() -> str:
     return ray._private.worker.global_worker.node.session_name
 
 
-def _acquire_pool(num_shards: int, concurrency: int) -> tuple[_ActorPool, str]:
+def _acquire_pool(concurrency: int) -> tuple[_ActorPool, str]:
     """This call's actor pool and whether it was "cold" (created now)
     or "warm" (reused).  At most one pool exists: a different key (a
-    new Ray session, shard count or worker count) replaces it."""
+    new Ray session or worker count) replaces it."""
     global _POOL
-    key = (_session(), num_shards, concurrency)
+    key = (_session(), concurrency)
     if _POOL is not None and _POOL.key == key:
         _POOL.replace_unhealthy()
         return _POOL, "warm"
     _drop_pool()
-    _POOL = _ActorPool(key, num_shards, concurrency)
+    _POOL = _ActorPool(key, concurrency)
     return _POOL, "cold"
 
 
@@ -430,11 +438,14 @@ def run_crawl(
     amortizes per-round pipeline startup when only crawl-delayed hosts
     remain.  ``stop_after_rounds`` simulates a crash for resume tests.
 
-    The shards and workers come from the module's actor pool and stay
+    The frontier and workers come from the module's actor pool and stay
     alive for the next call (see "Actor pool" in the module docstring);
     ``METRICS.json`` reports ``pool`` ("cold": created by this call,
     "warm": reused) and ``startup_s``, the seconds from the call's start
-    until the first frontier release returned.
+    until the first frontier release returned.  ``frontier_calls`` is
+    the number of RPCs the frontier served for this call, and
+    ``frontier_busy_s`` the CPU seconds of its release, offer and
+    snapshot work.
     """
     import time as _time
 
@@ -458,8 +469,9 @@ def run_crawl(
     os.makedirs(ckpt_dir, exist_ok=True)
 
     # a checkpoint's shard files are indexed by its num_shards — adopt
-    # the recorded value (and refuse a different corpus) before any
-    # shard exists, so resume never drops or misses a shard file
+    # the recorded value (and refuse a different corpus) before the
+    # frontier builds its shards, so resume never drops or misses a
+    # shard file
     if resume and os.path.exists(meta_path):
         with open(meta_path) as f:
             _meta_peek = json.load(f)
@@ -471,7 +483,7 @@ def run_crawl(
 
     rules = rules or flagship_rules()
     if concurrency is None:
-        # leave headroom for the shards and the driver —
+        # leave headroom for the frontier process and the driver —
         # oversubscription slows every stage
         total = int(ray.cluster_resources().get("CPU", 4))
         # ~75% of CPUs: parsing is allocation/bandwidth-bound, so a full
@@ -483,24 +495,22 @@ def run_crawl(
     try:
         _EPOCH += 1
         epoch = _EPOCH
-        pool, pool_state = _acquire_pool(num_shards, concurrency)
-        shards, workers = pool.shards, pool.workers
+        pool, pool_state = _acquire_pool(concurrency)
+        frontier, workers = pool.frontier, pool.workers
         # Nothing below blocks until every actor has its reset queued:
-        # on a cold pool the shard and worker processes boot in parallel.
-        # Per-caller actor task order puts each shard's reset before its
-        # restore / seed offers and each worker's configure before any
-        # chunk.  The robots table is put once, not once per shard.
-        robots_ref = ray.put(robots)
-        ready = [
-            s.reset.remote(
-                i, robots_ref, allowed, capacity=seen_capacity // num_shards + 1,
-                exact_confirm=exact_confirm,
-                ignore_robots_txt=ignore_robots_txt, politeness=politeness,
-                adblock_rules=tuple(adblock_rules))
-            for i, s in enumerate(shards)
-        ]
+        # on a cold pool the frontier and worker processes boot in
+        # parallel.  Per-caller actor task order puts the frontier's
+        # reset before its restore / seed offers and each worker's
+        # configure before any chunk.
+        ready = [frontier.reset.remote(
+            num_shards, robots, allowed,
+            capacity=seen_capacity // num_shards + 1,
+            exact_confirm=exact_confirm,
+            ignore_robots_txt=ignore_robots_txt, politeness=politeness,
+            adblock_rules=tuple(adblock_rules))]
         cfg = [ray.put({"corpus_dir": corpus_dir, "num_parts": num_parts,
-                        "rules": rules, "shards": shards})]
+                        "rules": rules, "frontier": frontier,
+                        "num_shards": num_shards})]
         # incarnation tokens: the worker-death detector for the
         # offer-delivery fast path (and init errors surface here)
         token_refs = [w.configure.remote(epoch, cfg) for w in workers]
@@ -510,20 +520,25 @@ def run_crawl(
             with open(meta_path) as f:
                 meta = json.load(f)
             start_round = meta["completed_rounds"]
-            for i, s in enumerate(shards):
+            raws = []
+            for i in range(num_shards):
                 with open(os.path.join(ckpt_dir, f"shard_{i}.bin"), "rb") as f:
-                    ready.append(s.restore.remote(f.read()))
-            # drop any partially written round after the checkpoint
+                    raws.append(f.read())
+            ready.append(frontier.restore.remote(raws))
+        else:
+            # seeds enter through the same host-hash exchange as discovered
+            # edges, keyed before every round-0 discovery
+            ready += route_edges(seed_list, [0] * len(seed_list),
+                                 [(-1, i, 0) for i in range(len(seed_list))],
+                                 frontier, num_shards)
+        if resume:
+            # drop every round after the checkpoint (all of them when the
+            # crash came before the first checkpoint) and partial ones
             for name in os.listdir(out_dir):
                 if name.startswith("round_"):
                     tag = name.split("_")[1]
                     if name.endswith(".wip") or int(tag.split(".")[0]) >= start_round:
                         shutil.rmtree(os.path.join(out_dir, name))
-        else:
-            # seeds enter through the same host-hash exchange as discovered
-            # edges, keyed before every round-0 discovery
-            ready += route_edges(seed_list, [0] * len(seed_list),
-                                 [(-1, i, 0) for i in range(len(seed_list))], shards)
         got = ray.get(ready + token_refs)
         worker_tokens0 = got[len(ready):]
 
@@ -565,6 +580,9 @@ def run_crawl(
             if toks is not None and toks == worker_tokens:
                 offer_pending.clear()
                 return False
+            # a replay only helps if the frontier is alive: a dead one
+            # raises its ActorDiedError here, before any chunk is re-run
+            ray.get(frontier.pending.remote())
             replayed = False
             for o_ref, t_ref, sel, order_vals, ernd in offer_pending:
                 try:
@@ -616,28 +634,29 @@ def run_crawl(
         _loop_t0 = _time.time()
         startup_s = None
         rnd = start_round
-        release_refs = None
+        release_ref = None
+
+        def release():
+            return frontier.release_round.remote(
+                ticks_per_round, release_budget, burst=politeness_burst,
+                num_parts=num_parts)
+
         while rnd < max_rounds:
             if stop_after_rounds is not None and rnd - start_round >= stop_after_rounds:
                 break
             _t0 = _time.time()
-            # one RPC per shard per round; the tick loop runs inside the
+            # one frontier RPC per round; the tick loop runs inside each
             # shard (politeness accounting is virtual-clock per tick).  Each
             # shard key-sorts its released rows locally and ray.puts the
             # Arrow table; only fixed-width key/part metadata (28 B/row)
             # reaches the driver — URL strings never transit it.  In
             # pipelined mode the NEXT round's release is issued right after
-            # dispatch, so the shards compute it while workers are busy and
-            # this ray.get usually returns immediately.
-            if release_refs is None:
-                release_refs = [
-                    s.release_round.remote(ticks_per_round, release_budget,
-                                           burst=politeness_burst,
-                                           num_parts=num_parts)
-                    for s in shards
-                ]
-            tick_out = ray.get(release_refs)
-            release_refs = None
+            # dispatch, so the frontier computes it while workers are busy
+            # and this ray.get usually returns immediately.
+            if release_ref is None:
+                release_ref = release()
+            tick_out = ray.get(release_ref)
+            release_ref = None
             if startup_s is None:
                 startup_s = _time.time() - call_t0
             tick_out = [t for t in tick_out if t["n"]]
@@ -652,8 +671,7 @@ def run_crawl(
                     continue
                 if _confirm_offers():
                     continue  # replayed edges may have refilled the frontier
-                pending = sum(ray.get([s.pending.remote() for s in shards]))
-                if pending == 0:
+                if ray.get(frontier.pending.remote()) == 0:
                     break
                 continue  # only delayed hosts remain; the next tick may release
 
@@ -732,21 +750,16 @@ def run_crawl(
                 # first-offer-wins on an order-independent set), only the
                 # deterministic enqueue-key labels are given up.  Straggler
                 # batches overlap the next wave instead of stalling it.
-                # Prefetch the next release NOW so the shards' tick/sort/put
-                # work overlaps this round's fetching — EXCEPT on checkpoint
-                # rounds: a release pops URLs from the shard queues, so it
-                # must be ordered AFTER the snapshot on each shard actor, or
-                # a crash between the two loses the popped URLs from both
-                # the snapshot and the (never-written) next round.  The
-                # prefetch for checkpoint rounds is issued after the
-                # snapshot RPCs below.
+                # Prefetch the next release NOW so the frontier's
+                # tick/sort/put work overlaps this round's fetching —
+                # EXCEPT on checkpoint rounds: a release pops URLs from the
+                # shard queues, so it must be ordered AFTER the snapshot on
+                # the frontier actor, or a crash between the two loses the
+                # popped URLs from both the snapshot and the (never-written)
+                # next round.  The prefetch for checkpoint rounds is issued
+                # after the snapshot RPC below.
                 if not do_ckpt:
-                    release_refs = [
-                        s.release_round.remote(ticks_per_round, release_budget,
-                                               burst=politeness_burst,
-                                               num_parts=num_parts)
-                        for s in shards
-                    ]
+                    release_ref = release()
                 inflight.extend(refs)
                 # backpressure: allow 4 batches per worker in flight so the
                 # pool stays fed across round transitions (the release
@@ -789,18 +802,13 @@ def run_crawl(
                     inflight.clear()
                 _submit_writes(drain=True)
                 # issue snapshot AND the next release back-to-back: per-actor
-                # task-queue order guarantees each shard serializes its state
-                # BEFORE popping the next round's URLs, and the shards do
+                # task-queue order guarantees the frontier serializes every
+                # shard BEFORE popping the next round's URLs, and it does
                 # both while the driver drains data files below — the disk
                 # work leaves the worker-feeding critical path entirely.
-                snap_refs = [s.snapshot.remote() for s in shards]
+                snap_ref = frontier.snapshot.remote()
                 if pipelined:
-                    release_refs = [
-                        s.release_round.remote(ticks_per_round, release_budget,
-                                               burst=politeness_burst,
-                                               num_parts=num_parts)
-                        for s in shards
-                    ]
+                    release_ref = release()
                 # the persist itself is DEFERRED one checkpoint interval so
                 # the crawl loop never waits on disk while workers starve:
                 # by the time it runs, its writes and snapshot refs
@@ -813,12 +821,12 @@ def run_crawl(
                 # snapshot-and-meta window that already existed).
                 due_writes, pending_writes = pending_writes, []
 
-                def _persist_ckpt(snap_refs=snap_refs, due=due_writes,
+                def _persist_ckpt(snap_ref=snap_ref, due=due_writes,
                                   upto=rnd + 1):
                     for wrefs, tdir, rdir in due:
                         ray.get(wrefs)
                         os.replace(tdir, rdir)  # atomic round commit
-                    for i, raw in enumerate(ray.get(snap_refs)):
+                    for i, raw in enumerate(ray.get(snap_ref)):
                         _atomic_write(os.path.join(ckpt_dir, f"shard_{i}.bin"),
                                       raw)
                     _atomic_write(meta_path, json.dumps({
@@ -852,8 +860,9 @@ def run_crawl(
         loop_sec = _time.time() - _loop_t0
 
         # final metrics → lineage manifest (SURVEY A4)
-        stats = ray.get([s.get_stats.remote() for s in shards])
-        hosts = [row for s in shards for row in ray.get(s.host_accounting.remote())]
+        stats, hosts, facct = ray.get([frontier.get_stats.remote(),
+                                       frontier.host_accounting.remote(),
+                                       frontier.accounting.remote()])
         wstats = ray.get([w.worker_stats.remote() for w in workers])
         if _prof:
             busy = sorted(w["busy_s"] for w in wstats)
@@ -871,6 +880,8 @@ def run_crawl(
             "startup_s": round(startup_s if startup_s is not None
                                else _loop_t0 - call_t0, 3),
             "pool": pool_state,
+            "frontier_busy_s": facct["busy_s"],
+            "frontier_calls": facct["calls"],
             "shards": stats, "hosts": hosts,
         }).encode())
 

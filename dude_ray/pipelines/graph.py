@@ -29,14 +29,40 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+
+def _member(sorted_keys: np.ndarray, keys) -> np.ndarray:
+    """Membership of ``keys`` in the sorted string array ``sorted_keys``
+    in one clamped ``searchsorted`` — ``dim_lookup``'s probe
+    (pipelines/relational.py) over string keys."""
+    keys = np.asarray(keys, dtype=str)
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
 def link_edges(sf_dir: str):
     """(src, dst) canonical-URL edges from the extractor's link spans,
-    dst restricted to corpus pages (left-semi join against the node
-    set).  Also returns the node dataset (distinct page URLs)."""
-    from dude_ray.canonical import canonicalize_url
-    from dude_ray.pipelines.flagship import run_extract
+    dst restricted to corpus pages.  Also returns the node dataset
+    (distinct page URLs), read from the corpus ``doc_id`` column: the
+    span extractor emits one row per corpus document, so the corpus is
+    the page set without extracting twice.  The restriction is a
+    broadcast semi-join inside the edge map — a sorted node array,
+    ``ray.put`` once and probed per batch — so no shuffle runs."""
+    import ray
 
-    spans = run_extract(sf_dir)
+    from dude_ray.canonical import canonicalize_url
+    from dude_ray.pipelines.flagship import read_corpus, run_extract
+    from dude_ray.sources.corpus import ensure_corpus
+
+    def to_nodes(batch: pa.Table) -> pa.Table:
+        return pa.table({"node": batch["doc_id"]})
+
+    nodes = (read_corpus(ensure_corpus(sf_dir), columns=["doc_id"])
+             .map_batches(to_nodes, batch_format="pyarrow", batch_size=4096)
+             .materialize())
+    node_col = pa.concat_tables(ray.get(nodes.to_arrow_refs()))["node"]
+    nodes_ref = ray.put(np.sort(np.asarray(node_col.to_pylist(), dtype=str)))
 
     def to_edges(batch: pa.Table) -> pa.Table:
         col = batch["spans"].combine_chunks()
@@ -57,19 +83,13 @@ def link_edges(sf_dir: str):
             if dst and dst != src:
                 out_s.append(src)
                 out_d.append(dst)
+        keep = _member(ray.get(nodes_ref), out_d)
         return pa.table({"src": pa.array(out_s, type=pa.string()),
-                         "dst": pa.array(out_d, type=pa.string())})
+                         "dst": pa.array(out_d, type=pa.string())}
+                        ).filter(pa.array(keep, type=pa.bool_()))
 
-    def to_nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["doc_id"]})
-
-    edges = spans.map_batches(to_edges, batch_format="pyarrow",
-                              batch_size=1024)
-    nodes = spans.map_batches(to_nodes, batch_format="pyarrow",
-                              batch_size=4096).materialize()
-    edges = edges.join(nodes, "left_semi", 4, on=("dst",),
-                       right_on=("node",),
-                       aggregator_ray_remote_args={"num_cpus": 0})
+    edges = run_extract(sf_dir).map_batches(
+        to_edges, batch_format="pyarrow", batch_size=1024)
     return edges.materialize(), nodes
 
 

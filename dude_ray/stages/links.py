@@ -8,9 +8,9 @@ playwright_scraper.py:182-186).  On top of that (north rule) each edge
 is RFC 3986-canonicalized before it is hashed into the seen set.
 
 Routing is an explicit hash-partitioned exchange: edges are grouped by
-``host_shard(host)`` inside the extract task and offered directly to
-the owning frontier shard actor — the shuffle never transits the
-driver.
+``host_shard(host)`` inside the extract task, and the buckets go to the
+frontier actor in one offer RPC per chunk, each to its owning logical
+shard — the shuffle never transits the driver.
 """
 
 from __future__ import annotations
@@ -43,15 +43,17 @@ def collect_links(dom: Element, page_url: str) -> list[str]:
     return out
 
 
-def route_edges(urls: list[str], depths: list[int], keys: list[tuple], shards: list) -> list:
-    """Partition edges by host-hash and offer to the owning shard with
-    their deterministic enqueue keys (see dude_ray.state.frontier).
+def route_edges(urls: list[str], depths: list[int], keys: list[tuple],
+                frontier, num_shards: int) -> list:
+    """Partition edges by host-hash over ``num_shards`` logical shards
+    and offer them, with their deterministic enqueue keys (see
+    dude_ray.state.frontier), to the ``frontier`` actor in one RPC.
     Host strings and SHA-1 digests are computed here — in the parallel
-    workers — so the single-threaded shard actors only do set/dict
-    work.  Returns the in-flight offer ObjectRefs (caller barriers)."""
+    workers — so the single-threaded frontier only does set/dict work.
+    Returns the in-flight offer ObjectRef in a list, empty when there
+    are no edges (caller barriers)."""
     import hashlib
 
-    n = len(shards)
     sha1 = hashlib.sha1
     host_buckets: dict[str, int] = {}
     buckets: dict[int, tuple[list, list, list, list, list]] = {}
@@ -61,7 +63,7 @@ def route_edges(urls: list[str], depths: list[int], keys: list[tuple], shards: l
         b = host_buckets.get(host)
         if b is None:
             b = host_buckets[host] = int.from_bytes(
-                sha1(host.encode()).digest()[:8], "big") % n
+                sha1(host.encode()).digest()[:8], "big") % num_shards
         entry = buckets.get(b)
         if entry is None:
             entry = buckets[b] = ([], [], [], [], [])
@@ -70,5 +72,4 @@ def route_edges(urls: list[str], depths: list[int], keys: list[tuple], shards: l
         entry[2].append(key)
         entry[3].append(host)
         entry[4].append(digest)
-    return [shards[b].offer.remote(us, ds, ks, hs, dg)
-            for b, (us, ds, ks, hs, dg) in buckets.items()]
+    return [frontier.offer.remote(buckets)] if buckets else []

@@ -1,11 +1,13 @@
-"""Frontier shard actors — the stateful core of the crawl engine.
+"""Frontier shards and the frontier actor — the stateful core of the
+crawl engine.
 
 The reference's frontier is a process-local FIFO deque with no seen
 set, no politeness structure and a robots re-fetch per URL
-(/root/reference/dude/base.py:75,361-391).  Here it is a pool of
-host-hash-sharded Ray actors; each shard single-owns the hosts in its
-hash range, so per-host politeness decisions never need coordination
-(SURVEY §7 hard part 2).  Per shard:
+(/root/reference/dude/base.py:75,361-391).  Here it is host-hash
+sharded: each logical shard single-owns the hosts in its hash range, so
+per-host politeness decisions never need coordination (SURVEY §7 hard
+part 2).  The shard count is a logical partition, not a process count:
+one ``Frontier`` actor hosts every shard of a crawl.  Per shard:
 
 * Bloom URL-seen filter keyed SHA-1(canonical URL) (+ an exact confirm
   set at test scale so tests can assert zero false positives);
@@ -38,10 +40,11 @@ unchanged (gates are per-URL and static) while per-host FIFO order is
 preserved.  Tests assert both (tests/test_crawl.py).
 
 Scale notes: hosts are single-owner, so a hot host bounds only its own
-throughput (its crawl delay serializes it anyway).  Edges reach shards
-directly from extract workers (actor handle calls): the edge shuffle
-is an explicit hash exchange keyed on host-hash, never routed through
-the driver.
+throughput (its crawl delay serializes it anyway).  Edges reach the
+frontier directly from extract workers (actor handle calls), bucketed
+by host-hash shard in the worker — one offer RPC per worker chunk — so
+the edge exchange never routes through the driver.  Releases,
+snapshots and restores take one RPC for all shards.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ class _HostState:
 
 
 class FrontierShardLocal:
-    """Shard logic, actor-free (unit tests use it directly; the Ray
-    actor below is a thin wrapper)."""
+    """Shard logic, actor-free (unit tests use it directly; the
+    ``Frontier`` actor below holds one per logical shard)."""
 
     def __init__(
         self,
@@ -442,8 +445,8 @@ class FrontierShardLocalArrow(FrontierShardLocal):
             "ek_link": pa.array([k[2] for k, _, _ in out], type=pa.int64()),
         })
         if num_parts:
-            # corpus-partition routing key computed shard-side (parallel)
-            # instead of on the serial driver path
+            # corpus-partition routing key computed frontier-side, off
+            # the serial driver path
             part_cache: dict[str, int] = {}
             parts = []
             for host in self._last_hosts:
@@ -457,14 +460,14 @@ class FrontierShardLocalArrow(FrontierShardLocal):
     def release_round(self, n_ticks: int, max_urls: int = 1_000_000,
                       burst: int = 1, num_parts: int = 16) -> dict:
         """Scale-path release: the URL payload never leaves this shard's
-        node via the driver.  The shard key-sorts its own released rows
-        (parallel across shards), ``ray.put``s the Arrow table into the
-        object store, and hands the driver only fixed-width metadata —
-        the 3 enqueue-key int64 columns and the int32 corpus part per
-        row (28 B/row) — from which the driver computes global visit
-        ranks and part-affine dispatch without ever touching a URL
-        string.  Workers later ``take`` row slices straight from the
-        shard table ref (plasma shared memory; one transfer per node)."""
+        node via the driver.  The shard key-sorts its own released rows,
+        ``ray.put``s the Arrow table into the object store, and hands
+        the driver only fixed-width metadata — the 3 enqueue-key int64
+        columns and the int32 corpus part per row (28 B/row) — from
+        which the driver computes global visit ranks and part-affine
+        dispatch without ever touching a URL string.  Workers later
+        ``take`` row slices straight from the shard table ref (plasma
+        shared memory; one transfer per node)."""
         import numpy as np
         import pyarrow as pa
 
@@ -483,18 +486,110 @@ class FrontierShardLocalArrow(FrontierShardLocal):
                 "ref": ray.put(t.drop_columns(["part"]))}
 
 
-# Frontier shards are bursty, mostly-idle bookkeepers that live in the
-# crawl's actor pool between calls: they hold no logical CPU, so an idle
-# pool never starves later Ray Data jobs, and a 1-CPU session can still
-# place the crawl's workers (4 × 0.25 CPU left no room for one).  Their
-# hundreds of small tasks per crawl record no task events: the GCS would
-# keep every one of them for the whole session.
+def _accounted(layer: Optional[str] = None):
+    """Count each call of a ``Frontier`` method as one RPC of this crawl
+    and, with a ``layer``, add the CPU time the method's own thread
+    spent to that layer.  Thread time, not process time: the actor's
+    Ray threads keep receiving offers while a method runs, and that
+    work is not the method's."""
+    import functools
+    import time
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def method(self, *args, **kwargs):
+            self.calls += 1
+            if layer is None:
+                return fn(self, *args, **kwargs)
+            t0 = time.thread_time()
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                self.busy_s[layer] += time.thread_time() - t0
+        return method
+    return wrap
+
+
+# The frontier is a bursty, mostly-idle bookkeeper that lives in the
+# crawl's actor pool between calls.  One process hosts every logical
+# shard: host-hash sharding partitions the state, not the processes, and
+# each further process cost ~100 MB of RSS and its share of Ray's
+# per-RPC overhead.  It holds no logical CPU, so an idle pool never
+# starves later Ray Data jobs and a 1-CPU session can still place the
+# crawl's workers.  Its hundreds of small tasks per crawl record no
+# task events: the GCS would keep every one of them for the whole
+# session.
 @ray.remote(num_cpus=0, enable_task_events=False)
-class FrontierShard(FrontierShardLocalArrow):
-    """Ray actor wrapper — state lives in the actor's heap; extract
-    workers call ``offer`` directly (hash-partitioned edge exchange).
-    Pooled across crawls: created without config, ``reset`` starts
-    each crawl from scratch."""
+class Frontier:
+    """All ``num_shards`` logical frontier shards of a crawl in one Ray
+    actor, each a ``FrontierShardLocalArrow``.  Every operation is one
+    RPC for all shards: workers ``offer`` a chunk's edges bucketed by
+    shard, and the driver releases, snapshots and restores every shard
+    in one call each.  Pooled across crawls: created without config,
+    ``reset`` starts each crawl from scratch.
+
+    Per crawl it counts the RPCs it serves (``calls``) and the CPU time
+    of its release, offer and snapshot work (``busy_s``); ``accounting``
+    reports both."""
 
     def __init__(self):
-        pass
+        self.shards: list[FrontierShardLocalArrow] = []
+        self.calls = 0
+        self.busy_s = {"release": 0.0, "offer": 0.0, "snapshot": 0.0}
+
+    def reset(self, num_shards: int, robots_map: dict[str, str],
+              allowed_domains: set[str], **kwargs) -> None:
+        """Start a new crawl: drop the previous crawl's shards, return
+        their memory once, and build ``num_shards`` fresh shards with
+        this crawl's robots, allowed domains, capacity and gates."""
+        self.shards = []
+        release_free_memory()
+        self.shards = [FrontierShardLocalArrow(i, robots_map, allowed_domains,
+                                               **kwargs)
+                       for i in range(num_shards)]
+        self.calls = 1  # this reset is the crawl's first RPC
+        self.busy_s = dict.fromkeys(self.busy_s, 0.0)
+
+    @_accounted("offer")
+    def offer(self, buckets: dict) -> None:
+        """Buffer ``{shard: (urls, depths, keys, hosts, digests)}``
+        (``route_edges``' buckets) in each shard."""
+        for b, (urls, depths, keys, hosts, digests) in buckets.items():
+            self.shards[b].offer(urls, depths, keys, hosts, digests)
+
+    @_accounted("release")
+    def release_round(self, n_ticks: int, max_urls: int = 1_000_000,
+                      burst: int = 1, num_parts: int = 16) -> list[dict]:
+        """``FrontierShardLocalArrow.release_round`` of every shard, in
+        shard order."""
+        return [s.release_round(n_ticks, max_urls, burst, num_parts)
+                for s in self.shards]
+
+    @_accounted("snapshot")
+    def snapshot(self) -> list[bytes]:
+        """One checkpoint blob per shard, in shard order."""
+        return [s.snapshot() for s in self.shards]
+
+    @_accounted()
+    def restore(self, raws: list[bytes]) -> None:
+        for s, raw in zip(self.shards, raws, strict=True):
+            s.restore(raw)
+
+    @_accounted()
+    def pending(self) -> int:
+        return sum(s.pending() for s in self.shards)
+
+    @_accounted()
+    def get_stats(self) -> list[dict]:
+        return [s.get_stats() for s in self.shards]
+
+    @_accounted()
+    def host_accounting(self) -> list[dict]:
+        return [row for s in self.shards for row in s.host_accounting()]
+
+    @_accounted()
+    def accounting(self) -> dict:
+        """This crawl's RPC count, this call included, and the CPU
+        seconds of release, offer and snapshot work."""
+        return {"calls": self.calls,
+                "busy_s": {k: round(v, 3) for k, v in self.busy_s.items()}}

@@ -138,6 +138,21 @@ def test_skip_counters_match_oracle(crawl_rows, oracle):
     assert eng["released"] == len(oracle.visits)
 
 
+def test_frontier_accounting_in_metrics(crawl_rows):
+    """METRICS.json reports the frontier's RPC count and the CPU time of
+    its release, offer and snapshot work; that time fits in the loop."""
+    from dude_ray.crawl import crawl_metrics
+
+    m = crawl_metrics(crawl_rows[1])
+    busy = m["frontier_busy_s"]
+    assert set(busy) == {"release", "offer", "snapshot"}
+    assert all(v >= 0 for v in busy.values())
+    assert busy["release"] > 0
+    assert sum(busy.values()) <= m["loop_sec"]
+    # at least one release per round, plus reset, seeds and metrics
+    assert m["frontier_calls"] > m["rounds"]
+
+
 def test_politeness_accounting(crawl_rows):
     from dude_ray.crawl import crawl_metrics
 
@@ -224,12 +239,13 @@ def test_pipelined_resume_complete_visit_set(ray_session, tmp_path_factory,
     assert set(got) == strict_set
 
 
-def _kill_worker_once_dispatching(out_dir):
-    """Start a thread that SIGKILLs one ALIVE CrawlWorker process as
-    soon as ``out_dir`` holds a ``round_00000*`` dir, i.e. once this
-    call has started dispatching (pooled workers are alive before the
-    call starts, and a kill then would not hit the crawl itself).
-    Returns (stop event, killed-pid list, thread)."""
+def _kill_once_dispatching(out_dir, pool_actors):
+    """Start a thread that SIGKILLs the process of one ALIVE actor of
+    ``pool_actors(pool)`` as soon as ``out_dir`` holds a
+    ``round_00000*`` dir, i.e. once this call has started dispatching
+    (pooled actors are alive before the call starts, and a kill then
+    would not hit the crawl itself).  Returns (stop event, killed-pid
+    list, thread)."""
     import os
     import signal
     import threading
@@ -254,8 +270,8 @@ def _kill_worker_once_dispatching(out_dir):
             if dispatching():
                 # GCS state (works with include_dashboard=False, unlike
                 # ray.util.state which needs the dashboard head) of this
-                # call's workers, not of a replaced pool's dying ones
-                ids = {w._actor_id.hex() for w in crawl._POOL.workers}
+                # call's actors, not of a replaced pool's dying ones
+                ids = {a._actor_id.hex() for a in pool_actors(crawl._POOL)}
                 alive = [a for a in _st.actors().values()
                          if a.get("ActorID") in ids
                          and a.get("State") == "ALIVE" and a.get("Pid")]
@@ -273,7 +289,7 @@ def _kill_worker_once_dispatching(out_dir):
 def _crawl_with_worker_kill(out, **kw):
     from dude_ray.crawl import run_crawl
 
-    stop, killed, t = _kill_worker_once_dispatching(str(out))
+    stop, killed, t = _kill_once_dispatching(str(out), lambda p: p.workers)
     try:
         ds = run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3, **kw)
     finally:
@@ -330,6 +346,41 @@ def test_worker_death_after_warm_pool_on_other_corpus(ray_session,
     out = tmp_path_factory.mktemp("crawl") / "killworker_x1"
     rows = _crawl_with_worker_kill(out, politeness=True, politeness_burst=1000)
     assert_visits_equal_oracle(rows, oracle)
+    assert_spans_match_corpus(rows)
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_frontier_death_resumes_from_checkpoint(ray_session, tmp_path_factory,
+                                                oracle, pipelined):
+    """SIGKILL the frontier process mid-crawl: the frontier does not
+    restart (its state is the crawl's), so the call raises the
+    frontier's death — not an edge-replay failure after re-running
+    chunks on every worker — and drops the pool.  A resumed call (from
+    the newest persisted checkpoint, if any) equals the sequential
+    oracle: visit set, statuses and spans, and in the strict mode the
+    visit sequence."""
+    import ray
+
+    from dude_ray import crawl
+    from dude_ray.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("crawl") / f"killfrontier_{pipelined}"
+    kw = dict(num_shards=3, concurrency=3, politeness=False, checkpoint_every=1,
+              pipelined=pipelined)
+    stop, killed, t = _kill_once_dispatching(str(out), lambda p: [p.frontier])
+    try:
+        with pytest.raises(ray.exceptions.RayActorError):
+            run_crawl(SF, out_dir=str(out), **kw)
+    finally:
+        stop.set()
+        t.join(timeout=5)
+    assert killed, "killer thread never found the frontier to SIGKILL"
+    assert crawl._POOL is None
+    rows = run_crawl(SF, out_dir=str(out), resume=True, **kw).take_all()
+    assert_visits_equal_oracle(rows, oracle)
+    if not pipelined:
+        assert [r["doc_id"] for r in visits_in_key_order(rows)] == \
+            oracle.visit_urls()
     assert_spans_match_corpus(rows)
 
 
@@ -427,7 +478,7 @@ def _pool_actors_alive():
     import ray._private.state as _st
 
     return [a for a in _st.actors().values()
-            if a.get("ActorClassName") in ("FrontierShard", "CrawlWorker")
+            if a.get("ActorClassName") in ("Frontier", "CrawlWorker")
             and a.get("State") == "ALIVE"]
 
 
@@ -558,3 +609,33 @@ def test_crawl_in_one_cpu_session(tmp_path, oracle):
     got = [tuple(v) for v in json.loads(line.split(" ", 1)[1])]
     assert len(got) == len(set(got))
     assert set(got) == {(v["url"], v["status"]) for v in oracle.visits}
+
+
+def test_one_frontier_serves_any_shard_count(ray_session, tmp_path_factory,
+                                            oracle):
+    """The pool's single frontier process hosts every logical shard: a
+    crawl with 5 shards reuses the pool a 3-shard crawl warmed, equals
+    the oracle, and the session then holds exactly one live frontier
+    actor and ``concurrency`` live crawl workers."""
+    import time as _t
+
+    from dude_ray.crawl import crawl_metrics, run_crawl
+
+    base = tmp_path_factory.mktemp("crawl")
+    run_crawl(SF, out_dir=str(base / "three"), num_shards=3, concurrency=3,
+              politeness=False).materialize()
+    ds = run_crawl(SF, out_dir=str(base / "five"), num_shards=5, concurrency=3,
+                   politeness=False)
+    assert crawl_metrics(str(base / "five"))["pool"] == "warm"
+    assert [r["doc_id"] for r in visits_in_key_order(ds.take_all())] == \
+        oracle.visit_urls()
+
+    def counts():
+        return collections.Counter(a["ActorClassName"]
+                                   for a in _pool_actors_alive())
+
+    want = {"Frontier": 1, "CrawlWorker": 3}
+    deadline = _t.time() + 30  # actors of an earlier, killed pool die async
+    while counts() != want and _t.time() < deadline:
+        _t.sleep(0.1)
+    assert counts() == want

@@ -2469,6 +2469,25 @@ def test_broadcast_joins_start_no_map_actor(ray_session):
     assert map_actors() == before
 
 
+def test_link_edges_start_no_actor(ray_session):
+    """``link_edges`` restricts edges to corpus pages with a broadcast
+    semi-join inside its edge map: it creates no ``HashShuffleAggregator``
+    (a shuffle join boots those per call) and no ``MapWorker`` actor."""
+    import ray._private.state as gcs
+
+    from dude_ray.pipelines.graph import link_edges
+
+    def actors():
+        return {a["ActorID"] for a in gcs.actors().values()
+                if any(name in a.get("ActorClassName", "")
+                       for name in ("HashShuffleAggregator", "MapWorker"))}
+
+    before = actors()
+    edges, nodes = link_edges(SF)
+    assert edges.count() > 0 and nodes.count() > 0
+    assert actors() == before
+
+
 def test_volume_shipping_no_qualifying_rows(ray_session, tmp_path):
     """Star tables with no supplier in either nation: the engine returns
     the declared 4 columns and 0 rows, as DuckDB does, not a frame

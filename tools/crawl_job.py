@@ -7,8 +7,9 @@ On a real cluster:
         --sf-dir /data/corpus --out /data/crawl_out \
         --corpus-scale 70 --shards 64
 
-The driver attaches to the running cluster (``address="auto"``); shard
-and worker pool sizes default to the cluster's CPU count so the same
+The driver attaches to the running cluster (``address="auto"``); the
+logical frontier shard count (all shards live in one frontier process)
+and the worker pool size default to the cluster's CPU count so the same
 invocation scales from N to 4N nodes without retuning — the basis of
 the scaling measurement in BASELINE.md (in the sandbox,
 ``bench.py --scaling`` substitutes two fresh local sessions at N and

@@ -253,9 +253,10 @@ def bpe_train_oracle_sql(n_merges: int = N_MERGES) -> str:
 class BpeEncoder:
     """Per-batch BPE encoding against the broadcast merge table — the
     tokenizer-application stage every training pipeline runs after
-    merge learning.  Word → token-count results are memoized per actor
-    (web text reuses a small hot vocabulary), bounded to keep the
-    cache from growing with corpus size."""
+    merge learning.  Passed as an instance, so it runs as a task stage;
+    word → token-count results are memoized per task copy (web text
+    reuses a small hot vocabulary), bounded to keep the cache from
+    growing with corpus size."""
 
     CACHE_MAX = 1 << 20
 
@@ -286,22 +287,19 @@ class BpeEncoder:
         })
 
 
-def run_bpe_encode(sf_dir: str, n_merges: int = N_MERGES,
-                   concurrency: int = 4):
+def run_bpe_encode(sf_dir: str, n_merges: int = N_MERGES):
     """Per-document BPE token count under the first ``n_merges``
     learned merges: ONE additional corpus scan after merge learning,
-    with the (tiny — vocab-sized even at 32k merges) merge list
-    broadcast into an encoder actor pool.  No shuffle at all — the
+    with the (tiny — vocab-sized even at 32k merges) merge list riding
+    in a :class:`BpeEncoder` instance.  No shuffle at all — the
     per-doc result is computed where the text lives.  Integer output →
     the SQL oracle hash-matches with no rounding contract."""
     mt = run_bpe_train(sf_dir, n_merges=n_merges)
     merges = list(zip(mt["left_sym"].to_pylist(),
                       mt["right_sym"].to_pylist()))
     docs = _docs(sf_dir, ["doc_id", "text"])
-    return docs.map_batches(
-        BpeEncoder, fn_constructor_kwargs={"merges": merges},
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=(1, concurrency))
+    return docs.map_batches(BpeEncoder(merges), batch_format="pyarrow",
+                            batch_size=4096)
 
 
 def bpe_encode_oracle_sql(n_merges: int = N_MERGES) -> str:

@@ -7,8 +7,8 @@ selector extraction — ``/root/reference/dude/base.py:610-622`` emits
 raw handler rows) with the post-extraction hygiene passes a 100 TB
 pipeline runs before training.  All stages are ``map_batches`` over
 Arrow batches with vectorized kernels (pyarrow.compute RE2 regex /
-pandas explode-groupby); pattern compilation and blocklist broadcast
-happen once per actor, never per batch.
+pandas explode-groupby) in task stages; the blocklist broadcasts once
+via ``ray.put`` and each batch reads it from the object store.
 """
 
 from __future__ import annotations
@@ -186,48 +186,34 @@ def _blocklist_snippets(sf_dir: str) -> list[str]:
     return sorted({r["snip"] for r in rows if r["snip"]})
 
 
-class Decontaminator:
-    """Flags documents that contain any benchmark snippet.  The
-    blocklist ships once via ``ray.put`` and each actor resolves the
-    object ref in ``__init__``; matching is one vectorized
+def run_decontaminate(sf_dir: str):
+    """Benchmark-overlap decontamination: broadcast the (small)
+    blocklist of benchmark snippets, flag every corpus document that
+    contains one verbatim.  Broadcast-side semi-join — no shuffle of
+    the big side.  The blocklist ships once via ``ray.put`` and each
+    batch ``ray.get``s it; matching is one vectorized
     ``match_substring`` per snippet OR-folded over the batch (the
     blocklist is benchmark-sized — tens of thousands of snippets at
     most — so the per-snippet loop is over the SMALL side; the 100 TB
     side stays a single streaming column scan).  For much larger
     blocklists the same seam takes an Aho-Corasick automaton or an
-    n-gram Bloom filter built once per actor."""
+    n-gram Bloom filter."""
+    import ray
 
-    def __init__(self, snippets_ref):
-        import ray
+    ref = ray.put(_blocklist_snippets(sf_dir))
 
-        self.snippets = (ray.get(snippets_ref)
-                         if not isinstance(snippets_ref, list)
-                         else snippets_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def flag(batch: pa.Table) -> pa.Table:
         text = batch["text"]
         hit = np.zeros(len(batch), dtype=bool)
-        for s in self.snippets:
+        for s in ray.get(ref):
             hit |= pc.match_substring(text, s).to_numpy(zero_copy_only=False)
         return pa.table({
             "doc_id": batch["doc_id"],
             "contaminated": pa.array(hit.astype(np.int32), type=pa.int32()),
         })
 
-
-def run_decontaminate(sf_dir: str, concurrency: int = 4):
-    """Benchmark-overlap decontamination: broadcast the (small)
-    blocklist of benchmark snippets, flag every corpus document that
-    contains one verbatim.  Broadcast-side semi-join — no shuffle of
-    the big side."""
-    import ray
-
-    snippets = _blocklist_snippets(sf_dir)
-    ref = ray.put(snippets)
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        Decontaminator, batch_format="pyarrow", batch_size=4096,
-        concurrency=(1, concurrency),
-        fn_constructor_kwargs={"snippets_ref": ref})
+        flag, batch_format="pyarrow", batch_size=4096)
 
 
 # --------------------------------------------------------------------------

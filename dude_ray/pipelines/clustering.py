@@ -62,25 +62,22 @@ def _assign_table(vids, emb, cent_ids, cent) -> pa.Table:
     })
 
 
-def run_kmeans_assign(sf_dir: str, k: int = 8, concurrency: int = 4):
+def run_kmeans_assign(sf_dir: str, k: int = 8):
     """Nearest-centroid assignment to the seed codebook (embeddings of
     the k globally-lowest vec_ids, found distributed).  cluster_id is
     the centroid's vec_id.  Hash-matched against a DuckDB
     cross-join/argmax oracle."""
+    import ray
+
     cent_ids, cmat = _load_queries(sf_dir, k)
-    state = (cent_ids, _normalize(cmat))
+    ref = ray.put((cent_ids, _normalize(cmat)))
 
-    class Assign:
-        def __init__(self):
-            self.cent_ids, self.cent = state
+    def assign(batch: pa.Table) -> pa.Table:
+        vids, emb = _batch_mat(batch)
+        return _assign_table(vids, emb, *ray.get(ref))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vids, emb = _batch_mat(batch)
-            return _assign_table(vids, emb, self.cent_ids, self.cent)
-
-    return _emb(sf_dir).map_batches(Assign, batch_format="pyarrow",
-                                    batch_size=4096,
-                                    concurrency=(1, concurrency))
+    return _emb(sf_dir).map_batches(assign, batch_format="pyarrow",
+                                    batch_size=4096)
 
 
 def _merge_partials(g: pd.DataFrame) -> pd.DataFrame:
@@ -94,7 +91,7 @@ def _merge_partials(g: pd.DataFrame) -> pd.DataFrame:
 
 
 def kmeans_iterate(ds, cent: np.ndarray, iters: int,
-                   batch_size: int = 4096, concurrency: int = 4):
+                   batch_size: int = 4096):
     """Run ``iters`` Lloyd's update passes over ``ds`` starting from
     ``cent`` (already L2-normalized); returns the final codebook.
     Empty clusters keep their previous centroid (standard Lloyd's
@@ -127,8 +124,7 @@ def kmeans_iterate(ds, cent: np.ndarray, iters: int,
             })
 
         rows = (ds.map_batches(partial, batch_format="pyarrow",
-                               batch_size=batch_size,
-                               concurrency=concurrency)
+                               batch_size=batch_size)
                   .groupby("cluster")
                   .map_groups(_merge_partials, batch_format="pandas")
                   .take_all())  # ≤ k rows — the codebook update
@@ -142,33 +138,31 @@ def kmeans_iterate(ds, cent: np.ndarray, iters: int,
 
 
 def run_kmeans_cluster(sf_dir: str, k: int = 8, iters: int = 5,
-                       batch_size: int = 4096, concurrency: int = 4):
+                       batch_size: int = 4096):
     """Full spherical k-means: deterministic seed codebook (k lowest
     vec_ids), ``iters`` distributed Lloyd's passes, then a final
     assignment pass.  Output: (vec_id, cluster_id ∈ [0, k), sim).
     Tested against a local numpy reference (identical init and update
     rule) — centroids agree to 1e-8 and assignments exactly."""
+    import ray
+
     _seed_ids, cmat = _load_queries(sf_dir, k)
     cent = kmeans_iterate(_emb(sf_dir), _normalize(cmat), iters,
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size)
+    ref = ray.put(cent)
     idx = np.arange(k, dtype=np.int64)
 
-    class Final:
-        def __init__(self):
-            self.cent = cent
+    def final(batch: pa.Table) -> pa.Table:
+        vids, emb = _batch_mat(batch)
+        return _assign_table(vids, emb, idx, ray.get(ref))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vids, emb = _batch_mat(batch)
-            return _assign_table(vids, emb, idx, self.cent)
-
-    return _emb(sf_dir).map_batches(Final, batch_format="pyarrow",
-                                    batch_size=batch_size,
-                                    concurrency=(1, concurrency))
+    return _emb(sf_dir).map_batches(final, batch_format="pyarrow",
+                                    batch_size=batch_size)
 
 
 def run_semdedup(sf_dir: str, k: int = 8, iters: int = 5,
                  threshold: float = 0.35, batch_size: int = 4096,
-                 concurrency: int = 4, pair_chunk: int = 2048):
+                 pair_chunk: int = 2048):
     """SemDeDup (Abbas et al. 2023, arXiv:2303.09540): semantic
     deduplication = spherical k-means over the embedding space, then
     within each cluster prune every member that sits inside the
@@ -197,7 +191,7 @@ def run_semdedup(sf_dir: str, k: int = 8, iters: int = 5,
     chunked rows."""
     _seed_ids, cmat = _load_queries(sf_dir, k)
     cent = kmeans_iterate(_emb(sf_dir), _normalize(cmat), iters,
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size)
     idx = np.arange(k, dtype=np.int64)
 
     def assign_carry(batch: pa.Table) -> pa.Table:
@@ -228,8 +222,7 @@ def run_semdedup(sf_dir: str, k: int = 8, iters: int = 5,
         })
 
     ds = _emb(sf_dir).map_batches(assign_carry, batch_format="pyarrow",
-                                  batch_size=batch_size,
-                                  concurrency=concurrency)
+                                  batch_size=batch_size)
     return ds.groupby("cluster_id").map_groups(prune_group,
                                                batch_format="pandas")
 
@@ -299,7 +292,7 @@ def _reduce_moments(ds, blocks: int = 8):
 
 
 def run_embedding_pca(sf_dir: str, n_components: int = 8,
-                      batch_size: int = 4096, concurrency: int = 4):
+                      batch_size: int = 4096):
     """Distributed PCA over the embedding column: one streaming pass
     accumulates the (count, Σx, Σxxᵀ) sufficient statistics in
     fixed-size per-batch partials (d=64 → 33 KB each, independent of
@@ -318,32 +311,30 @@ def run_embedding_pca(sf_dir: str, n_components: int = 8,
     deterministic eigenbasis and recomputes the mean-centered
     projection independently); also verified against a single-process
     numpy reference in tests."""
+    import ray
+
     ds = _emb(sf_dir)
     n, s1, s2 = _reduce_moments(
         ds.map_batches(_moment_partial, batch_format="pyarrow",
-                       batch_size=batch_size, concurrency=concurrency))
+                       batch_size=batch_size))
     d = len(s1)
     mean, comps, _evals = _pca_basis(n, s1, s2.reshape(d, d), n_components)
-    state = (mean, comps)
+    ref = ray.put((mean, comps))
 
-    class Project:
-        def __init__(self):
-            self.mean, self.comps = state
+    def project(batch: pa.Table) -> pa.Table:
+        mean, comps = ray.get(ref)
+        vids, emb = _batch_mat_raw(batch)
+        proj = np.round((emb - mean) @ comps, 9)
+        q = proj.shape[1]
+        return pa.table({
+            "vec_id": pa.array(np.repeat(vids, q), type=pa.int64()),
+            "i": pa.array(np.tile(np.arange(1, q + 1, dtype=np.int64),
+                                  len(vids)), type=pa.int64()),
+            "proj": pa.array(proj.ravel(), type=pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vids, emb = _batch_mat_raw(batch)
-            proj = np.round((emb - self.mean) @ self.comps, 9)
-            q = proj.shape[1]
-            return pa.table({
-                "vec_id": pa.array(np.repeat(vids, q), type=pa.int64()),
-                "i": pa.array(np.tile(np.arange(1, q + 1, dtype=np.int64),
-                                      len(vids)), type=pa.int64()),
-                "proj": pa.array(proj.ravel(), type=pa.float64()),
-            })
-
-    return ds.map_batches(Project, batch_format="pyarrow",
-                          batch_size=batch_size,
-                          concurrency=(1, concurrency))
+    return ds.map_batches(project, batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def _pca_basis(n: int, s1: np.ndarray, s2: np.ndarray,
@@ -504,8 +495,7 @@ def semdedup_oracle_sql(k: int = 8, iters: int = 5,
     return "\n".join(parts)
 
 
-def run_embedding_cov(sf_dir: str, batch_size: int = 4096,
-                      concurrency: int = 4):
+def run_embedding_cov(sf_dir: str, batch_size: int = 4096):
     """The distributed heavy-lifting of :func:`run_embedding_pca` as a
     first-class SQL-verifiable operator: the d×d covariance matrix of
     the embedding column from one streaming pass of fixed-size
@@ -519,7 +509,7 @@ def run_embedding_cov(sf_dir: str, batch_size: int = 4096,
     ds = _emb(sf_dir)
     n, s1, s2 = _reduce_moments(
         ds.map_batches(_moment_partial, batch_format="pyarrow",
-                       batch_size=batch_size, concurrency=concurrency))
+                       batch_size=batch_size))
     d = len(s1)
     mean = s1 / n
     cov = np.round(s2.reshape(d, d) / n - np.outer(mean, mean), 10)
@@ -550,8 +540,7 @@ EMBEDDING_COV_ORACLE_SQL = """
 """
 
 
-def run_label_centroids(sf_dir: str, batch_size: int = 4096,
-                        concurrency: int = 4):
+def run_label_centroids(sf_dir: str, batch_size: int = 4096):
     """Per-label mean embedding (the domain/source centroid op used for
     mix balancing and drift monitoring): per-batch (label, count,
     vec-sum) partials — one fixed-width row per label per batch — then
@@ -587,7 +576,7 @@ def run_label_centroids(sf_dir: str, batch_size: int = 4096,
         })
 
     return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=batch_size, concurrency=concurrency)
+                           batch_size=batch_size)
               .groupby("label").map_groups(merge, batch_format="pandas"))
 
 
@@ -610,8 +599,7 @@ LABEL_CENTROIDS_ORACLE_SQL = """
 QUANT_LEVELS = 255
 
 
-def run_quantize_embeddings(sf_dir: str, batch_size: int = 4096,
-                            concurrency: int = 4):
+def run_quantize_embeddings(sf_dir: str, batch_size: int = 4096):
     """Scalar quantization of the embedding column to 8-bit codes — the
     storage/bandwidth-reduction step in front of an ANN index (a 4×
     shrink before IVF/PQ; codes are what a 100 TB vector store actually
@@ -645,8 +633,7 @@ def run_quantize_embeddings(sf_dir: str, batch_size: int = 4096,
     from dude_ray.pipelines.relational import tree_combine
 
     partials = ds.map_batches(_range_partial, batch_format="pyarrow",
-                              batch_size=batch_size,
-                              concurrency=concurrency)
+                              batch_size=batch_size)
     rng = tree_combine(partials, keys=("dim",), mins=("mn",),
                        maxs=("mx",)).to_pandas().sort_values("dim")
     mn = rng["mn"].to_numpy(dtype=np.float64)
@@ -672,18 +659,18 @@ def run_quantize_embeddings(sf_dir: str, batch_size: int = 4096,
         })
 
     return ds.map_batches(_codes, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size)
 
 
 def run_embedding_project(sf_dir: str, k: int = 16, seed: int = 42,
-                          batch_size: int = 4096, concurrency: int = 4):
+                          batch_size: int = 4096):
     """Johnson-Lindenstrauss random projection of the embedding column
     to ``k`` dimensions — the dimensionality-reduction step in front
     of clustering / ANN at scale (Achlioptas, JCSS 2003:
     database-friendly integer projections preserve pairwise distances
     in expectation like Gaussian ones).  Stateless single pass, no
-    shuffle: the d×k integer plane matrix is generated per actor from
-    the seed.
+    shuffle: the d×k integer plane matrix is generated per batch from
+    the seed (a few µs).
 
     Integer-exact on both engines (the ann_lsh discipline): embeddings
     quantize via floor(x·2^20 + 0.5), planes are integers in
@@ -696,32 +683,21 @@ def run_embedding_project(sf_dir: str, k: int = 16, seed: int = 42,
 
     ds = _emb(sf_dir)
 
-    class Project:
-        def __init__(self):
-            # d inferred lazily from the first batch; planes cached
-            self.planes = None
+    def project(batch: pa.Table) -> pa.Table:
+        vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
+        emb = np.stack(batch["embedding"].to_pylist()).astype(np.float64)
+        planes = lsh_planes(emb.shape[1], k, seed=seed)
+        q = np.floor(emb * QUANT_SCALE + 0.5)
+        proj = (q @ planes).astype(np.int64)
+        return pa.table({
+            "vec_id": pa.array(np.repeat(vids, k), type=pa.int64()),
+            "dim": pa.array(np.tile(np.arange(1, k + 1, dtype=np.int64),
+                                    len(vids)), type=pa.int64()),
+            "value": pa.array(proj.ravel(), type=pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-            emb = np.stack(batch["embedding"].to_pylist()).astype(np.float64)
-            if self.planes is None:
-                self.planes = lsh_planes(emb.shape[1], k, seed=seed)
-            q = np.floor(emb * QUANT_SCALE + 0.5)
-            proj = (q @ self.planes).astype(np.int64)
-            return pa.table({
-                "vec_id": pa.array(np.repeat(vids, k), type=pa.int64()),
-                "dim": pa.array(np.tile(np.arange(1, k + 1,
-                                                  dtype=np.int64),
-                                        len(vids)), type=pa.int64()),
-                "value": pa.array(proj.ravel(), type=pa.int64()),
-            })
-
-    # autoscaling (1, N) pool — a FIXED pool of N reserves every CPU
-    # on a small session and starves the upstream read (deadlock
-    # observed at num_cpus=4); min-1 keeps progress guaranteed
-    return ds.map_batches(Project, batch_format="pyarrow",
-                          batch_size=batch_size,
-                          concurrency=(1, concurrency))
+    return ds.map_batches(project, batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def embedding_project_oracle_sql(k: int = 16, d: int = 64,
@@ -745,8 +721,7 @@ def embedding_project_oracle_sql(k: int = 16, d: int = 64,
 
 
 def run_kmeans_silhouette(sf_dir: str, k: int = 8, iters: int = 5,
-                          batch_size: int = 4096,
-                          concurrency: int = 4):
+                          batch_size: int = 4096):
     """Per-cluster mean SIMPLIFIED silhouette of the spherical
     k-means solution — for each vector, a = cosine distance to its
     own centroid, b = distance to the nearest OTHER centroid,
@@ -766,43 +741,41 @@ def run_kmeans_silhouette(sf_dir: str, k: int = 8, iters: int = 5,
     per-row sil rounds to 6 dp with a 1e-12 denominator guard, and
     the per-cluster mean is one division of a same-multiset sum
     (reassociation ≲1e-13) rounded to 6 dp."""
+    import ray
+
     from dude_ray.pipelines.relational import _py_round, tree_combine
 
     _seed_ids, cmat = _load_queries(sf_dir, k)
     cent = kmeans_iterate(_emb(sf_dir), _normalize(cmat), iters,
-                          batch_size=batch_size,
-                          concurrency=concurrency)
+                          batch_size=batch_size)
 
-    class Part:
-        def __init__(self):
-            self.cent = cent
+    ref = ray.put(cent)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            _vids, emb = _batch_mat(batch)
-            sims = np.round(emb @ self.cent.T, 4)
-            n = len(sims)
-            rows = np.arange(n)
-            best = sims.argmax(axis=1)
-            s1 = sims[rows, best]
-            masked = sims.copy()
-            masked[rows, best] = -np.inf
-            s2 = masked.max(axis=1)
-            denom = np.maximum(np.maximum(1.0 - s1, 1.0 - s2), 1e-12)
-            sil = np.round((s1 - s2) / denom, 6)
-            t = pa.table({
-                "cluster_id": pa.array(best.astype(np.int64)),
-                "n": pa.array(np.ones(n, dtype=np.int64)),
-                "sil_sum": pa.array(sil, type=pa.float64()),
-            })
-            g = t.group_by(["cluster_id"]).aggregate(
-                [("n", "sum"), ("sil_sum", "sum")])
-            return pa.table({"cluster_id": g["cluster_id"],
-                             "n": g["n_sum"],
-                             "sil_sum": g["sil_sum_sum"]})
+    def part(batch: pa.Table) -> pa.Table:
+        _vids, emb = _batch_mat(batch)
+        sims = np.round(emb @ ray.get(ref).T, 4)
+        n = len(sims)
+        rows = np.arange(n)
+        best = sims.argmax(axis=1)
+        s1 = sims[rows, best]
+        masked = sims.copy()
+        masked[rows, best] = -np.inf
+        s2 = masked.max(axis=1)
+        denom = np.maximum(np.maximum(1.0 - s1, 1.0 - s2), 1e-12)
+        sil = np.round((s1 - s2) / denom, 6)
+        t = pa.table({
+            "cluster_id": pa.array(best.astype(np.int64)),
+            "n": pa.array(np.ones(n, dtype=np.int64)),
+            "sil_sum": pa.array(sil, type=pa.float64()),
+        })
+        g = t.group_by(["cluster_id"]).aggregate(
+            [("n", "sum"), ("sil_sum", "sum")])
+        return pa.table({"cluster_id": g["cluster_id"],
+                         "n": g["n_sum"],
+                         "sil_sum": g["sil_sum_sum"]})
 
-    partials = _emb(sf_dir).map_batches(Part, batch_format="pyarrow",
-                                        batch_size=batch_size,
-                                        concurrency=(1, concurrency))
+    partials = _emb(sf_dir).map_batches(part, batch_format="pyarrow",
+                                        batch_size=batch_size)
     merged = tree_combine(partials, ["cluster_id"],
                           sums=("n", "sil_sum"))
 

@@ -1808,8 +1808,9 @@ def run_crawl_budget(sf_dir: str, budget: int = 10_000,
     budget across hosts proportionally to their PageRank mass using
     the largest-remainder (Hamilton) method — the scheduler table
     that turns :func:`run_host_rank` into per-host quotas.  Output:
-    (host, n_pages, host_rank, budget), Σ budget = ``budget``
-    exactly.
+    (host, n_pages, host_rank, budget).  When the total host rank is
+    > 0, Σ budget = ``budget`` exactly; with no rank mass every quota
+    is 0.
 
     Plan: all the data work is the distributed page-rank kernel +
     host partial-sum (:func:`run_host_rank`); apportionment runs on
@@ -1857,7 +1858,9 @@ def crawl_budget_oracle_sql(sf_dir: str | None = None,
                             iters: int = 6) -> str:
     """DuckDB oracle for :func:`run_crawl_budget`: the host_rank
     chain as a CTE, exact 1e-8-unit integers, floor quotas and the
-    same (remainder DESC, host ASC) largest-remainder bonus."""
+    same (remainder DESC, host ASC) largest-remainder bonus.  A total
+    of 0 gives quota 0 and no bonus, as the engine does (``// 0`` is
+    NULL in DuckDB)."""
     inner = host_rank_oracle_sql(sf_dir, damping=damping, iters=iters)
     return f"""
         WITH hr AS MATERIALIZED ({inner}),
@@ -1868,10 +1871,15 @@ def crawl_budget_oracle_sql(sf_dir: str | None = None,
         tot AS (SELECT sum(u) AS t FROM u),
         q AS (
             SELECT host, n_pages, host_rank,
-                   CAST(({budget} * u) // tot.t AS BIGINT) AS quota,
-                   ({budget} * u) % tot.t AS rem
+                   CASE WHEN tot.t > 0
+                        THEN CAST(({budget} * u) // tot.t AS BIGINT)
+                        ELSE 0 END AS quota,
+                   CASE WHEN tot.t > 0 THEN ({budget} * u) % tot.t
+                        ELSE 0 END AS rem
             FROM u, tot),
-        d AS (SELECT {budget} - sum(quota) AS deficit FROM q),
+        d AS (SELECT CASE WHEN (SELECT t FROM tot) > 0
+                          THEN {budget} - sum(quota) ELSE 0 END AS deficit
+              FROM q),
         b AS (
             SELECT host, n_pages, host_rank, quota,
                    row_number() OVER (

@@ -115,7 +115,7 @@ def _avalanche(x: np.ndarray) -> np.ndarray:
 
 class Shingler:
     """Word-3-gram shingle hashing, vectorized: tokens hash once through
-    a per-actor memo (web vocabularies repeat heavily; md5 only on
+    a per-instance memo (web vocabularies repeat heavily; md5 only on
     cache miss), then every 3-gram hash is one numpy expression over the
     token-hash array — no per-shingle Python or md5.  Hash values are
     internal to the dedup pipelines (Jaccard over 64-bit hash sets
@@ -267,14 +267,14 @@ class ShingleLister:
                          "sh": pa.array(blobs, type=pa.binary())})
 
 
-def shingle_dataset(sf_dir: str, concurrency: int = 4):
+def shingle_dataset(sf_dir: str):
     """The per-corpus (doc_id, sh) dataset, shingled ONCE and pinned in
     the (distributed, spillable) object store for reuse by the minhash
     signature stage and both sides of the verify joins — the text
     column is read exactly once per dedup run and never again."""
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ShingleLister, batch_format="pyarrow", batch_size=2048,
-        concurrency=(1, concurrency)).materialize()
+        ShingleLister(), batch_format="pyarrow",
+        batch_size=2048).materialize()
 
 
 def _row_lists(col) -> list[np.ndarray]:
@@ -308,9 +308,9 @@ def _verify_pairs_jaccard(pairs, sh, num_partitions: int = JOIN_PARTITIONS,
     if kernel is None:
         kernel = _jaccard_join_batch
     # zero-CPU aggregators: the join's shuffle actors must always be
-    # schedulable alongside the upstream map actor pools — with the
+    # schedulable alongside the upstream map stages — with the
     # default 1-CPU request the streaming DAG deadlocks on small CPU
-    # budgets (pools hold every slot while the aggregators that must
+    # budgets (maps hold every slot while the aggregators that must
     # drain them stay pending).  The aggregator work is tiny
     # (hash-bucket append + one acero join per partition).
     agg_args = {"num_cpus": 0}
@@ -389,8 +389,7 @@ def _distinct_pairs(pairs, target_rows_per_group: int = 65536,
                                out_cols=("a", "b"))
 
 
-def candidate_pairs_minhash(sh, concurrency: int = 4,
-                            target_rows_per_group: int = 65536,
+def candidate_pairs_minhash(sh, target_rows_per_group: int = 65536,
                             small_tier_max_rows: int = 100_000,
                             band_rows_per_group: int = 2_000_000,
                             prefix_bits: int | None = None):
@@ -410,9 +409,7 @@ def candidate_pairs_minhash(sh, concurrency: int = 4,
     at BANDS and no task's group grows with corpus size.  At 10^10
     docs (1.6e11 banded rows) this picks 13 bits → ~131k groups of
     ~1.2M rows (~20 MB) each."""
-    hasher = MinHasher()
-    ds = sh.map_batches(MinHasher, batch_format="pyarrow", batch_size=2048,
-                        concurrency=(1, concurrency))
+    ds = sh.map_batches(MinHasher(), batch_format="pyarrow", batch_size=2048)
     if prefix_bits is None:
         # sh is materialized → count() is block-metadata, not a scan
         per_band = sh.count()
@@ -441,14 +438,14 @@ def candidate_pairs_minhash(sh, concurrency: int = 4,
                            small_tier_max_rows)
 
 
-def run_minhash_dedup(sf_dir: str, threshold: float = 0.8, concurrency: int = 4,
+def run_minhash_dedup(sf_dir: str, threshold: float = 0.8,
                       target_rows_per_group: int = 65536,
                       small_tier_max_rows: int = 100_000,
                       band_rows_per_group: int = 2_000_000,
                       prefix_bits: int | None = None):
     """Verified near-duplicate pairs (jaccard >= threshold)."""
-    sh = shingle_dataset(sf_dir, concurrency)
-    pairs = candidate_pairs_minhash(sh, concurrency, target_rows_per_group,
+    sh = shingle_dataset(sf_dir)
+    pairs = candidate_pairs_minhash(sh, target_rows_per_group,
                                     small_tier_max_rows,
                                     band_rows_per_group, prefix_bits)
     verified = _verify_pairs_jaccard(pairs, sh)
@@ -481,7 +478,7 @@ def _containment_join_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def run_ngram_containment(sf_dir: str, concurrency: int = 4):
+def run_ngram_containment(sf_dir: str):
     """Exact n-gram CONTAINMENT for every LSH candidate pair —
     |A∩B| / min(|A|, |B|) over the distinct word-3-gram hash sets,
     with the exact set sizes alongside.  Same candidate generation
@@ -489,19 +486,19 @@ def run_ngram_containment(sf_dir: str, concurrency: int = 4):
     (shingle once, join twice, never collect text); only the verify
     kernel differs.  Containment ≥ Jaccard always, so this surfaces
     the near-subset pairs a Jaccard threshold silently drops."""
-    sh = shingle_dataset(sf_dir, concurrency)
-    pairs = candidate_pairs_minhash(sh, concurrency)
+    sh = shingle_dataset(sf_dir)
+    pairs = candidate_pairs_minhash(sh)
     return _verify_pairs_jaccard(pairs, sh,
                                  kernel=_containment_join_batch)
 
 
-def run_ngram_jaccard(sf_dir: str, concurrency: int = 4):
+def run_ngram_jaccard(sf_dir: str):
     """Exact n-gram Jaccard for every LSH candidate pair (the verify
     stage exposed as its own operator).  Recall is banding-bounded —
     :func:`run_jaccard_join` is the EXACT-recall sibling (prefix
     filtering instead of LSH candidates)."""
-    sh = shingle_dataset(sf_dir, concurrency)
-    pairs = candidate_pairs_minhash(sh, concurrency)
+    sh = shingle_dataset(sf_dir)
+    pairs = candidate_pairs_minhash(sh)
     return _verify_pairs_jaccard(pairs, sh)
 
 
@@ -512,8 +509,8 @@ def run_ngram_jaccard(sf_dir: str, concurrency: int = 4):
 class SimHasher:
     """64-bit SimHash per doc + 4×16-bit band keys.  The bit-accumulate
     kernel is vectorized (np.unpackbits over the token-hash bytes, one
-    count-weighted matmul per doc); token hashes are memoized per actor
-    because web-corpus vocabularies repeat heavily.  Token hash = top 8
+    count-weighted matmul per doc); token hashes are memoized per task
+    copy because web-corpus vocabularies repeat heavily.  Token hash = top 8
     bytes of md5 — chosen over sha1 so the DuckDB oracle (which has
     md5 but no sha1) reproduces the signatures exactly."""
 
@@ -571,10 +568,9 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
                          axis=1).sum(axis=1).astype(np.int64)
 
 
-def run_simhash_dedup(sf_dir: str, max_hamming: int = 3, concurrency: int = 4):
+def run_simhash_dedup(sf_dir: str, max_hamming: int = 3):
     ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        SimHasher, batch_format="pyarrow", batch_size=2048,
-        concurrency=(1, concurrency))
+        SimHasher(), batch_format="pyarrow", batch_size=2048)
     from dude_ray.pipelines.relational import tree_combine
 
     def _band_simhash_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -637,7 +633,7 @@ class HyperplaneLSH:
     with the bucket key so the verify groupby carries its own data —
     no driver-side matrix, no closure capture.  Planes are built lazily
     from the first batch's dimensionality (seeded → identical across
-    actors).  Keys use similarity.quantized_signature's integer-exact
+    tasks).  Keys use similarity.quantized_signature's integer-exact
     scheme, so the bucket partition is bit-reproducible by the
     embedding_neardup SQL oracle."""
 
@@ -663,8 +659,7 @@ class HyperplaneLSH:
 
 
 def run_embedding_neardup(sf_dir: str, threshold: float = 0.95,
-                          n_bits: int = 16, concurrency: int = 4,
-                          n_groups: int | None = None,
+                          n_bits: int = 16, n_groups: int | None = None,
                           target_rows_per_group: int = 20_000):
     """Cosine near-dup pairs: hyperplane-LSH bucket → exact cosine
     verify inside each bucket.  The normalized embeddings travel inside
@@ -693,10 +688,8 @@ def run_embedding_neardup(sf_dir: str, threshold: float = 0.95,
     kmask = n_groups - 1
 
     ds = read_parquet_clean(path, columns=["vec_id", "embedding"])
-    keyed = ds.map_batches(HyperplaneLSH,
-                           fn_constructor_kwargs={"n_bits": n_bits},
-                           batch_format="pyarrow", batch_size=4096,
-                           concurrency=(1, concurrency))
+    keyed = ds.map_batches(HyperplaneLSH(n_bits), batch_format="pyarrow",
+                           batch_size=4096)
 
     def bucket_verify(vids: np.ndarray, vecs: np.ndarray):
         order = np.argsort(vids)
@@ -790,10 +783,13 @@ def embedding_neardup_oracle_sql(threshold: float = 0.95,
 
 
 class _BlockPairJoin:
-    """Stateful pair-join worker for the exact all-pairs cosine scan:
-    an LRU of L2-normalized float64 block matrices keyed by
-    (file, row-group), loaded straight from parquet row groups (never
-    via the driver); each pair row triggers one dense A @ B.T."""
+    """Pair-join stage for the exact all-pairs cosine scan: an LRU of
+    L2-normalized float64 block matrices keyed by (file, row-group),
+    loaded straight from parquet row groups (never via the driver);
+    each pair row triggers one dense A @ B.T.  Passed as an instance,
+    so the LRU lives in each task's copy: an actor pool that kept it
+    across tasks was slower (6.66 → 6.51 s warm at 48 row groups, 3.15
+    → 2.39 s at 16, 2,000 vectors, 4-CPU session)."""
 
     CACHE = 16  # blocks × (4096 rows × d=128 × 8 B) ≈ 64 MB ceiling
 
@@ -845,14 +841,13 @@ class _BlockPairJoin:
         })
 
 
-def run_embedding_neardup_exact(sf_dir: str, threshold: float = 0.35,
-                                concurrency: int = 8):
+def run_embedding_neardup_exact(sf_dir: str, threshold: float = 0.35):
     """EXACT all-pairs cosine near-dup — the recall-1 counterpart to the
     LSH-bucketed ``run_embedding_neardup``, built as a blocked pair
     join: parquet row groups are the blocks, a driver-side enumeration
     of the B·(B+1)/2 block pairs (metadata only — O(B²) ints, no
-    vectors) fans out to an actor pool whose workers stream the two
-    blocks from storage and run one dense matmul per pair.  Work is
+    vectors) fans out to a task stage that streams the two blocks
+    from storage and runs one dense matmul per pair.  Work is
     inherently O(n²) — that is the operator's contract (use the LSH
     variant when approximate recall is acceptable); what scales is the
     layout: no task ever holds more than two blocks, nothing transits
@@ -868,9 +863,7 @@ def run_embedding_neardup_exact(sf_dir: str, threshold: float = 0.35,
             items.append({"a_file": fa, "a_rg": ra, "b_file": fb,
                           "b_rg": rb, "same": (fa, ra) == (fb, rb)})
     pairs = rd.from_items(items).map_batches(
-        _BlockPairJoin, fn_constructor_kwargs={"threshold": threshold},
-        batch_format="pyarrow", batch_size=4,
-        concurrency=(1, concurrency))
+        _BlockPairJoin(threshold), batch_format="pyarrow", batch_size=4)
     empty = rd.from_arrow(pa.table({
         "a": pa.array([], type=pa.int64()),
         "b": pa.array([], type=pa.int64()),
@@ -933,9 +926,8 @@ def run_ngram_jaccard_pairs(sf_dir: str, limit: int = 100):
     string-set oracle."""
     ds = _docs(sf_dir, ["doc_id", "text"]).filter(
         expr=f"doc_id <= {limit}")
-    rows = ds.map_batches(GramHasher, fn_constructor_kwargs={"limit": limit},
-                          batch_format="pyarrow", batch_size=2048,
-                          concurrency=(1, 4))
+    rows = ds.map_batches(GramHasher(limit), batch_format="pyarrow",
+                          batch_size=2048)
 
     def pair_jaccard(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:  # partner doc missing → pair undefined (oracle inner join)
@@ -1022,29 +1014,19 @@ def run_dedup_incremental(sf_dir: str, cutoff: int | None = None,
         np.bitwise_or(merged.bits,
                       np.frombuffer(row["bits"], dtype=np.uint8),
                       out=merged.bits)
-    bloom_ref = ray.put(merged.bits.tobytes())
+    bloom_ref = ray.put(merged)
 
-    # 2. probe stage — actor pool resolves the broadcast bits once
-    class Prober:
-        def __init__(self, ref, cap, bpk):
-            self.bf = BloomFilter(cap, bits_per_key=bpk)
-            self.bf.bits = np.frombuffer(ray.get(ref),
-                                         dtype=np.uint8).copy()
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ds_ = batch["d"].to_pylist()
-            hit = self.bf.contains_many(ds_)
-            return batch.append_column(
-                "maybe_dup", pa.array(hit, type=pa.bool_()))
+    # 2. probe stage — each batch reads the broadcast filter
+    def probe(batch: pa.Table) -> pa.Table:
+        hit = ray.get(bloom_ref).contains_many(batch["d"].to_pylist())
+        return batch.append_column(
+            "maybe_dup", pa.array(hit, type=pa.bool_()))
 
     current = full.map_batches(_split(False), batch_format="pyarrow",
                                batch_size=8192).map_batches(
         _digest_batch, batch_format="pyarrow", batch_size=4096)
-    probed = current.map_batches(
-        Prober, batch_format="pyarrow", batch_size=4096,
-        concurrency=(1, 4),
-        fn_constructor_kwargs={"ref": bloom_ref, "cap": cap,
-                               "bpk": bits_per_key}).materialize()
+    probed = current.map_batches(probe, batch_format="pyarrow",
+                                 batch_size=4096).materialize()
 
     definite_new = probed.filter(
         expr="maybe_dup == False").select_columns(["doc_id", "h"])
@@ -1299,8 +1281,7 @@ def _hash_bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
 
 
 def run_substring_dup(sf_dir: str, min_shared: int = 2,
-                      target_rows_per_group: int = 65536,
-                      concurrency: int = 4):
+                      target_rows_per_group: int = 65536):
     """Exact-substring duplicate candidates (the substring-level dedup
     of Lee et al., via Schleimer-winnowing sampling): doc pairs sharing
     ≥ ``min_shared`` winnowed k-gram hashes, i.e. pairs that share
@@ -1324,9 +1305,8 @@ def run_substring_dup(sf_dir: str, min_shared: int = 2,
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text"])
-    hrows = docs.map_batches(_WinnowHashes, batch_format="pyarrow",
-                             batch_size=2048,
-                             concurrency=(1, concurrency)).materialize()
+    hrows = docs.map_batches(_WinnowHashes(), batch_format="pyarrow",
+                             batch_size=2048).materialize()
 
     pairs = hash_grouped_reduce(
         hrows, "h", _hash_bucket_pairs, hrows.count(),
@@ -1357,7 +1337,7 @@ class SqlGramSetLister:
     spaces, lowercase, DISTINCT word-3-grams; docs under 3 tokens →
     empty set).  Hash VALUES are internal — the oracle compares gram
     STRINGS, only set identity matters — so the kernel is the fast
-    Shingler shape: token sha1 memoized per actor (web vocabularies
+    Shingler shape: token sha1 memoized per task copy (web vocabularies
     repeat heavily), every 3-gram hash one vectorized numpy mix over
     the token-hash array, collision-free in practice.  ``sh`` is the
     sorted uint64 gram-hash array as little-endian bytes, ``n`` its
@@ -1472,8 +1452,7 @@ def _prefix_grams(g: np.ndarray, n: int, t_eff: float,
     return g[order[:p]]
 
 
-def run_jaccard_join(sf_dir: str, threshold: float = 0.8,
-                     concurrency: int = 4):
+def run_jaccard_join(sf_dir: str, threshold: float = 0.8):
     """EXACT set-similarity self-join: every document pair whose
     word-3-gram Jaccard ≥ ``threshold`` — not LSH-approximate like
     ``run_minhash_dedup``.  Prefix filtering (Chaudhuri et al. 2006 /
@@ -1504,8 +1483,8 @@ def run_jaccard_join(sf_dir: str, threshold: float = 0.8,
 
     t_eff = threshold - 1e-6
     grams = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        SqlGramSetLister, batch_format="pyarrow", batch_size=2048,
-        concurrency=(1, concurrency)).materialize()
+        SqlGramSetLister(), batch_format="pyarrow",
+        batch_size=2048).materialize()
 
     heavy_ref = ray.put(_heavy_grams(grams))
 
@@ -1873,7 +1852,7 @@ def _pair_shared_runs(ta: str, tb: str, k: int, weights,
 
 
 def run_substring_redact(sf_dir: str, min_shared: int = 2,
-                         min_run: int = 63, concurrency: int = 4,
+                         min_run: int = 63,
                          small_tier_max_docs: int = 100_000):
     """Substring-level dedup with actual REMOVAL (Lee et al. 2022,
     "Deduplicating Training Data Makes Language Models Better"): for
@@ -2008,7 +1987,7 @@ def run_substring_redact(sf_dir: str, min_shared: int = 2,
                 "text": pa.array(out_t, type=pa.string())})
 
         return docs.map_batches(apply_small, batch_format="pyarrow",
-                                batch_size=2048, concurrency=concurrency)
+                                batch_size=2048)
 
     # large tier: fixed-size broadcast Bloom over affected doc ids
     # (partial-bitmap build, the run_dedup_incremental shape) keeps the
@@ -2034,22 +2013,15 @@ def run_substring_redact(sf_dir: str, min_shared: int = 2,
         np.bitwise_or(bloom.bits,
                       np.frombuffer(row["bits"], dtype=np.uint8),
                       out=bloom.bits)
-    bits_ref = ray.put(bloom.bits.tobytes())
+    bloom_ref = ray.put(bloom)
 
-    class MaybeAffected:
-        def __init__(self):
-            self.bf = BloomFilter(cap, bits_per_key=10)
-            self.bf.bits = np.frombuffer(ray.get(bits_ref),
-                                         dtype=np.uint8).copy()
+    def maybe_affected(batch: pa.Table) -> pa.Table:
+        hit = ray.get(bloom_ref).contains_many(
+            [_key(int(i)) for i in batch["doc_id"].to_pylist()])
+        return batch.filter(pa.array(hit))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            hit = self.bf.contains_many(
-                [_key(int(i)) for i in batch["doc_id"].to_pylist()])
-            return batch.filter(pa.array(hit))
-
-    candidates = docs.map_batches(
-        MaybeAffected, batch_format="pyarrow", batch_size=2048,
-        concurrency=(1, concurrency))
+    candidates = docs.map_batches(maybe_affected, batch_format="pyarrow",
+                                  batch_size=2048)
 
     # pair-scoped inner join: Bloom false positives have no interval
     # row and drop out here
@@ -2383,7 +2355,6 @@ JACCARD_JOIN_ORACLE_SQL = """
 
 
 def run_dedup_recall(sf_dir: str, threshold: float = 0.8,
-                     concurrency: int = 4,
                      target_rows_per_group: int = 65536):
     """Recall AND precision of the banded minhash-LSH dedup against
     the exact prefix-filter join at the same threshold — the
@@ -2413,11 +2384,9 @@ def run_dedup_recall(sf_dir: str, threshold: float = 0.8,
             })
         return fn
 
-    exact = run_jaccard_join(sf_dir, threshold=threshold,
-                             concurrency=concurrency).map_batches(
+    exact = run_jaccard_join(sf_dir, threshold=threshold).map_batches(
         _tag(0), batch_format="pyarrow")
-    approx = run_minhash_dedup(sf_dir, threshold=threshold,
-                               concurrency=concurrency).map_batches(
+    approx = run_minhash_dedup(sf_dir, threshold=threshold).map_batches(
         _tag(1), batch_format="pyarrow")
 
     def _count(df: pd.DataFrame) -> pd.DataFrame:
@@ -2528,8 +2497,7 @@ def run_dup_cluster_sizes(sf_dir: str, threshold: float = 0.35):
                         sums=("n_clusters", "n_docs")).sort("cluster_size")
 
 
-def run_dedup_threshold_sweep(sf_dir: str, concurrency: int = 4,
-                              step: int = 5):
+def run_dedup_threshold_sweep(sf_dir: str, step: int = 5):
     """The near-dup THRESHOLD CURVE: verified LSH candidate pairs
     bucketed by exact-Jaccard floor (buckets of ``step``/100), with
     the descending cumulative pair count — "how many pairs would a
@@ -2545,8 +2513,8 @@ def run_dedup_threshold_sweep(sf_dir: str, concurrency: int = 4,
     100/step — exact on both engines."""
     from dude_ray.pipelines.relational import tree_combine
 
-    sh = shingle_dataset(sf_dir, concurrency)
-    pairs = candidate_pairs_minhash(sh, concurrency)
+    sh = shingle_dataset(sf_dir)
+    pairs = candidate_pairs_minhash(sh)
     verified = _verify_pairs_jaccard(pairs, sh)
 
     def _bucket(t: pa.Table) -> pa.Table:
@@ -2597,8 +2565,7 @@ def dedup_threshold_sweep_oracle_sql(step: int = 5) -> str:
     """)
 
 
-def run_shingle_novelty(sf_dir: str, concurrency: int = 4,
-                        target_rows_per_group: int = 65536):
+def run_shingle_novelty(sf_dir: str, target_rows_per_group: int = 65536):
     """Per-document shingle NOVELTY: a shingle "belongs" to the
     document with the globally smallest doc_id containing it, and
     ``novelty = n_novel / n_shingles`` — the order-free analog of
@@ -2618,7 +2585,7 @@ def run_shingle_novelty(sf_dir: str, concurrency: int = 4,
     counts, rounded 6 dp."""
     from dude_ray.partitioning import hash_grouped_reduce
 
-    sh = shingle_dataset(sf_dir, concurrency)
+    sh = shingle_dataset(sf_dir)
 
     def _explode(t: pa.Table) -> pa.Table:
         hs, ids = [], []
@@ -2706,7 +2673,6 @@ def shingle_novelty_oracle_sql() -> str:
 
 
 def run_dup_source_matrix(sf_dir: str, threshold: float = 0.8,
-                          concurrency: int = 4,
                           num_partitions: int = JOIN_PARTITIONS):
     """CROSS-SOURCE near-duplicate structure: verified pairs
     (jaccard ≥ ``threshold``) attributed to their documents' sources
@@ -2723,8 +2689,7 @@ def run_dup_source_matrix(sf_dir: str, threshold: float = 0.8,
     from dude_ray.pipelines.relational import tree_combine
 
     agg_args = {"num_cpus": 0}
-    pairs = run_minhash_dedup(sf_dir, threshold=threshold,
-                              concurrency=concurrency).materialize()
+    pairs = run_minhash_dedup(sf_dir, threshold=threshold).materialize()
     src = read_parquet_clean(f"{sf_dir}/documents.parquet",
                              columns=["doc_id", "source"])
     sa = src.map_batches(

@@ -94,7 +94,7 @@ def _featurizer(n_buckets: int) -> "_Featurizer":
     return f
 
 
-def _bucket_counts(ds, n_buckets: int, batch_size: int, concurrency: int):
+def _bucket_counts(ds, n_buckets: int, batch_size: int):
     """Pass 1: (target_counts, raw_counts) over the whole corpus —
     fixed-size per-batch partials, two-level tree merge (the
     clustering._reduce_moments shape)."""
@@ -123,8 +123,7 @@ def _bucket_counts(ds, n_buckets: int, batch_size: int, concurrency: int):
         })
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=batch_size,
-                              concurrency=concurrency)
+                              batch_size=batch_size)
     lvl1 = partials.repartition(8).map_batches(merge, batch_format="pyarrow",
                                                batch_size=None)
     row = lvl1.repartition(1).map_batches(merge, batch_format="pyarrow",
@@ -145,13 +144,13 @@ def _log_ratios(tc: np.ndarray, rc: np.ndarray,
 
 
 def run_dsir_weights(sf_dir: str, n_buckets: int = NUM_BUCKETS,
-                     batch_size: int = 2048, concurrency: int = 4):
+                     batch_size: int = 2048):
     """Per-document DSIR importance log-weights:
     (doc_id, n_feats, weight).  Documents with no tokens have no
     features and are absent (matching the SQL oracle's inner
     aggregation)."""
     ds = _docs(sf_dir)
-    tc, rc = _bucket_counts(ds, n_buckets, batch_size, concurrency)
+    tc, rc = _bucket_counts(ds, n_buckets, batch_size)
     lr = _log_ratios(tc, rc)
 
     def score(batch: pa.Table) -> pa.Table:
@@ -173,17 +172,17 @@ def run_dsir_weights(sf_dir: str, n_buckets: int = NUM_BUCKETS,
         })
 
     return ds.map_batches(score, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size)
 
 
 def run_dsir_select(sf_dir: str, k: int = 256,
                     n_buckets: int = NUM_BUCKETS,
-                    batch_size: int = 2048, concurrency: int = 4):
+                    batch_size: int = 2048):
     """Top-``k`` documents by DSIR weight (ties broken by doc_id
     ascending) — the selection step.  Local top-k per batch first, so
     the global sort sees ≤ k·num_blocks rows, never the corpus."""
     ws = run_dsir_weights(sf_dir, n_buckets=n_buckets,
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size)
 
     def local_top(batch: pa.Table) -> pa.Table:
         t = batch.select(["doc_id", "weight"])

@@ -821,7 +821,7 @@ def hits_reference(edge_list, node_list, iters: int = 4):
 # triangle counting over the kNN graph (forward / compact-forward)
 # --------------------------------------------------------------------------
 
-def run_knn_triangles(sf_dir: str, k: int = 5, concurrency: int = 8,
+def run_knn_triangles(sf_dir: str, k: int = 5,
                       target_rows_per_group: int = 65536):
     """Per-node triangle counts over the symmetrized exact-kNN graph —
     the local-clustering signal corpus curation uses to find dense
@@ -856,7 +856,7 @@ def run_knn_triangles(sf_dir: str, k: int = 5, concurrency: int = 8,
         return g.select(["a", "b"])
 
     edges = hash_grouped_reduce(
-        run_knn_graph(sf_dir, k=k, concurrency=concurrency)
+        run_knn_graph(sf_dir, k=k)
         .map_batches(_und, batch_format="pyarrow", batch_size=65536),
         ["a", "b"],
         lambda df: df.drop_duplicates(["a", "b"])[["a", "b"]],

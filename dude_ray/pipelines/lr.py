@@ -98,8 +98,7 @@ def train_lr(feats, iters: int = LR_ITERS, lr: float = LR_RATE,
     return w
 
 
-def run_lr_quality(sf_dir: str, iters: int = LR_ITERS, lr: float = LR_RATE,
-                   concurrency: int = 4):
+def run_lr_quality(sf_dir: str, iters: int = LR_ITERS, lr: float = LR_RATE):
     """Train the classifier and score every document.  Output:
     (doc_id, lr_score ∈ (0,1) rounded 6 dp, label)."""
     from dude_ray.io import read_parquet_clean
@@ -107,8 +106,7 @@ def run_lr_quality(sf_dir: str, iters: int = LR_ITERS, lr: float = LR_RATE,
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text", "lang"])
     feats = docs.map_batches(_feature_table, batch_format="pyarrow",
-                             batch_size=4096,
-                             concurrency=concurrency).materialize()
+                             batch_size=4096).materialize()
     w = train_lr(feats, iters=iters, lr=lr)
 
     def score(batch: pa.Table) -> pa.Table:
@@ -207,8 +205,7 @@ PACK_MIN_SCORE: float | None = None
 
 def run_training_mix(sf_dir: str, budget: int | None = None,
                      min_score: float = PACK_MIN_SCORE,
-                     iters: int = LR_ITERS, lr: float = LR_RATE,
-                     concurrency: int = 4):
+                     iters: int = LR_ITERS, lr: float = LR_RATE):
     """The composed LLM-training-data flagship, end-to-end SQL-oracled:
     ONE text scan emits features + content hash + token count; the
     logistic-regression filter is TRAINED on that same materialized
@@ -247,8 +244,7 @@ def run_training_mix(sf_dir: str, budget: int | None = None,
                     pa.int64()))
 
     feats = docs.map_batches(stage1, batch_format="pyarrow",
-                             batch_size=4096,
-                             concurrency=concurrency).materialize()
+                             batch_size=4096).materialize()
     w = train_lr(feats, iters=iters, lr=lr)
 
     def _keeper_rows(df: pd.DataFrame) -> pd.DataFrame:

@@ -10,7 +10,7 @@ Scale shape (one corpus scan, tiny everything-after):
      corpus-stats partial (doc count + token sum — 24 B) plus one row
      per (doc, query-term) hit: (doc_id, term, tf, dl).  Only docs
      matching ≥1 query term leave the scan; tf/dl counting is pandas
-     vectorized-regex with patterns compiled once per actor.
+     vectorized-regex with patterns compiled once on the driver.
   2. The matched-row set is materialized (its size is bounded by
      matching docs × |terms|, not the corpus); document frequencies
      fall out of a ``groupby(term).count()`` over it (|terms| rows).
@@ -41,7 +41,9 @@ TOP_N = 20
 
 class _Bm25Scan:
     """documents → per-batch stats partial (kind 0) + per-(doc, term)
-    tf rows (kind 1), unified schema so one pass serves both."""
+    tf rows (kind 1), unified schema so one pass serves both.  Passed
+    as an instance (the compiled term patterns are cheap config), so
+    the scan is a task stage."""
 
     def __init__(self, terms):
         self.terms = list(terms)
@@ -91,7 +93,7 @@ def _kind(ds, k: int):
 
 def run_bm25(sf_dir: str, terms=QUERY_TERMS, top_n: int = TOP_N,
              k1: float = BM25_K1, b: float = BM25_B,
-             concurrency: int = 4, batch_size: int = 4096):
+             batch_size: int = 4096):
     """Top-``top_n`` documents by BM25 score for the fixed query.
     Output: (doc_id, score, rank) — rank on (round-6 score desc,
     doc_id asc), the same tie rule as the DuckDB oracle."""
@@ -102,9 +104,8 @@ def run_bm25(sf_dir: str, terms=QUERY_TERMS, top_n: int = TOP_N,
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text"])
     scan = docs.map_batches(
-        _Bm25Scan, fn_constructor_kwargs={"terms": terms},
-        batch_format="pandas", batch_size=batch_size,
-        concurrency=(1, concurrency)).materialize()
+        _Bm25Scan(terms), batch_format="pandas",
+        batch_size=batch_size).materialize()
 
     stats = _kind(scan, 0).sum(["tf", "dl"])
     n_docs, total_tokens = stats["sum(tf)"], stats["sum(dl)"]
@@ -300,8 +301,7 @@ def tfidf_keywords_oracle_sql(top_k: int = 5) -> str:
 
 
 def run_term_postings(sf_dir: str, min_df: int = 2,
-                      target_rows_per_group: int = 65536,
-                      concurrency: int = 4):
+                      target_rows_per_group: int = 65536):
     """Inverted-index build — the search-index artifact behind
     :func:`run_bm25` as a first-class operator: per term, document
     frequency, collection frequency and the ascending posting list
@@ -341,8 +341,7 @@ def run_term_postings(sf_dir: str, min_df: int = 2,
                              "c": out["c"].to_numpy(dtype=np.int64)})
 
     rows = docs.map_batches(term_doc_counts, batch_format="pandas",
-                            batch_size=2048,
-                            concurrency=concurrency).materialize()
+                            batch_size=2048).materialize()
 
     def build_postings(g: pd.DataFrame) -> pd.DataFrame:
         terms, dfs, cfs, posts = [], [], [], []

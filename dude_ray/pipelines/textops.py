@@ -117,7 +117,8 @@ LANG_ID_ORACLE_SQL = r"""
 
 class LangId:
     """Tiny deterministic language-ID: per-language marker-word profiles
-    scored per document; state (compiled regexes) built once per actor."""
+    scored per document.  The compiled regexes are cheap config, so
+    :func:`run_lang_id` passes an instance and runs a task stage."""
 
     PROFILES = {
         "en": ("the", "and", "of", "is", "with", "for"),
@@ -152,9 +153,9 @@ class LangId:
         })
 
 
-def run_lang_id(sf_dir: str, concurrency: int = 4):
+def run_lang_id(sf_dir: str):
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        LangId, batch_format="pyarrow", batch_size=4096, concurrency=(1, concurrency))
+        LangId(), batch_format="pyarrow", batch_size=4096)
 
 
 # --------------------------------------------------------------------------
@@ -281,10 +282,9 @@ def hash_bytes(b: bytes) -> int:
     return int.from_bytes(hashlib.sha1(b).digest()[:8], "big")
 
 
-def run_fingerprint(sf_dir: str, concurrency: int = 4):
+def run_fingerprint(sf_dir: str):
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        Fingerprinter, batch_format="pyarrow", batch_size=2048,
-        concurrency=(1, concurrency))
+        Fingerprinter(), batch_format="pyarrow", batch_size=2048)
 
 
 def winnow_mins_sql(k: int, window: int) -> str:
@@ -386,8 +386,8 @@ class CorpusPrep:
 
     Vectorized gates (pyarrow.compute regex counters) run FIRST and
     shrink the batch before the per-row work (md5, language profile
-    scoring), so rejected documents never reach a Python loop.  Language
-    patterns compile once per actor."""
+    scoring), so rejected documents never reach a Python loop.  Passed
+    as an instance: the gates and language patterns are cheap config."""
 
     def __init__(self, min_tokens: int = 30, min_stop_ratio: float = 0.05):
         self.min_tokens = min_tokens
@@ -425,7 +425,7 @@ class CorpusPrep:
 
 
 def run_corpus_prep(sf_dir: str, min_tokens: int = 30,
-                    min_stop_ratio: float = 0.05, concurrency: int = 4):
+                    min_stop_ratio: float = 0.05):
     """Quality filter → exact dedup → per-language token stats, as one
     streaming chain.  Only (h, pred_lang, n_tokens) rows (~50 B each)
     reach the dedup shuffle — the text column never leaves the fused
@@ -439,10 +439,8 @@ def run_corpus_prep(sf_dir: str, min_tokens: int = 30,
     from dude_ray.pipelines.relational import tree_combine
 
     ds = _docs(sf_dir, ["text"]).map_batches(
-        CorpusPrep, batch_format="pyarrow", batch_size=4096,
-        concurrency=(1, concurrency),
-        fn_constructor_kwargs={"min_tokens": min_tokens,
-                               "min_stop_ratio": min_stop_ratio})
+        CorpusPrep(min_tokens, min_stop_ratio), batch_format="pyarrow",
+        batch_size=4096)
     # distinct-by-h via the shared data-scaled hash-group reduce —
     # Ray's multi-key groupby().aggregate() combine is Python-per-row
     # (~20k rows/s measured; 25 s at sf0.1).  Grouping by h alone is
@@ -1073,35 +1071,6 @@ CONTAM_MOD = 97
 CONTAM_N = 5
 
 
-class ContaminationScorer:
-    """Actor-pool stage: broadcast benchmark gram set probed per batch
-    (set built once per actor from the ray.put handle)."""
-
-    def __init__(self, grams_ref):
-        import ray
-
-        self.bench = frozenset(ray.get(grams_ref))
-        self.tok_re = re.compile(TOKEN_RE)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_out, h_out, c_out = [], [], []
-        for text in batch["text"].to_pylist():
-            w = self.tok_re.findall((text or "").lower())
-            gs = {" ".join(w[i:i + CONTAM_N])
-                  for i in range(len(w) - CONTAM_N + 1)}
-            n = len(gs)
-            hits = sum(1 for g in gs if g in self.bench)
-            n_out.append(n)
-            h_out.append(hits)
-            c_out.append(hits * 8 >= n and n > 0)
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "n_grams": pa.array(n_out, type=pa.int64()),
-            "hit_grams": pa.array(h_out, type=pa.int64()),
-            "contaminated": pa.array(c_out, type=pa.bool_()),
-        })
-
-
 def _benchmark_grams(sf_dir: str) -> list:
     """Distinct word-5-grams of the deterministic stand-in benchmark
     slice (doc_id % CONTAM_MOD == 0).  In production the benchmark is
@@ -1129,7 +1098,7 @@ def _benchmark_grams(sf_dir: str) -> list:
     return sorted({r["g"] for r in rows})
 
 
-def run_contamination_overlap(sf_dir: str, concurrency: int = 4):
+def run_contamination_overlap(sf_dir: str):
     """Per-document n-gram containment against a benchmark gram set —
     the GPT-3 appendix-C / PaLM decontamination statistic (fraction of
     a document's distinct word n-grams that appear in any eval
@@ -1143,15 +1112,34 @@ def run_contamination_overlap(sf_dir: str, concurrency: int = 4):
     leakage that exact substring match misses.
 
     Scale shape: the benchmark gram set broadcasts once via ray.put
-    (eval corpora are MBs); ONE corpus scan probes it per batch in an
-    actor pool — no shuffle anywhere."""
+    (eval corpora are MBs); ONE corpus scan probes it per batch in a
+    task stage — no shuffle anywhere."""
     import ray
 
-    ref = ray.put(_benchmark_grams(sf_dir))
+    ref = ray.put(frozenset(_benchmark_grams(sf_dir)))
+    tok_re = re.compile(TOKEN_RE)
+
+    def score(batch: pa.Table) -> pa.Table:
+        bench = ray.get(ref)
+        n_out, h_out, c_out = [], [], []
+        for text in batch["text"].to_pylist():
+            w = tok_re.findall((text or "").lower())
+            gs = {" ".join(w[i:i + CONTAM_N])
+                  for i in range(len(w) - CONTAM_N + 1)}
+            n = len(gs)
+            hits = sum(1 for g in gs if g in bench)
+            n_out.append(n)
+            h_out.append(hits)
+            c_out.append(hits * 8 >= n and n > 0)
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "n_grams": pa.array(n_out, type=pa.int64()),
+            "hit_grams": pa.array(h_out, type=pa.int64()),
+            "contaminated": pa.array(c_out, type=pa.bool_()),
+        })
+
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        ContaminationScorer, batch_format="pyarrow", batch_size=4096,
-        concurrency=(1, concurrency),
-        fn_constructor_kwargs={"grams_ref": ref})
+        score, batch_format="pyarrow", batch_size=4096)
 
 
 def contamination_overlap_oracle_sql() -> str:
@@ -1198,8 +1186,9 @@ class HashFeaturizer:
     vocabulary-free featurization a linear quality model or LSH
     front-end consumes (Weinberger et al. 2009 feature hashing).
 
-    Stateful per-actor memo exactly like dedup's Shingler: web
-    vocabularies repeat heavily, so md5 runs only on cache miss; the
+    Memo exactly like dedup's Shingler, per task copy (it is passed as
+    an instance): web vocabularies repeat heavily, so md5 runs only on
+    cache miss; the
     per-doc count is one vectorized ``np.bincount`` over the hash
     array.  md5-top-8 keeps the DuckDB oracle able to reproduce every
     feature id bit-for-bit (the minhash_oracle_sql hex-fold)."""
@@ -1246,16 +1235,13 @@ class HashFeaturizer:
         })
 
 
-def run_hash_features(sf_dir: str, dims: int = HASH_FEATURE_DIMS,
-                      concurrency: int = 4):
+def run_hash_features(sf_dir: str, dims: int = HASH_FEATURE_DIMS):
     """documents → sparse hashed feature triples
     (doc_id, feature_idx, n_tokens), sorted.  One corpus scan; output
-    is ≤ min(dims, doc_tokens) rows per doc; the md5 memo lives in the
-    actor (`HashFeaturizer.__init__`), never re-built per batch."""
+    is ≤ min(dims, doc_tokens) rows per doc."""
     return (_docs(sf_dir, ["doc_id", "text"])
-            .map_batches(HashFeaturizer, batch_format="pyarrow",
-                         batch_size=2048, concurrency=(1, concurrency),
-                         fn_constructor_kwargs={"dims": dims})
+            .map_batches(HashFeaturizer(dims), batch_format="pyarrow",
+                         batch_size=2048)
             .sort(["doc_id", "feature_idx"]))
 
 
@@ -1303,7 +1289,7 @@ def run_vocab_coverage(sf_dir: str, min_count: int = 5,
 
     Plan (the 100 TB shape): scan 1 emits pre-counted (token, c)
     partials into the data-scaled hash reduce; the surviving vocab
-    broadcasts as ONE sorted array (`ray.put`, read per actor — the
+    broadcasts as ONE sorted array (`ray.put`, read per batch — the
     tfidf tiered-join precedent applies past ~2M entries).  Scan 2 is
     fully vectorized: each batch flattens its tokens into one array
     with doc offsets, membership is a single searchsorted against the
@@ -1342,40 +1328,37 @@ def run_vocab_coverage(sf_dir: str, min_count: int = 5,
     vocab_ref = ray.put(np.sort(vocab_tbl["t"].to_numpy(dtype=object)
                                 .astype(str)))
 
-    class Coverage:
-        def __init__(self):
-            self.vocab = ray.get(vocab_ref)
+    def coverage(batch: pa.Table) -> pa.Table:
+        vocab = ray.get(vocab_ref)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        texts = batch["text"].to_pylist()
+        toks_per_doc = [tok_re.findall((t or "").lower())
+                        for t in texts]
+        lens = np.array([len(t) for t in toks_per_doc],
+                        dtype=np.int64)
+        keep = lens > 0
+        flat = np.array([t for toks in toks_per_doc for t in toks],
+                        dtype=object).astype(str) \
+            if lens.sum() else np.empty(0, dtype=str)
+        if len(vocab):
+            pos = np.minimum(np.searchsorted(vocab, flat),
+                             len(vocab) - 1)
+            oov_flags = (vocab[pos] != flat).astype(np.int64)
+        else:
+            oov_flags = np.ones(len(flat), dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        n_oov = (np.add.reduceat(oov_flags, offsets[keep])
+                 if keep.any() else np.empty(0, dtype=np.int64))
+        n_tok = lens[keep]
+        return pa.table({
+            "doc_id": pa.array(ids[keep], type=pa.int64()),
+            "n_tokens": pa.array(n_tok, type=pa.int64()),
+            "n_oov": pa.array(n_oov, type=pa.int64()),
+            "oov_rate": pa.array(n_oov / n_tok, type=pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            texts = batch["text"].to_pylist()
-            toks_per_doc = [tok_re.findall((t or "").lower())
-                            for t in texts]
-            lens = np.array([len(t) for t in toks_per_doc],
-                            dtype=np.int64)
-            keep = lens > 0
-            flat = np.array([t for toks in toks_per_doc for t in toks],
-                            dtype=object).astype(str) \
-                if lens.sum() else np.empty(0, dtype=str)
-            if len(self.vocab):
-                pos = np.minimum(np.searchsorted(self.vocab, flat),
-                                 len(self.vocab) - 1)
-                oov_flags = (self.vocab[pos] != flat).astype(np.int64)
-            else:
-                oov_flags = np.ones(len(flat), dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            n_oov = (np.add.reduceat(oov_flags, offsets[keep])
-                     if keep.any() else np.empty(0, dtype=np.int64))
-            n_tok = lens[keep]
-            return pa.table({
-                "doc_id": pa.array(ids[keep], type=pa.int64()),
-                "n_tokens": pa.array(n_tok, type=pa.int64()),
-                "n_oov": pa.array(n_oov, type=pa.int64()),
-                "oov_rate": pa.array(n_oov / n_tok, type=pa.float64()),
-            })
-
-    return ds.map_batches(Coverage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=(1, 4))
+    return ds.map_batches(coverage, batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def vocab_coverage_oracle_sql(min_count: int = 5) -> str:
@@ -1732,7 +1715,7 @@ def run_lang_confusion(sf_dir: str):
     the eval table a curator reads before trusting the classifier to
     gate a training mix.
 
-    Scale shape: the LangId actor-pool kernel scores each batch, a
+    Scale shape: the LangId kernel scores each batch, a
     per-batch group_by pre-counts the (label, prediction) cells, and
     tree_combine merges the ≤ |langs|² cell partials — no per-doc row
     leaves the scoring stage.  All counts int64."""

@@ -1,9 +1,9 @@
 """Multimodal column plumbing — media payloads as opaque ``binary``
-columns with typed metadata, decode/feature stages as actor pools.
+columns with typed metadata, decode/feature stages as task stages.
 
 No image/audio codecs exist in this container, so the *decode kernel*
 is a clearly marked deterministic stub (`_fake_decode`); everything
-around it — schema, batch sizing for wide binary rows, actor-pool
+around it — schema, batch sizing for wide binary rows, stage
 signature, output layout — is the real Ray plumbing and is tested.
 A real deployment replaces ``_fake_decode`` with PIL/ffmpeg calls in
 ``MediaDecoder.__call__``; nothing else changes.  The seam's exact
@@ -35,7 +35,7 @@ MEDIA_SCHEMA = pa.schema([
 def build_media_table(corpus_dir: str):
     """Materialize the media payload table from the corpus's media_refs
     (deterministic fake bytes — see sources.corpus.media_payload).
-    Wide binary rows → small batch_size so batch × concurrency stays in
+    Wide binary rows → small batch_size so batch × parallel tasks stays in
     worker heap."""
     from dude_ray.io import read_parquet_clean
 
@@ -70,13 +70,12 @@ def _fake_decode(payload: bytes) -> dict:
 
 
 class MediaDecoder:
-    """Actor-pool decode/feature stage: one decoder instance per actor
-    (a real model/codec would be loaded here once), small batches of
-    wide binary rows per call."""
+    """Decode/feature stage, passed to ``map_batches`` as an instance
+    (a task stage): small batches of wide binary rows per call.  A
+    codec that is costly to load would make this a stateful stage."""
 
     def __init__(self, target_size: int = 64):
-        self.target_size = target_size  # a real impl would build the
-        # resize pipeline / load the feature model here, once per actor
+        self.target_size = target_size
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         widths, heights, frames, feats, ok = [], [], [], [], []
@@ -104,14 +103,14 @@ class MediaDecoder:
         })
 
 
-def run_media_decode(sf_dir: str, concurrency: int = 2):
-    """corpus media_refs → payload table → actor-pool decode stage."""
+def run_media_decode(sf_dir: str):
+    """corpus media_refs → payload table → decode stage."""
     from ..sources.corpus import ensure_corpus
 
     corpus_dir = ensure_corpus(sf_dir)
     media = build_media_table(corpus_dir)
-    return media.map_batches(MediaDecoder, batch_format="pyarrow",
-                             batch_size=256, concurrency=(1, concurrency))
+    return media.map_batches(MediaDecoder(), batch_format="pyarrow",
+                             batch_size=256)
 
 
 def _have_pil() -> bool:
@@ -121,10 +120,10 @@ def _have_pil() -> bool:
 
 
 class MediaResizer:
-    """Actor-pool resize stage: consumes decode output plus the raw
-    payload, emits a resized payload and the new dimensions.  With PIL
-    importable the kernel would be ``Image.open(...).resize(...)``
-    built once per actor; in this container (no codecs) the kernel is a
+    """Resize stage (an instance, so a task stage): consumes decode
+    output plus the raw payload, emits a resized payload and the new
+    dimensions.  With PIL importable the kernel would be
+    ``Image.open(...).resize(...)``; in this container (no codecs) the kernel is a
     deterministic stub whose OUTPUT SIZE scales like a real thumbnail
     (target_w × target_h × 3 bytes) so the batch-size/memory behavior
     downstream is realistic."""
@@ -153,7 +152,7 @@ class MediaResizer:
 
 
 class FrameSampler:
-    """Actor-pool frame-sampling stage (flat_map shape — output rows >
+    """Frame-sampling stage (flat_map shape — output rows >
     input rows): every ``every_n``-th frame of each media row becomes
     its own (media_ref, frame_index, frame) row.  A real impl seeks with
     ffmpeg per sampled index; the stub derives deterministic frame bytes
@@ -181,7 +180,7 @@ class FrameSampler:
         })
 
 
-def run_media_frames(sf_dir: str, every_n: int = 2, concurrency: int = 2):
+def run_media_frames(sf_dir: str, every_n: int = 2):
     """Full multimodal chain: payload table → decode (metadata) →
     frame sample.  The decode output is re-joined with the payload
     column inside one stage (carry-through, no shuffle) so the sampler
@@ -191,34 +190,29 @@ def run_media_frames(sf_dir: str, every_n: int = 2, concurrency: int = 2):
     corpus_dir = ensure_corpus(sf_dir)
     media = build_media_table(corpus_dir)
 
-    class DecodeCarry(MediaDecoder):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out = super().__call__(batch)
-            return out.append_column("payload", batch["payload"])
+    decode = MediaDecoder()
 
-    decoded = media.map_batches(DecodeCarry, batch_format="pyarrow",
-                                batch_size=256, concurrency=(1, concurrency))
-    return decoded.map_batches(FrameSampler,
-                               fn_constructor_kwargs={"every_n": every_n},
-                               batch_format="pyarrow", batch_size=128,
-                               concurrency=(1, concurrency))
+    def decode_carry(batch: pa.Table) -> pa.Table:
+        return decode(batch).append_column("payload", batch["payload"])
+
+    decoded = media.map_batches(decode_carry, batch_format="pyarrow",
+                                batch_size=256)
+    return decoded.map_batches(FrameSampler(every_n), batch_format="pyarrow",
+                               batch_size=128)
 
 
-def run_media_thumbs(sf_dir: str, target: int = 32, concurrency: int = 2):
-    """payload table → actor-pool resize stage."""
+def run_media_thumbs(sf_dir: str, target: int = 32):
+    """payload table → resize stage."""
     from ..sources.corpus import ensure_corpus
 
     corpus_dir = ensure_corpus(sf_dir)
     media = build_media_table(corpus_dir)
-    return media.map_batches(MediaResizer,
-                             fn_constructor_kwargs={"target_w": target,
-                                                    "target_h": target},
-                             batch_format="pyarrow", batch_size=256,
-                             concurrency=(1, concurrency))
+    return media.map_batches(MediaResizer(target, target),
+                             batch_format="pyarrow", batch_size=256)
 
 
 class AudioChunker:
-    """Actor-pool audio windowing stage (flat_map shape): treat the
+    """Audio windowing stage (flat_map shape): treat the
     binary payload as a PCM-like sample stream and emit fixed-length
     windows with hop, the framing every audio feature extractor
     (log-mel, wav2vec) runs on.  The byte→sample interpretation is the
@@ -256,18 +250,14 @@ class AudioChunker:
         })
 
 
-def run_media_audio_chunks(sf_dir: str, window: int = 256, hop: int = 128,
-                           concurrency: int = 2):
-    """payload table → actor-pool windowing stage (audio framing)."""
+def run_media_audio_chunks(sf_dir: str, window: int = 256, hop: int = 128):
+    """payload table → windowing stage (audio framing)."""
     from ..sources.corpus import ensure_corpus
 
     corpus_dir = ensure_corpus(sf_dir)
     media = build_media_table(corpus_dir)
-    return media.map_batches(AudioChunker,
-                             fn_constructor_kwargs={"window": window,
-                                                    "hop": hop},
-                             batch_format="pyarrow", batch_size=128,
-                             concurrency=(1, concurrency))
+    return media.map_batches(AudioChunker(window, hop),
+                             batch_format="pyarrow", batch_size=128)
 
 
 def run_media_size_stats(sf_dir: str):
@@ -278,7 +268,7 @@ def run_media_size_stats(sf_dir: str):
     payload-size contract (``256 + digest[0]·8`` bytes — see
     :func:`dude_ray.sources.corpus.media_payload`) is enforced against
     the real materialized payload bytes, so the driver records that
-    the binary column the actor-pool stages consume is byte-sized
+    the binary column the decode stages consume is byte-sized
     exactly as the generator specifies.
 
     Scale shape: per-batch (n_bytes → count) partials over the wide

@@ -144,14 +144,6 @@ class FrontierShardLocal:
         self.stats = collections.Counter()
         self._last_hosts: list[str] = []
 
-    def reset(self, *args, **kwargs) -> None:
-        """Start a new crawl in this object: drop every trace of the
-        previous one, return its memory, and re-run ``__init__`` with
-        the new crawl's robots, allowed domains, capacity and gates."""
-        self.__dict__.clear()
-        release_free_memory()
-        FrontierShardLocal.__init__(self, *args, **kwargs)
-
     # ---- robots (memoized per host) -----------------------------------
     def _robots(self, host: str) -> RobotFileParser:
         p = self._robots_cache.get(host)

@@ -387,3 +387,31 @@ def test_crawl_budget_local_oracle(ray_session):
     by_rank = got.sort_values("host_rank", ascending=False)
     assert (by_rank["budget"].to_numpy()[:-1]
             - by_rank["budget"].to_numpy()[1:] >= -1).all()
+
+
+def test_crawl_budget_zero_rank(ray_session, monkeypatch):
+    """With no host rank mass the engine gives every host quota 0,
+    and so does the oracle (whose ``// 0`` would be NULL unguarded)."""
+    import ray
+
+    import dude_ray.pipelines.components as comp
+
+    sf = "/root/testdata/sf0.001"
+    ranks = comp.run_host_rank(sf).to_pandas()
+    ranks["host_rank"] = 0.0
+    oracle = comp.host_rank_oracle_sql
+    monkeypatch.setattr(comp, "run_host_rank",
+                        lambda *a, **kw: ray.data.from_pandas(ranks))
+    monkeypatch.setattr(
+        comp, "host_rank_oracle_sql",
+        lambda *a, **kw: ("SELECT host, n_pages, 0.0 AS host_rank "
+                          f"FROM ({oracle(*a, **kw)})"))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    want = (con.execute(comp.crawl_budget_oracle_sql(sf)).df()
+            .reset_index(drop=True))
+    got = comp.run_crawl_budget(sf).to_pandas().reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=True)
+    assert len(got) > 0 and (got["budget"] == 0).all()

@@ -99,23 +99,6 @@ def test_snapshot_restore_roundtrip():
     assert g.stats == f.stats or g.stats["released"] >= f.stats["released"]
 
 
-def test_reset_starts_a_new_crawl():
-    """A reused shard keeps nothing of its previous crawl: after
-    ``reset`` with other gates it behaves as a fresh shard would."""
-    f = mk()
-    f.offer([f"https://a.test/{i}" for i in range(4)], [0] * 4,
-            [key(i) for i in range(4)])
-    f.release(max_urls=2)
-    f.reset(1, ROBOTS, {"slow.test"}, capacity=100, politeness=False)
-    assert (f.shard_id, f.pending(), f.seen_count(), dict(f.stats)) == (1, 0, 0, {})
-    urls = ["https://a.test/0", "https://slow.test/1", "https://slow.test/2"]
-    f.offer(urls, [0] * 3, [key(i) for i in range(3)])
-    g = FrontierShardLocal(1, ROBOTS, {"slow.test"}, capacity=100, politeness=False)
-    g.offer(urls, [0] * 3, [key(i) for i in range(3)])
-    assert f.release() == g.release() == [(key(1), urls[1], 0), (key(2), urls[2], 0)]
-    assert f.stats == g.stats
-
-
 def test_mixed_hosts_interleave_by_key():
     f = mk()
     f.offer(["https://a.test/1", "https://slow.test/1", "https://a.test/2"],

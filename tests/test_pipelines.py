@@ -1189,10 +1189,25 @@ def test_anchor_texts_local_oracle(ray_session):
     assert again == got
 
 
-def test_extract_in_one_cpu_session():
-    """Span extraction is a task stage, so ``run_extract`` and
-    ``run_anchor_texts`` complete in a Ray session with one logical CPU
-    and equal the in-process ``SpanExtractor`` output."""
+def _one_cpu_rows(name, ds):
+    """The rows of a converted stateless-map query, in a JSON-stable
+    order, for comparing a one-CPU session with the test session."""
+    cols = {"lang_id": ["doc_id", "pred_lang", "lang_score"],
+            "media_decode": ["media_ref", "width", "height", "n_frames",
+                             "feature", "decode_status"],
+            "minhash_dedup": ["a", "b", "jaccard"]}[name]
+    return sorted([getattr(r[c], "tolist", lambda: r[c])() for c in cols]
+                  for r in ds.take_all())
+
+
+def test_extract_in_one_cpu_session(ray_session):
+    """Span extraction and the other stateless maps are task stages, so
+    ``run_extract``, ``run_anchor_texts``, ``run_lang_id``,
+    ``run_media_decode`` and ``run_minhash_dedup`` complete in a Ray
+    session with one logical CPU.  Spans and anchors equal the
+    in-process ``SpanExtractor`` output; the other three equal their
+    answers in the test session."""
+    import inspect
     import json
     import os
     import signal
@@ -1201,9 +1216,12 @@ def test_extract_in_one_cpu_session():
 
     import pyarrow.parquet as pq
 
+    from dude_ray.pipelines.dedup import run_minhash_dedup
     from dude_ray.pipelines.flagship import flagship_rules
+    from dude_ray.pipelines.textops import run_lang_id
     from dude_ray.sources.corpus import DEFAULT_NUM_PARTS, generate_batch
     from dude_ray.stages.extract import SpanExtractor
+    from dude_ray.stages.multimodal import run_media_decode
 
     code = (
         "import json, ray\n"
@@ -1215,6 +1233,15 @@ def test_extract_in_one_cpu_session():
         f"anchors = run_anchor_texts({SF!r}).take_all()\n"
         "print('ANCHORS ' + json.dumps([[r['target'], r['n_incoming'],"
         " r['n_distinct_anchors'], r['top_anchor']] for r in anchors]))\n"
+        "from dude_ray.pipelines.dedup import run_minhash_dedup\n"
+        "from dude_ray.pipelines.textops import run_lang_id\n"
+        "from dude_ray.stages.multimodal import run_media_decode\n"
+        + inspect.getsource(_one_cpu_rows) +
+        "for name, run in [('lang_id', run_lang_id),"
+        " ('media_decode', run_media_decode),"
+        " ('minhash_dedup', run_minhash_dedup)]:\n"
+        f"    rows = _one_cpu_rows(name, run({SF!r}))\n"
+        "    print(name.upper() + ' ' + json.dumps(rows))\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     # own process group: a hung session is stopped with all its daemons
@@ -1245,6 +1272,12 @@ def test_extract_in_one_cpu_session():
     rows = [{"doc_id": d, "spans": sp} for d, sp in want.items()]
     assert {t: (n, nd, top) for t, n, nd, top in payload("ANCHORS")} == \
         _serial_anchor_texts(rows)
+
+    for name, run in [("lang_id", run_lang_id),
+                      ("media_decode", run_media_decode),
+                      ("minhash_dedup", run_minhash_dedup)]:
+        here = json.loads(json.dumps(_one_cpu_rows(name, run(SF))))
+        assert here and payload(name.upper()) == here, name
 
 
 def test_chunk_dedup_planted_and_local(ray_session, tmp_path):
@@ -2447,15 +2480,23 @@ def test_volume_shipping_local_oracle(ray_session):
 
 
 def test_broadcast_joins_start_no_map_actor(ray_session):
-    """The broadcast joins and span extraction are task stages: running
-    two broadcast-join queries, the anchor-text aggregation and the link
-    graph build creates no Ray Data ``MapWorker`` actor."""
+    """The broadcast joins, span extraction and every other stateless
+    map are task stages: running two broadcast-join queries, the
+    anchor-text aggregation, the link graph build and one converted
+    query per module creates no Ray Data ``MapWorker`` actor."""
     import ray._private.state as gcs
 
+    from dude_ray.pipelines.bpe import run_bpe_encode
+    from dude_ray.pipelines.cleaning import run_decontaminate
+    from dude_ray.pipelines.clustering import run_kmeans_assign
+    from dude_ray.pipelines.dedup import run_simhash_dedup
     from dude_ray.pipelines.flagship import run_anchor_texts
     from dude_ray.pipelines.graph import link_edges
+    from dude_ray.pipelines.ranking import run_bm25
     from dude_ray.pipelines.relational import (run_revenue_by_nation,
                                                run_volume_shipping)
+    from dude_ray.pipelines.similarity import run_ann_lsh
+    from dude_ray.stages.multimodal import run_media_frames
 
     def map_actors():
         return {a["ActorID"] for a in gcs.actors().values()
@@ -2466,6 +2507,12 @@ def test_broadcast_joins_start_no_map_actor(ray_session):
     run_volume_shipping(SF).materialize()
     run_anchor_texts(SF).materialize()
     link_edges(SF)
+    for run in (run_simhash_dedup, run_kmeans_assign, run_ann_lsh,
+                run_bm25, run_bpe_encode, run_decontaminate,
+                run_media_frames):
+        out = run(SF)
+        if hasattr(out, "materialize"):
+            out.materialize()
     assert map_actors() == before
 
 

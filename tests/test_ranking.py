@@ -56,7 +56,7 @@ def test_bm25_batch_size_invariant(ray_session):
     from dude_ray.pipelines.ranking import run_bm25
 
     got = run_bm25(SF)
-    small = run_bm25(SF, batch_size=32, concurrency=2)
+    small = run_bm25(SF, batch_size=32)
     pd.testing.assert_frame_equal(got, small, check_dtype=False)
 
 

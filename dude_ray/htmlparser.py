@@ -572,14 +572,18 @@ def _candidates_for(scope: Element, simple: _Simple):
     """Narrow candidates via the ROOT index keyed on the rightmost
     simple selector (class preferred — most selective), sliced to the
     scope's subtree interval by binary search — no per-scope index is
-    ever built.  Falls back to a subtree walk only for bare
-    ``*``/attr/:root selectors."""
+    ever built.  A bare ``:root`` narrows to the document's top-level
+    elements, which are descendants only of the document itself.
+    Falls back to a subtree walk only for bare ``*``/attr selectors."""
     root = scope.root()
     idx = root.index()  # also ensures every element's _end is set
     if simple.classes:
         lst = idx.get(("c", simple.classes[0]), [])
     elif simple.tag:
         lst = idx.get(("t", simple.tag), [])
+    elif simple.is_root:
+        return ([c for c in root.children if isinstance(c, Element)]
+                if scope is root else [])
     else:
         return None
     if scope is root or not lst:
@@ -608,8 +612,6 @@ def css_select(scope: Element, compiled: CompiledCSS) -> list[Element]:
                 seen.add(id(el))
                 out.append(el)
     out.sort(key=lambda e: e._order)
-    # ":root" on a document scope yields the top element; the walk covers
-    # it because the document node is the parentless root.
     return out
 
 

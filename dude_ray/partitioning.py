@@ -6,8 +6,7 @@ count (``& 31``, ``% 64``) is correct but concentrates 1/32-1/64 of
 the dataset in a single task at any scale — fine at sf0.1, an OOM at
 100 TB.  These helpers derive the group count from the input size so
 no task ever receives more than ~``target_rows_per_group`` rows in
-expectation, while small inputs keep a floor wide enough for full
-cluster parallelism.
+expectation, and an input that fits one group is one group.
 
 The row estimate is planner-style: parquet footer ``num_rows`` over a
 bounded sample of files, extrapolated — O(sampled footers) driver
@@ -78,14 +77,21 @@ def parquet_row_groups(paths) -> list[tuple[str, int, int]]:
 
 
 def scaled_group_count(n_rows: int, target_rows_per_group: int,
-                       lo: int = 64, hi: int = 1 << 20) -> int:
-    """Power-of-two group count for a coarse ``map_groups`` dispatch.
+                       lo: int = 1, hi: int = 1 << 20) -> int:
+    """Power-of-two group count for a coarse ``map_groups`` dispatch:
+    the next power of two ≥ ⌈n_rows / target_rows_per_group⌉.
 
     Sized so a group receives ~``target_rows_per_group`` rows in
-    expectation (uniform keys; salt hot keys separately).  ``lo`` keeps
-    small inputs parallel across the cluster; ``hi`` bounds groupby key
-    cardinality (and must not exceed the key's own bit width when the
-    group id is a bitmask of a hash/LSH key).
+    expectation (uniform keys; salt hot keys separately), so an input
+    that fits one group gets one reducer call.  A wider floor buys no
+    parallelism on small inputs: ``map_groups`` calls its function once
+    per group inside the tasks that hold the sorted blocks, and a small
+    sort output is one block, hence one task, so extra groups only add
+    reducer calls (a pandas reducer costs milliseconds per call however
+    few rows it gets).  ``lo`` is for a caller that wants a wider
+    minimum; ``hi`` bounds groupby key cardinality (and must not exceed
+    the key's own bit width when the group id is a bitmask of a
+    hash/LSH key).
     """
     want = max(lo, -(-max(n_rows, 1) // max(target_rows_per_group, 1)))
     n = lo
@@ -199,7 +205,9 @@ def hash_grouped_reduce(ds, key_cols, reduce_fn, n_rows: int,
     groups) of the key column(s), masked to a data-scaled group count
     (`scaled_group_count`, never a fixed width), ONE sort shuffle on
     that int key, then ``reduce_fn`` (a pandas frame → frame that
-    groups by the real keys) vectorized per group.
+    groups by the real keys) vectorized per group.  A group holds many
+    keys at every size, and an input of ≤ ``target_rows_per_group``
+    rows is one group: one ``reduce_fn`` call.
 
     ``n_rows`` sizes the group count — pass a metadata-derived or
     already-known count, not an extra counting pass.  ``out_cols``

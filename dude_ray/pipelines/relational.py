@@ -28,6 +28,19 @@ def _read(sf_dir: str, table: str, columns=None):
     return read_parquet_clean(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _read_dim(sf_dir: str, table: str, columns) -> pd.DataFrame:
+    """A dimension table as a driver-side pandas frame, read by pyarrow
+    directly: a Ray Data read would start a streaming execution
+    (~70 ms) for a table the driver only turns into a broadcast or a
+    name map.  The pandas schema blob is stripped first (see
+    :mod:`dude_ray.io`), so ``to_pandas`` never restores a stored
+    index."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(f"{sf_dir}/{table}.parquet", columns=list(columns))
+    return t.replace_schema_metadata(None).to_pandas()
+
+
 # --------------------------------------------------------------------------
 # events: tumbling-window aggregate (partial-combine pattern)
 # --------------------------------------------------------------------------
@@ -230,7 +243,7 @@ def _segment_lookup(sf_dir: str):
     oracle's LEFT JOIN + coalesce)."""
     import ray
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = _read_dim(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     codes, segs = pd.factorize(cust["c_mktsegment"])
     unknown = len(segs)
     codes[codes < 0] = unknown
@@ -338,7 +351,11 @@ TARGET_ROWS_PER_GROUP = 100_000
 
 def _scaled_buckets(sf_dir: str, table: str,
                     target: int = TARGET_ROWS_PER_GROUP,
-                    lo: int = 64) -> int:
+                    lo: int = 1) -> int:
+    """Power-of-two bucket count for ``table``: ~``target`` rows per
+    bucket by its parquet footers (:func:`scaled_group_count`), so a
+    table of ≤ ``target`` rows is one bucket and one ``map_groups``
+    call."""
     from dude_ray.partitioning import estimate_rows, scaled_group_count
 
     return scaled_group_count(
@@ -1138,8 +1155,7 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
 
     cut_us = np.int64(pd.Timestamp(cutoff).value // 1000)
 
-    cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = _read_dim(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     seg_ref = ray.put(dim_table(
         cust.loc[cust["c_mktsegment"] == segment, "c_custkey"]))
 
@@ -1460,15 +1476,14 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
 
-    nat = _read(sf_dir, "nation",
-                ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
-    reg = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
+    nat = _read_dim(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"])
+    reg = _read_dim(sf_dir, "region", ["r_regionkey", "r_name"])
     rkeys = set(reg.loc[reg["r_name"] == region, "r_regionkey"])
     nat = nat[nat["n_regionkey"].isin(rkeys)]
     nat_names = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
 
-    sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
+    sup = _read_dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    cust = _read_dim(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     sup = sup[sup["s_nationkey"].isin(nat["n_nationkey"])]
     cust = cust[cust["c_nationkey"].isin(nat["n_nationkey"])]
     sup_ref = ray.put(dim_table(sup["s_suppkey"], sup["s_nationkey"]))
@@ -3479,7 +3494,7 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
            .sort(["rev", "ckey"], descending=[True, False])
            .limit(k).to_pandas())
 
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
+    nat = _read_dim(sf_dir, "nation", ["n_nationkey", "n_name"])
     keys_ref = ray.put(dim_table(top["ckey"]))
 
     def cust_attrs(batch: pa.Table) -> pa.Table:
@@ -3676,8 +3691,7 @@ def run_disjunctive_revenue(sf_dir: str, clauses=Q19_CLAUSES):
     brand_code = {b: i for i, b in enumerate(brands)}
     max_size = max(c[2] for c in clauses)
 
-    part = _read(sf_dir, "part",
-                 ["p_partkey", "p_brand", "p_size"]).to_pandas()
+    part = _read_dim(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
     part = part[part["p_brand"].isin(brands) &
                 (part["p_size"] >= min(c[1] for c in clauses)) &
                 (part["p_size"] <= max_size)]
@@ -3763,7 +3777,7 @@ def run_promo_revenue(sf_dir: str, start: str = Q14_START,
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
+    part = _read_dim(sf_dir, "part", ["p_partkey", "p_type"])
     lookup_ref = ray.put(dim_table(
         part["p_partkey"], (part["p_type"] == "PROMO").to_numpy(dtype=bool)))
 
@@ -3855,14 +3869,12 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
 
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
+    nat = _read_dim(sf_dir, "nation", ["n_nationkey", "n_name"])
     nat = nat[nat["n_name"].isin([nation_a, nation_b])]
     nat_names = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
 
-    sup = _read(sf_dir, "supplier",
-                ["s_suppkey", "s_nationkey"]).to_pandas()
-    cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_nationkey"]).to_pandas()
+    sup = _read_dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    cust = _read_dim(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     sup = sup[sup["s_nationkey"].isin(nat["n_nationkey"])]
     cust = cust[cust["c_nationkey"].isin(nat["n_nationkey"])]
     sup_ref = ray.put(dim_table(sup["s_suppkey"], sup["s_nationkey"]))
@@ -4255,21 +4267,17 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
 
-    nat = _read(sf_dir, "nation",
-                ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
-    reg = _read(sf_dir, "region",
-                ["r_regionkey", "r_name"]).to_pandas()
+    nat = _read_dim(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"])
+    reg = _read_dim(sf_dir, "region", ["r_regionkey", "r_name"])
     rkeys = set(reg.loc[reg["r_name"] == region, "r_regionkey"].astype(int))
     region_nations = nat.loc[nat["n_regionkey"].astype(int).isin(rkeys),
                              "n_nationkey"].to_numpy(dtype=np.int64)
     target_nk = nat.loc[nat["n_name"] == nation,
                         "n_nationkey"].to_numpy(dtype=np.int64)
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
-    sup = _read(sf_dir, "supplier",
-                ["s_suppkey", "s_nationkey"]).to_pandas()
-    cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_nationkey"]).to_pandas()
+    part = _read_dim(sf_dir, "part", ["p_partkey", "p_type"])
+    sup = _read_dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    cust = _read_dim(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     line_ref = ray.put((
         dim_table(part.loc[part["p_type"] == ptype, "p_partkey"]),
         dim_table(sup["s_suppkey"], sup["s_nationkey"].isin(target_nk))))
@@ -5499,8 +5507,7 @@ def run_waiting_suppliers(sf_dir: str, k: int = 20,
         out_cols=("skey", "numwait"))
     merged = tree_combine(partials, ["skey"], sums=("numwait",))
 
-    names = _read(sf_dir, "supplier",
-                  ["s_suppkey", "s_name"]).to_pandas()
+    names = _read_dim(sf_dir, "supplier", ["s_suppkey", "s_name"])
 
     def finalize(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas().merge(

@@ -101,8 +101,9 @@ def _resolve(result):
 
 
 class PageWorker:
-    """map_batches stage: fetch → parse → events/setup → extract (with
-    the ``pages`` navigate loop) → flattened rows + discovered links."""
+    """map_batches task stage, passed as a configured instance: fetch →
+    parse → events/setup → extract (with the ``pages`` navigate loop) →
+    flattened rows + discovered links."""
 
     def __init__(self, spec: PipelineSpec, corpus_dir: Optional[str],
                  num_parts: int, pages: int, follow_urls: bool,
@@ -275,7 +276,6 @@ class Scraper(DudeApp):
         blocklist: Sequence[str] = (),
         adblock_rules: Sequence[str] = (),
         batch_size: int = 64,
-        concurrency: int = 4,
         http_fetch: bool = False,
         timeout: float = 10.0,
     ) -> list[dict]:
@@ -336,7 +336,9 @@ class Scraper(DudeApp):
 
             proxy = shape_proxy(proxy.get("server"), proxy.get("username"),
                                 proxy.get("password"))
-        worker_kwargs = dict(
+        # a callable instance, not the class: each release round is a
+        # new Dataset, and a class would boot a fresh actor pool per round
+        worker = PageWorker(
             spec=spec, corpus_dir=corpus_dir, num_parts=num_parts,
             pages=pages, follow_urls=follow_urls, blocklist=tuple(blocklist),
             adblock_rules=tuple(adblock_rules), http_fetch=http_fetch,
@@ -359,10 +361,8 @@ class Scraper(DudeApp):
                 "method": pa.array([m for m, _ in meta_now], type=pa.string()),
                 "body": pa.array([b for _, b in meta_now], type=pa.string()),
             }))
-            out = ds.map_batches(
-                PageWorker, fn_constructor_kwargs=worker_kwargs,
-                batch_format="pyarrow", batch_size=batch_size,
-                concurrency=(1, concurrency)).take_all()
+            out = ds.map_batches(worker, batch_format="pyarrow",
+                                 batch_size=batch_size).take_all()
             import json as _json
 
             for rec in sorted(out, key=lambda r: r["seq"]):

@@ -40,15 +40,14 @@ class HttpFetcher:
     success → ``(response text, final URL after redirects)``; HTTP
     status error or transport error → ``(None, requested URL)`` and
     the page is skipped.  Built on stdlib urllib (httpx is not in this
-    container); requests fan out over a per-actor thread pool, so one
-    fetch actor keeps ``max_workers`` connections in flight — the
+    container); requests fan out over a per-process thread pool, so one
+    fetching process keeps ``max_workers`` connections in flight — the
     latency-hiding the 100 TB crawl needs, where fetch is network-bound
     while extract is CPU-bound.
 
-    Stateful → actor pool: the opener (proxy config, redirect handling)
-    and thread pool are built once per actor; both are constructed
-    lazily so the configured instance stays picklable as a
-    ``fn_constructor_kwargs`` payload."""
+    The opener (proxy config, redirect handling) and thread pool are
+    built lazily, on first use in each copy, so the configured instance
+    stays picklable inside a task stage (``scraper.PageWorker``)."""
 
     def __init__(self, proxy: Optional[str] = None, timeout: float = 10.0,
                  max_workers: int = 16, user_agent: str = "dude-ray/0.1"):

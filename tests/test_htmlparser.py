@@ -270,6 +270,44 @@ def test_fast_parser_matches_strict_on_corpus():
         assert norm(parse_html(h)) == norm(parse_html_strict(h))
 
 
+def test_root_candidates_match_walk(dude_html):
+    """``:root`` selects from the document's top-level elements instead
+    of walking the tree; bare, with pseudos, in a selector list and
+    from inner scopes it equals the subtree walk, over every selector
+    fixture here and the sf0.001 corpus."""
+    from dude_ray.htmlparser import _match_sequence
+    from dude_ray.sources.corpus import ensure_corpus, load_manifest
+    from dude_ray.stages.fetch import CorpusFetcher
+
+    selectors = [compile_css(c) for c in (
+        ":root", ":root:first-child", ":root:not(p)", ":root:only-child",
+        ":root, p", ":root > body")]
+
+    def walk(scope, compiled):
+        return [el for el in scope.iter()
+                if any(_match_sequence(el, alt)
+                       for alt in compiled.alternatives)]
+
+    cd = ensure_corpus("/root/testdata/sf0.001", scale=1, seed_every=2)
+    f = CorpusFetcher(cd, load_manifest(cd)["num_parts"])
+    import pyarrow.dataset as pads
+
+    urls = pads.dataset(f"{cd}/web", partitioning="hive").to_table(
+        columns=["doc_id"])["doc_id"].to_pylist()
+    pages = [dude_html, HTML, XHTML, XGRAM_HTML, CSSX_HTML, XEXPR_HTML,
+             "<p>a</p><p>b</p>text<div><p>c</p></div>", ""]
+    pages += f.lookup(urls)
+    n_root = 0
+    for h in pages:
+        dom = parse_html(h)
+        scopes = [dom] + list(dom.iter())[:3]
+        for scope in scopes:
+            for compiled in selectors:
+                got = css_select(scope, compiled)
+                assert got == walk(scope, compiled), (h[:60], scope)
+        n_root += len(css_select(dom, selectors[0]))
+    assert n_root >= len(pages) - 1  # every non-empty page has a root
+
 # --------------------------------------------------------------------------
 # extended XPath grammar (round 3): boolean predicates, new axes,
 # unions, predicate sub-paths

@@ -525,12 +525,38 @@ def test_jaccard_join_chunked_bucket_path(ray_session, monkeypatch):
 def test_scaled_group_count():
     from dude_ray.partitioning import estimate_rows, scaled_group_count
 
-    # floor for small inputs, grows with rows, capped at hi
+    # an explicit floor for small inputs, grows with rows, capped at hi
     assert scaled_group_count(1_000, 100_000, lo=64) == 64
     assert scaled_group_count(10_000_000, 100_000, lo=64) == 128
     assert scaled_group_count(10**12, 100_000, lo=64, hi=1 << 16) == 1 << 16
+    # the default floor is one group: next power of two ≥ rows / target
+    assert scaled_group_count(1_000, 100_000) == 1
+    assert scaled_group_count(150_000, 100_000) == 2
+    assert scaled_group_count(10_000_000, 100_000) == 128
     n = estimate_rows(f"{SF}/events.parquet")
     assert n > 0
+
+
+def test_small_grouped_reduce_calls_reducer_once(ray_session):
+    """An input of ≤ ``target_rows_per_group`` rows is one group, so
+    ``hash_grouped_reduce`` calls its reducer once over every key."""
+    import pandas as pd
+    import ray.data as rd
+
+    from dude_ray.partitioning import hash_grouped_reduce
+
+    n = 5_000
+    ds = rd.from_arrow(pa.table({
+        "k": pa.array(np.arange(n) % 997, type=pa.int64()),
+        "v": pa.array(np.ones(n), type=pa.float64())}))
+
+    def one_row(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n_rows": [len(df)],
+                             "n_keys": [df["k"].nunique()]})
+
+    rows = hash_grouped_reduce(ds, "k", one_row, n_rows=n,
+                               target_rows_per_group=n).take_all()
+    assert rows == [{"n_rows": n, "n_keys": 997}]
 
 
 def test_band_join_block_boundary(ray_session, tmp_path):
@@ -2533,6 +2559,36 @@ def test_link_edges_start_no_actor(ray_session):
     edges, nodes = link_edges(SF)
     assert edges.count() > 0 and nodes.count() > 0
     assert actors() == before
+
+
+def test_scraper_follow_starts_no_map_actor(ray_session, tmp_path):
+    """``Scraper.run`` maps each frontier release round with a
+    ``PageWorker`` instance, a task stage: a ``follow_urls`` scrape of
+    a 6-page ``file://`` chain (6 rounds) returns every page's row in
+    chain order and creates no ``MapWorker`` actor."""
+    import ray._private.state as gcs
+
+    from dude_ray.scraper import Scraper
+
+    for i in range(6):
+        nxt = f'<a href="p{i + 1}.html">next</a>' if i < 5 else ""
+        (tmp_path / f"p{i}.html").write_text(
+            f'<div class="item"><p class="title">Page {i}</p></div>{nxt}')
+    app = Scraper()
+
+    @app.select(css=".title", group_css=".item")
+    def title(el):
+        return {"title": el.text_content()}
+
+    def map_actors():
+        return {a["ActorID"] for a in gcs.actors().values()
+                if "MapWorker" in a.get("ActorClassName", "")}
+
+    before = map_actors()
+    rows = app.run(urls=[f"file://{tmp_path}/p0.html"], follow_urls=True)
+    assert [(r["title"], r["_page_url"].rsplit("/", 1)[-1]) for r in rows] \
+        == [(f"Page {i}", f"p{i}.html") for i in range(6)]
+    assert map_actors() == before
 
 
 def test_volume_shipping_no_qualifying_rows(ray_session, tmp_path):

@@ -54,61 +54,63 @@ def test_registry_consistency():
         assert len(params) == 1, (k, params)
 
 
-# Callable classes that may still be passed to ``map_batches`` under
-# dude_ray/pipelines/ and dude_ray/stages/, keyed (module, class), each
-# with the measured reason its cross-batch state pays for an actor
-# pool.  Every other map is a task stage: a plain function, or a
-# callable instance for cheap config.  Empty: the block LRUs of
-# dedup._BlockPairJoin and similarity._BlockKnnJoin, the last
-# candidates, ran faster as task stages (see their docstrings).  The
-# crawl's and scraper's actors live outside these packages.
+# Callable classes that may still be passed to ``map_batches`` anywhere
+# in dude_ray/, keyed (module, class), each with the measured reason its
+# cross-batch state pays for an actor pool.  Every other map is a task
+# stage: a plain function, or a callable instance for cheap config.
+# Empty: the block LRUs of dedup._BlockPairJoin and
+# similarity._BlockKnnJoin ran faster as task stages (see their
+# docstrings), and scraper.PageWorker is a callable instance.  The
+# crawl's raw ``CrawlWorker``/``Frontier`` actors are not map stages.
 STATEFUL_MAP_CLASSES: dict[tuple[str, str], str] = {}
 
 
 def _map_stage_sites():
     """(module, line, fn name, is_class, actor keywords) for every
-    ``map_batches`` call under dude_ray/pipelines/ and dude_ray/stages/,
-    plus the functions there that take a ``concurrency`` parameter."""
+    ``map_batches`` call in dude_ray/, plus the functions under
+    dude_ray/pipelines/ and dude_ray/stages/ that take a ``concurrency``
+    parameter (``run_crawl`` sizes its raw actor pool by design)."""
     import ast
     import importlib
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent / "dude_ray"
     sites, conc = [], []
-    for sub in ("pipelines", "stages"):
-        for path in sorted((root / sub).glob("*.py")):
-            mod = f"dude_ray.{sub}.{path.stem}"
-            tree = ast.parse(path.read_text())
-            local_classes = {n.name for n in ast.walk(tree)
-                             if isinstance(n, ast.ClassDef)}
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                    a = node.args
-                    if any(x.arg == "concurrency" for x in
-                           a.posonlyargs + a.args + a.kwonlyargs):
-                        conc.append((mod, node.lineno))
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "map_batches"):
-                    continue
-                kw = {k.arg: k.value for k in node.keywords}
-                fn = node.args[0] if node.args else kw.get("fn")
-                name = fn.id if isinstance(fn, ast.Name) else None
-                is_class = name is not None and (
-                    name in local_classes or inspect.isclass(
-                        getattr(importlib.import_module(mod), name, None)))
-                actor_kw = sorted({"concurrency", "fn_constructor_kwargs",
-                                   "fn_constructor_args"} & set(kw))
-                sites.append((mod, node.lineno, name, is_class, actor_kw))
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).with_suffix("")
+        mod = ".".join(("dude_ray",) + rel.parts)
+        tree = ast.parse(path.read_text())
+        local_classes = {n.name for n in ast.walk(tree)
+                         if isinstance(n, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+                    and rel.parts[0] in ("pipelines", "stages")):
+                a = node.args
+                if any(x.arg == "concurrency" for x in
+                       a.posonlyargs + a.args + a.kwonlyargs):
+                    conc.append((mod, node.lineno))
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_batches"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            fn = node.args[0] if node.args else kw.get("fn")
+            name = fn.id if isinstance(fn, ast.Name) else None
+            is_class = name is not None and (
+                name in local_classes or inspect.isclass(
+                    getattr(importlib.import_module(mod), name, None)))
+            actor_kw = sorted({"concurrency", "fn_constructor_kwargs",
+                               "fn_constructor_args"} & set(kw))
+            sites.append((mod, node.lineno, name, is_class, actor_kw))
     return sites, conc
 
 
 def test_stateless_maps_are_task_stages():
     """One way to run a stateless map: no pipeline or stage function
     takes a ``concurrency`` parameter, and a class (an actor pool) is
-    passed to ``map_batches`` only if it is on the allowlist of
-    stateful stages above."""
+    passed to ``map_batches`` anywhere in the package only if it is on
+    the allowlist of stateful stages above."""
     sites, conc = _map_stage_sites()
     assert len(sites) > 100  # the scan sees the real call sites
     assert conc == [], conc

@@ -77,7 +77,7 @@ def parquet_row_groups(paths) -> list[tuple[str, int, int]]:
 
 
 def scaled_group_count(n_rows: int, target_rows_per_group: int,
-                       lo: int = 1, hi: int = 1 << 20) -> int:
+                       hi: int = 1 << 20) -> int:
     """Power-of-two group count for a coarse ``map_groups`` dispatch:
     the next power of two ≥ ⌈n_rows / target_rows_per_group⌉.
 
@@ -88,13 +88,12 @@ def scaled_group_count(n_rows: int, target_rows_per_group: int,
     per group inside the tasks that hold the sorted blocks, and a small
     sort output is one block, hence one task, so extra groups only add
     reducer calls (a pandas reducer costs milliseconds per call however
-    few rows it gets).  ``lo`` is for a caller that wants a wider
-    minimum; ``hi`` bounds groupby key cardinality (and must not exceed
-    the key's own bit width when the group id is a bitmask of a
-    hash/LSH key).
+    few rows it gets).  ``hi`` bounds groupby key cardinality (and must
+    not exceed the key's own bit width when the group id is a bitmask
+    of a hash/LSH key).
     """
-    want = max(lo, -(-max(n_rows, 1) // max(target_rows_per_group, 1)))
-    n = lo
+    want = -(-max(n_rows, 1) // max(target_rows_per_group, 1))
+    n = 1
     while n < want and n < hi:
         n <<= 1
     return min(n, hi)
@@ -191,6 +190,26 @@ def resolve_ordered(ds, parquet_path: str, key: str, partial_fn,
         f"dataset not {key}-ordered even after an explicit sort")
 
 
+def _group_ids(t, keys, n_groups: int) -> np.ndarray:
+    """int64 group id in ``[0, n_groups)`` per row of ``t``: a
+    DETERMINISTIC fixed-key hash (``pd.util.hash_array`` — python's
+    builtin ``hash()`` is process-salted and would split keys across
+    groups) of the ``keys`` columns, masked to the power-of-two
+    ``n_groups``.  Integer keys hash by value whatever their width, so
+    two streams keyed on the same ints land in the same groups."""
+    import pandas as pd
+
+    h = np.zeros(len(t), dtype=np.uint64)
+    for c in keys:
+        col = t[c].to_numpy(zero_copy_only=False)
+        if col.dtype == object or col.dtype.kind in ("U", "S"):
+            h ^= pd.util.hash_array(np.asarray(col, dtype=object))
+        else:
+            h ^= pd.util.hash_array(col.astype(np.int64))
+        h = _mix(h)
+    return (h & np.uint64(n_groups - 1)).astype(np.int64)
+
+
 def hash_grouped_reduce(ds, key_cols, reduce_fn, n_rows: int,
                         target_rows_per_group: int = 65536,
                         out_cols=None):
@@ -200,14 +219,13 @@ def hash_grouped_reduce(ds, key_cols, reduce_fn, n_rows: int,
     (~20k rows/s measured on this Ray version — see
     dedup.run_substring_dup history for a 271 s → 1 s case), so every
     unbounded-key reduce here goes through this shape instead: a
-    DETERMINISTIC fixed-key hash (pd.util.hash_array — python's
-    builtin hash() is process-salted and would split keys across
-    groups) of the key column(s), masked to a data-scaled group count
-    (`scaled_group_count`, never a fixed width), ONE sort shuffle on
-    that int key, then ``reduce_fn`` (a pandas frame → frame that
-    groups by the real keys) vectorized per group.  A group holds many
-    keys at every size, and an input of ≤ ``target_rows_per_group``
-    rows is one group: one ``reduce_fn`` call.
+    :func:`_group_ids` hash of the key column(s), masked to a
+    data-scaled group count (`scaled_group_count`, never a fixed
+    width), ONE sort shuffle on that int key, then ``reduce_fn`` (a
+    pandas frame → frame that groups by the real keys) vectorized per
+    group.  A group holds many keys at every size, and an input of ≤
+    ``target_rows_per_group`` rows is one group: one ``reduce_fn``
+    call.
 
     ``n_rows`` sizes the group count — pass a metadata-derived or
     already-known count, not an extra counting pass.  ``out_cols``
@@ -217,20 +235,11 @@ def hash_grouped_reduce(ds, key_cols, reduce_fn, n_rows: int,
     import pyarrow as pa
 
     n_groups = scaled_group_count(max(n_rows, 1), target_rows_per_group)
-    mask = np.uint64(n_groups - 1)
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     def add_g(t: pa.Table) -> pa.Table:
-        h = np.zeros(len(t), dtype=np.uint64)
-        for c in keys:
-            col = t[c].to_numpy(zero_copy_only=False)
-            if col.dtype == object or col.dtype.kind in ("U", "S"):
-                h ^= pd.util.hash_array(np.asarray(col, dtype=object))
-            else:
-                h ^= pd.util.hash_array(col.astype(np.int64))
-            h = _mix(h)
-        return t.append_column("__g", pa.array(
-            (h & mask).astype(np.int64), type=pa.int64()))
+        return t.append_column(
+            "__g", pa.array(_group_ids(t, keys, n_groups), type=pa.int64()))
 
     def reduce_g(df: pd.DataFrame) -> pd.DataFrame:
         return reduce_fn(df.drop(columns="__g"))
@@ -243,6 +252,68 @@ def hash_grouped_reduce(ds, key_cols, reduce_fn, n_rows: int,
         out = out.map_batches(lambda t: t.select(list(out_cols)),
                               batch_format="pyarrow")
     return out
+
+
+def shuffle_join(left, right, key, n_rows: int, post, how: str = "inner",
+                 target_rows_per_group: int = 65536):
+    """Partitioned hash join of two fact-sized Datasets: the join
+    neither side of which fits a broadcast.
+
+    ``left`` and ``right`` are ``(Dataset, pa.Schema)`` pairs; each
+    Dataset emits its schema's columns (others are dropped, and types
+    are cast to the schema), and the two schemas share only the
+    ``key`` column(s).  Both sides are padded to one joint schema with
+    null columns for the other side's fields, tagged, unioned and
+    colocated on the same data-scaled :func:`_group_ids` group as
+    :func:`hash_grouped_reduce` (one sort shuffle; an input of ≤
+    ``target_rows_per_group`` rows is one group).  Each group is joined with Arrow's hash join
+    (``pa.Table.join``; ``how`` is ``"inner"``, ``"left semi"`` or
+    ``"left anti"``), and ``post`` maps the joined ``pa.Table`` to the
+    group's output ``pa.Table``.  A group holding rows of one side
+    only joins to a typed empty table, so ``post`` needs no empty
+    guard.  The schemas are declared, not read off the Datasets:
+    ``Dataset.schema()`` of a lazy mapped Dataset executes it, and a
+    union of differently-shaped sides makes Ray warn about a changed
+    schema on every call."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    (lds, lschema), (rds, rschema) = left, right
+    keys = [key] if isinstance(key, str) else list(key)
+    shared = (set(lschema.names) & set(rschema.names)) - set(keys)
+    if shared:
+        raise ValueError(
+            f"shuffle_join: both sides carry non-key columns {sorted(shared)}")
+    joint = pa.schema([*lschema, *(f for f in rschema if f.name not in keys)])
+    n_groups = scaled_group_count(max(n_rows, 1), target_rows_per_group)
+
+    def tagger(side: int, schema: pa.Schema):
+        own = pa.schema([joint.field(n) for n in schema.names])
+
+        def tag(t: pa.Table) -> pa.Table:
+            t = t.select(own.names).cast(own)
+            n = len(t)
+            cols = [t[f.name] if f.name in own.names else pa.nulls(n, f.type)
+                    for f in joint]
+            cols.append(pa.array(np.full(n, side, dtype=np.int8)))
+            cols.append(pa.array(_group_ids(t, keys, n_groups)))
+            return pa.Table.from_arrays(cols, names=[*joint.names, "__side",
+                                                     "__g"])
+        return tag
+
+    def join(t: pa.Table) -> pa.Table:
+        side = t["__side"]
+        lt = t.filter(pc.equal(side, 0)).select(lschema.names)
+        rt = t.filter(pc.equal(side, 1)).select(rschema.names)
+        # one thread: the task holds one Ray CPU
+        return post(lt.join(rt, keys, join_type=how, use_threads=False))
+
+    return (lds.map_batches(tagger(0, lschema), batch_format="pyarrow",
+                            batch_size=65536)
+            .union(rds.map_batches(tagger(1, rschema),
+                                   batch_format="pyarrow", batch_size=65536))
+            .groupby("__g")
+            .map_groups(join, batch_format="pyarrow"))
 
 
 def _mix(x: np.ndarray) -> np.ndarray:

@@ -65,34 +65,20 @@ def run_ccnet_buckets(sf_dir: str, target_rows_per_group: int = 65536,
     perplexity tercile (see module docstring).  The output is
     invariant to ``coarse_shift`` / ``target_rows_per_group`` (tested)
     — they tune task granularity, never semantics."""
-    from dude_ray.partitioning import estimate_rows, hash_grouped_reduce
+    from dude_ray.partitioning import (estimate_rows, hash_grouped_reduce,
+                                       shuffle_join)
     from dude_ray.pipelines.lm import run_lm_score
     from dude_ray.pipelines.textops import run_lang_id
 
     n_docs = estimate_rows(f"{sf_dir}/documents.parquet")
 
-    langs = run_lang_id(sf_dir).map_batches(
-        lambda t: pa.table({
-            "doc_id": t["doc_id"],
-            "pred_lang": t["pred_lang"],
-            "lm_score": pa.array([float("nan")] * len(t), pa.float64()),
-        }), batch_format="pyarrow")
-    scores = run_lm_score(sf_dir).map_batches(
-        lambda t: pa.table({
-            "doc_id": t["doc_id"],
-            "pred_lang": pa.array([""] * len(t), pa.string()),
-            "lm_score": t["lm_score"],
-        }), batch_format="pyarrow")
-
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        lang_rows = df.loc[df["pred_lang"] != "", ["doc_id", "pred_lang"]]
-        score_rows = df.loc[df["lm_score"].notna(), ["doc_id", "lm_score"]]
-        return lang_rows.merge(score_rows, on="doc_id")
-
-    joined = hash_grouped_reduce(
-        langs.union(scores), "doc_id", _merge, 2 * max(n_docs, 1),
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("doc_id", "pred_lang", "lm_score")).materialize()
+    joined = shuffle_join(
+        (run_lang_id(sf_dir),
+         pa.schema([("doc_id", pa.int64()), ("pred_lang", pa.string())])),
+        (run_lm_score(sf_dir),
+         pa.schema([("doc_id", pa.int64()), ("lm_score", pa.float64())])),
+        "doc_id", 2 * max(n_docs, 1), lambda t: t,
+        target_rows_per_group=target_rows_per_group).materialize()
 
     def _with_ck(t: pa.Table) -> pa.Table:
         qk = _qk(t["lm_score"].to_numpy(zero_copy_only=False))

@@ -683,8 +683,7 @@ def run_embedding_neardup(sf_dir: str, threshold: float = 0.95,
     path = f"{sf_dir}/embeddings.parquet"
     if n_groups is None:
         n_groups = scaled_group_count(
-            estimate_rows(path), target_rows_per_group,
-            lo=32, hi=1 << n_bits)
+            estimate_rows(path), target_rows_per_group, hi=1 << n_bits)
     kmask = n_groups - 1
 
     ds = read_parquet_clean(path, columns=["vec_id", "embedding"])

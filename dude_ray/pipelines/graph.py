@@ -712,26 +712,18 @@ def hits_kernel(edges, nodes, iters: int = 4, num_partitions: int = 4,
         auth = half_step(hub, on="src", gather_by="dst")
         hub = half_step(auth, on="dst", gather_by="src")
 
-    a = auth.map_batches(
-        lambda t: pa.table({"node": t["node"], "auth": t["score"],
-                            "hub": pa.array(np.zeros(len(t)),
-                                            type=pa.float64())}),
-        batch_format="pyarrow")
-    h = hub.map_batches(
-        lambda t: pa.table({"node": t["node"],
-                            "auth": pa.array(np.zeros(len(t)),
-                                             type=pa.float64()),
-                            "hub": t["score"]}),
-        batch_format="pyarrow")
+    # both score sets hold exactly one row per node (the zero rows),
+    # so the inner join keeps every node
+    from dude_ray.partitioning import shuffle_join
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", sort=False).agg(
-            auth=("auth", "sum"), hub=("hub", "sum")).reset_index()
-        return g
+    def side(scores, name: str):
+        return (scores.map_batches(
+            lambda t: t.rename_columns(["node", name]),
+            batch_format="pyarrow"),
+            pa.schema([("node", pa.string()), (name, pa.float64())]))
 
-    from dude_ray.partitioning import hash_grouped_reduce
-    return hash_grouped_reduce(a.union(h), "node", merge, 2 * n_nodes,
-                               out_cols=("node", "auth", "hub"))
+    return shuffle_join(side(auth, "auth"), side(hub, "hub"), "node",
+                        2 * n_nodes, lambda t: t)
 
 
 def run_graph_hits(sf_dir: str, iters: int = 4, num_partitions: int = 4,
@@ -831,10 +823,10 @@ def run_knn_triangles(sf_dir: str, k: int = 5,
     Forward algorithm (Schank & Wagner 2005), each triangle counted
     exactly once at its LOWEST vertex: edges orient low→high, wedges
     (b, c) enumerate per low endpoint a, and a wedge closes iff (b, c)
-    is itself an edge — checked by colocating the tagged wedge and
-    edge streams in ONE data-scaled hash-grouped reduce on the (x, y)
-    pair, then a second tiny reduce sums the three per-node increments
-    per closed triangle.  kNN degrees are ≤ 2k after symmetrization,
+    is itself an edge — checked by ONE left-semi :func:`shuffle_join`
+    of the wedge and edge streams on the (x, y) pair, whose groups
+    count the three per-node increments per closed triangle; a second
+    tiny reduce sums them.  kNN degrees are ≤ 2k after symmetrization,
     so wedge fan-out is ≤ C(2k, 2) per node — id-orientation is safe
     here; a general power-law graph would orient by (degree, id)
     instead (same plumbing, one extra degree broadcast).
@@ -842,7 +834,8 @@ def run_knn_triangles(sf_dir: str, k: int = 5,
     Output: (node, n_triangles) for every node in ≥1 triangle — exact
     BIGINTs, so the DuckDB oracle (three-way self-join over the same
     kNN edge CTE) hash-matches with no rounding contract."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import (hash_grouped_reduce,
+                                       parquet_row_groups, shuffle_join)
     from dude_ray.pipelines.similarity import run_knn_graph
 
     n_vecs = sum(n for _f, _rg, n in
@@ -876,43 +869,32 @@ def run_knn_triangles(sf_dir: str, k: int = 5,
         if not xs:
             return pd.DataFrame({"x": pd.Series(dtype="int64"),
                                  "y": pd.Series(dtype="int64"),
-                                 "w": pd.Series(dtype="int64"),
-                                 "tag": pd.Series(dtype="int8")})
+                                 "w": pd.Series(dtype="int64")})
         return pd.DataFrame({"x": np.concatenate(xs),
                              "y": np.concatenate(ys),
-                             "w": np.concatenate(ws),
-                             "tag": np.int8(1)})
+                             "w": np.concatenate(ws)})
 
     # wedge stream: adjacency grouped by the LOW endpoint (kNN degree
     # is bounded, so one hash group per low node is bounded work)
     wedges = hash_grouped_reduce(
         edges, "a", _wedges, n_vecs * k, target_rows_per_group,
-        out_cols=("x", "y", "w", "tag"))
-    edge_tagged = edges.map_batches(
-        lambda t: pa.table({
-            "x": t["a"], "y": t["b"],
-            "w": pa.nulls(len(t), type=pa.int64()),
-            "tag": pa.array(np.zeros(len(t), dtype=np.int8)),
-        }), batch_format="pyarrow", batch_size=65536)
+        out_cols=("x", "y", "w"))
 
-    def _close(df: pd.DataFrame) -> pd.DataFrame:
-        has_edge = (df.loc[df["tag"] == 0, ["x", "y"]]
-                    .drop_duplicates())
-        wed = df[df["tag"] == 1].merge(has_edge, on=["x", "y"],
-                                       how="inner")
-        if wed.empty:
-            return pd.DataFrame({"node": pd.Series(dtype="int64"),
-                                 "cnt": pd.Series(dtype="int64")})
-        inc = pd.concat([wed["w"], wed["x"], wed["y"]],
-                        ignore_index=True).astype("int64")
-        g = inc.value_counts()
-        return pd.DataFrame({"node": g.index.to_numpy(dtype=np.int64),
-                             "cnt": g.to_numpy(dtype=np.int64)})
+    def _close(t: pa.Table) -> pa.Table:
+        node, cnt = np.unique(np.concatenate(
+            [t[c].to_numpy(zero_copy_only=False) for c in ("w", "x", "y")]),
+            return_counts=True)
+        return pa.table({"node": pa.array(node, type=pa.int64()),
+                         "cnt": pa.array(cnt, type=pa.int64())})
 
-    partials = hash_grouped_reduce(
-        wedges.union(edge_tagged), ["x", "y"], _close,
-        n_vecs * k * (2 * k), target_rows_per_group,
-        out_cols=("node", "cnt"))
+    partials = shuffle_join(
+        (wedges, pa.schema([("x", pa.int64()), ("y", pa.int64()),
+                            ("w", pa.int64())])),
+        (edges.map_batches(lambda t: t.rename_columns(["x", "y"]),
+                           batch_format="pyarrow"),
+         pa.schema([("x", pa.int64()), ("y", pa.int64())])),
+        ["x", "y"], n_vecs * k * (2 * k), _close, how="left semi",
+        target_rows_per_group=target_rows_per_group)
 
     def _sum(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("node", sort=False)["cnt"].sum()

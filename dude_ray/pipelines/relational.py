@@ -7,7 +7,11 @@ Shuffle discipline: every aggregate here pre-combines inside
 ``map_batches`` (one partial row per key per batch) before the — then
 tiny — ``groupby``; a dimension that fits a worker is broadcast once
 via ``ray.put`` of a :func:`dim_table` and probed by :func:`dim_lookup`
-inside plain task stages, never shuffled.
+inside plain task stages, never shuffled.  Two fact-sized sides meet
+in :func:`dude_ray.partitioning.shuffle_join`: each side map filters,
+projects and pre-aggregates to its own declared columns, one sort
+shuffle colocates both sides by a data-scaled hash of the key, and
+each group is an Arrow hash join whose ``post`` reduces it.
 """
 
 from __future__ import annotations
@@ -47,46 +51,43 @@ def _read_dim(sf_dir: str, table: str, columns) -> pd.DataFrame:
 
 WINDOW_S = 300
 
-# Fan-in of the first combine level over partial-aggregate rows — size
-# this to roughly the cluster's node count on a real deployment.
-FINAL_COMBINE_BLOCKS = 2
 
-
-def tree_combine(partials, keys, sums=(), mins=(), maxs=(),
-                 blocks=FINAL_COMBINE_BLOCKS):
+def tree_combine(partials, keys, sums=(), mins=(), maxs=()):
     """Arrow-native two-level merge of partial-aggregate rows.
 
     Ray's sort-based ``groupby().aggregate()`` runs its combine in
     Python per row (~5k rows/s measured) — 1000× slower than Arrow's
     C++ hash aggregation for the same merge.  Since each input batch
-    already emitted ≤1 row per key, the merge is: repartition to
-    ``blocks`` blocks → per-block ``pyarrow`` group_by → repartition(1)
-    → one exact group_by.  Column names are preserved through each
-    level so the same combine applies at every depth.
+    already emitted ≤1 row per key, the merge is: per-block
+    ``pyarrow`` group_by → repartition(1) → one exact group_by.
+    Column names are preserved through each level so the same combine
+    applies at every depth.  The first level runs on the partial
+    blocks as they come, so it never splits a short stream into
+    empty, schema-less blocks.
 
     Scale assumption (documented, checked by the caller's semantics):
     the FINAL key cardinality fits one block — true for every
     aggregate here (≤100k windows/keys).  A high-cardinality final
     combine would instead need a hash-shuffle groupby; the partial
     stream itself never exceeds (#input blocks × keys/block) rows."""
-    aggs = ([(c, "sum") for c in sums] + [(c, "min") for c in mins]
-            + [(c, "max") for c in maxs])
+    aggs = {c: (c, op) for cols, op in ((sums, "sum"), (mins, "min"),
+                                        (maxs, "max")) for c in cols}
 
     def combine(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(list(keys)).aggregate(aggs)
-        cols = {k: g[k] for k in keys}
-        for c in sums:
-            cols[c] = g[c + "_sum"]
-        for c in mins:
-            cols[c] = g[c + "_min"]
-        for c in maxs:
-            cols[c] = g[c + "_max"]
-        return pa.table(cols)
+        return _group_agg(batch, keys, aggs)
 
-    lvl1 = partials.repartition(blocks).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
+    lvl1 = partials.map_batches(combine, batch_format="pyarrow",
+                                batch_size=None)
     return lvl1.repartition(1).map_batches(
         combine, batch_format="pyarrow", batch_size=None)
+
+
+def _group_agg(t: pa.Table, keys, aggs: dict) -> pa.Table:
+    """Arrow hash group-by of ``t`` on ``keys``: the key columns, then
+    one column ``name`` per ``aggs`` entry ``name: (column, op)``."""
+    g = t.group_by(list(keys)).aggregate(list(aggs.values()))
+    return pa.table({**{k: g[k] for k in keys},
+                     **{n: g[f"{c}_{op}"] for n, (c, op) in aggs.items()}})
 
 
 def dim_table(keys, *cols):
@@ -350,8 +351,7 @@ TARGET_ROWS_PER_GROUP = 100_000
 
 
 def _scaled_buckets(sf_dir: str, table: str,
-                    target: int = TARGET_ROWS_PER_GROUP,
-                    lo: int = 1) -> int:
+                    target: int = TARGET_ROWS_PER_GROUP) -> int:
     """Power-of-two bucket count for ``table``: ~``target`` rows per
     bucket by its parquet footers (:func:`scaled_group_count`), so a
     table of ≤ ``target`` rows is one bucket and one ``map_groups``
@@ -359,7 +359,7 @@ def _scaled_buckets(sf_dir: str, table: str,
     from dude_ray.partitioning import estimate_rows, scaled_group_count
 
     return scaled_group_count(
-        estimate_rows(f"{sf_dir}/{table}.parquet"), target, lo=lo)
+        estimate_rows(f"{sf_dir}/{table}.parquet"), target)
 
 
 def run_user_sessions(sf_dir: str, users_per_group: int | None = None):
@@ -535,7 +535,7 @@ def run_distinct_users(sf_dir: str, n_buckets: int | None = None):
     at unbounded cardinality swaps the per-bucket set for an HLL
     register array with the identical merge shape.)"""
     if n_buckets is None:
-        n_buckets = _scaled_buckets(sf_dir, "events", lo=16)
+        n_buckets = _scaled_buckets(sf_dir, "events")
 
     def _pairs(batch: pa.Table) -> pa.Table:
         g = batch.select(["event_type", "user_id"]).group_by(
@@ -1137,11 +1137,11 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
 
     Scale shape: customer (the dimension) broadcasts once via ray.put
     (at TPC-H ratios it is ~1% of lineitem; if the dimension ever
-    outgrew a worker heap the same hash-bucket union below would take
-    it too); both fact scans filter + project + PRE-AGGREGATE per
+    outgrew a worker heap the same shuffle join below would take it
+    too); both fact scans filter + project + PRE-AGGREGATE per
     batch before anything moves (lineitem collapses to one partial row
-    per (orderkey, batch)), then ONE data-scaled hash-grouped reduce
-    on the orderkey colocates the two tagged streams — the classic
+    per (orderkey, batch)), then ONE :func:`shuffle_join` on the
+    orderkey colocates the two streams — the classic
     partition-hash-join, no driver materialization, no row ever
     carrying more than 4 columns.  Top-k cuts per block first, so the
     global sort sees k rows per block.
@@ -1151,7 +1151,7 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
     the hash agree (the pricing_summary precedent)."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     cut_us = np.int64(pd.Timestamp(cutoff).value // 1000)
 
@@ -1165,13 +1165,11 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
             zero_copy_only=False)
         in_seg = dim_lookup(ray.get(seg_ref), ck)[0]
         kept = batch.filter(pa.array((dt < cut_us) & in_seg))
-        n = len(kept)
         return pa.table({
-            "okey": kept["o_orderkey"],
-            "rev": pa.nulls(n, type=pa.float64()),
-            "odate": pc.strftime(kept["o_orderdate"], format="%Y-%m-%d"),
-            "opri": kept["o_orderpriority"],
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
+            "l_orderkey": kept["o_orderkey"],
+            "o_orderdate": pc.strftime(kept["o_orderdate"],
+                                       format="%Y-%m-%d"),
+            "o_orderpriority": kept["o_orderpriority"],
         })
 
     def line_side(batch: pa.Table) -> pa.Table:
@@ -1180,16 +1178,9 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
         kept = batch.filter(pa.array(sd > cut_us))
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        g = (pa.table({"okey": kept["l_orderkey"], "rev": rev})
-             .group_by("okey").aggregate([("rev", "sum")]))
-        n = len(g)
-        return pa.table({
-            "okey": g["okey"],
-            "rev": g["rev_sum"],
-            "odate": pa.nulls(n, type=pa.string()),
-            "opri": pa.nulls(n, type=pa.string()),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+        return _group_agg(
+            pa.table({"l_orderkey": kept["l_orderkey"], "rev": rev}),
+            ["l_orderkey"], {"revenue": ("rev", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate",
@@ -1203,31 +1194,20 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _join(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 0]
-        l = df[df["side"] == 1]
-        if o.empty or l.empty:
-            return pd.DataFrame({
-                "l_orderkey": pd.Series(dtype="int64"),
-                "revenue": pd.Series(dtype="float64"),
-                "o_orderdate": pd.Series(dtype="object"),
-                "o_orderpriority": pd.Series(dtype="object"),
-            })
-        rev = l.groupby("okey", sort=False)["rev"].sum()
-        m = o.merge(rev.rename("revenue"), left_on="okey",
-                    right_index=True, how="inner")
-        return pd.DataFrame({
-            "l_orderkey": m["okey"].astype("int64"),
-            "revenue": m["revenue"].to_numpy(dtype=np.float64),
-            "o_orderdate": m["odate"],
-            "o_orderpriority": m["opri"],
-        })
+    def _revenue(t: pa.Table) -> pa.Table:
+        return _group_agg(
+            t, ["l_orderkey", "o_orderdate", "o_orderpriority"],
+            {"revenue": ("revenue", "sum")}).select(
+            ["l_orderkey", "revenue", "o_orderdate", "o_orderpriority"])
 
-    joined = hash_grouped_reduce(
-        orders.union(lines), "okey", _join, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("l_orderkey", "revenue", "o_orderdate",
-                  "o_orderpriority"))
+    joined = shuffle_join(
+        (orders, pa.schema([("l_orderkey", pa.int64()),
+                            ("o_orderdate", pa.string()),
+                            ("o_orderpriority", pa.string())])),
+        (lines, pa.schema([("l_orderkey", pa.int64()),
+                           ("revenue", pa.float64())])),
+        "l_orderkey", n_rows, _revenue,
+        target_rows_per_group=target_rows_per_group)
 
     def local_topk(batch: pa.Table) -> pa.Table:
         batch = batch.set_column(
@@ -1460,18 +1440,18 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
     probed by :func:`dim_lookup` in task stages — dimension rows never
     shuffle.  Both fact scans filter + project + pre-aggregate per
     batch (lineitem collapses to one partial row per
-    (orderkey, supp_nation, batch)), then the SAME data-scaled
-    hash-grouped reduce :func:`run_shipping_priority` uses colocates
-    the two tagged streams on orderkey, where the c_nation = s_nation
-    equality is applied per group.  Output is ≤ |nation| partial rows
-    per group, merged by :func:`tree_combine`.
+    (orderkey, supp_nation, batch)), then the SAME
+    :func:`shuffle_join` :func:`run_shipping_priority` uses joins the
+    two streams on (orderkey, nation), which applies the c_nation =
+    s_nation equality inside the join.  Output is ≤ |nation| partial
+    rows per group, merged by :func:`tree_combine`.
 
     Float contract: per-nation revenue rounds to 2 dp (``_py_round``
     == DuckDB round) after the final merge, the pricing_summary
     precedent."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
@@ -1497,13 +1477,8 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
         found, cnat = dim_lookup(ray.get(cust_ref), kept["o_custkey"]
                                  .to_numpy(zero_copy_only=False))
         kept = kept.filter(pa.array(found))
-        n = len(kept)
-        return pa.table({
-            "okey": kept["o_orderkey"],
-            "nat": pa.array(cnat[found], type=pa.int64()),
-            "rev": pa.nulls(n, type=pa.float64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
+        return pa.table({"okey": kept["o_orderkey"],
+                         "nat": pa.array(cnat[found], type=pa.int64())})
 
     def line_side(batch: pa.Table) -> pa.Table:
         found, snat = dim_lookup(ray.get(sup_ref), batch["l_suppkey"]
@@ -1511,17 +1486,11 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
         kept = batch.filter(pa.array(found))
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        g = (pa.table({"okey": kept["l_orderkey"],
-                       "nat": pa.array(snat[found], type=pa.int64()),
-                       "rev": rev})
-             .group_by(["okey", "nat"]).aggregate([("rev", "sum")]))
-        n = len(g)
-        return pa.table({
-            "okey": g["okey"],
-            "nat": g["nat"],
-            "rev": g["rev_sum"],
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+        return _group_agg(
+            pa.table({"okey": kept["l_orderkey"],
+                      "nat": pa.array(snat[found], type=pa.int64()),
+                      "rev": rev}),
+            ["okey", "nat"], {"rev": ("rev", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
@@ -1534,23 +1503,13 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _join(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 0]
-        l = df[df["side"] == 1]
-        if o.empty or l.empty:
-            return pd.DataFrame({"nat": pd.Series(dtype="int64"),
-                                 "rev": pd.Series(dtype="float64")})
-        m = l.merge(o[["okey", "nat"]].rename(columns={"nat": "cnat"}),
-                    on="okey", how="inner")
-        m = m[m["nat"] == m["cnat"]]
-        g = m.groupby("nat", sort=False)["rev"].sum().reset_index()
-        return pd.DataFrame({"nat": g["nat"].astype("int64"),
-                             "rev": g["rev"].to_numpy(dtype=np.float64)})
-
-    partials = hash_grouped_reduce(
-        orders.union(lines), "okey", _join, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("nat", "rev"))
+    partials = shuffle_join(
+        (orders, pa.schema([("okey", pa.int64()), ("nat", pa.int64())])),
+        (lines, pa.schema([("okey", pa.int64()), ("nat", pa.int64()),
+                           ("rev", pa.float64())])),
+        ["okey", "nat"], n_rows,
+        lambda t: _group_agg(t, ["nat"], {"rev": ("rev", "sum")}),
+        target_rows_per_group=target_rows_per_group)
 
     out = tree_combine(partials, ["nat"], sums=("rev",))
 
@@ -1759,12 +1718,12 @@ def run_priority_semijoin(sf_dir: str, start: str = Q4_START,
 
     Plan (the 100 TB shape): both scans filter + project + pre-shrink
     per batch (lineitem collapses to its DISTINCT orderkeys per batch
-    — existence needs no payload), then the shipping_priority
-    tagged-union hash reduce colocates the two streams on orderkey;
-    each bucket keeps orders whose key appears on the line side and
-    emits ≤|priority| partial count rows.  Counts are integers —
+    — existence needs no payload), then a left-semi
+    :func:`shuffle_join` on orderkey keeps the orders whose key
+    appears on the line side; each group emits ≤|priority| partial
+    count rows.  Counts are integers —
     exact under any merge order."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
@@ -1773,23 +1732,13 @@ def run_priority_semijoin(sf_dir: str, start: str = Q4_START,
         dt = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
         kept = batch.filter(pa.array((dt >= start_us) & (dt < end_us)))
-        n = len(kept)
-        return pa.table({
-            "okey": kept["o_orderkey"],
-            "pri": kept["o_orderpriority"],
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
+        return pa.table({"okey": kept["o_orderkey"],
+                         "pri": kept["o_orderpriority"]})
 
     def line_side(batch: pa.Table) -> pa.Table:
         kept = batch.filter(pc.greater_equal(batch["l_quantity"],
                                              pa.scalar(qty_min)))
-        keys = pc.unique(kept["l_orderkey"])
-        n = len(keys)
-        return pa.table({
-            "okey": keys,
-            "pri": pa.nulls(n, type=pa.string()),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+        return pa.table({"okey": pc.unique(kept["l_orderkey"])})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate",
@@ -1802,17 +1751,12 @@ def run_priority_semijoin(sf_dir: str, start: str = Q4_START,
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _semi(df: pd.DataFrame) -> pd.DataFrame:
-        have = df.loc[df["side"] == 1, "okey"].unique()
-        o = df[(df["side"] == 0) & df["okey"].isin(have)]
-        g = o.groupby("pri", sort=False).size().reset_index(name="n")
-        return pd.DataFrame({"pri": g["pri"],
-                             "n": g["n"].astype("int64")})
-
-    partials = hash_grouped_reduce(
-        orders.union(lines), "okey", _semi, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("pri", "n"))
+    partials = shuffle_join(
+        (orders, pa.schema([("okey", pa.int64()), ("pri", pa.string())])),
+        (lines, pa.schema([("okey", pa.int64())])),
+        "okey", n_rows,
+        lambda t: _group_agg(t, ["pri"], {"n": ("okey", "count")}),
+        how="left semi", target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["pri"], sums=("n",))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -1853,11 +1797,11 @@ def run_lapsed_customers(sf_dir: str, cutoff: str = Q22_CUTOFF,
 
     Plan (the 100 TB shape): orders pre-shrinks to its DISTINCT
     custkeys per batch; customers carry (segment, balance-in-cents);
-    ONE tagged-union hash reduce on custkey keeps the customers whose
-    key never appears on the order side.  Balances convert to exact
+    ONE left-anti :func:`shuffle_join` on custkey keeps the customers
+    whose key never appears on the order side.  Balances convert to exact
     integer cents (the testdata's 2-dp contract) so every sum is
     order-independent and bit-identical to the oracle's."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     cut_us = np.int64(pd.Timestamp(cutoff).value // 1000)
 
@@ -1870,26 +1814,15 @@ def run_lapsed_customers(sf_dir: str, cutoff: str = Q22_CUTOFF,
         # diverge on an exact .5-cent value)
         y = kept["c_acctbal"].to_numpy(zero_copy_only=False) * 100.0
         cents = (np.sign(y) * np.floor(np.abs(y) + 0.5)).astype(np.int64)
-        n = len(kept)
-        return pa.table({
-            "ckey": kept["c_custkey"],
-            "seg": kept["c_mktsegment"],
-            "cents": pa.array(cents, type=pa.int64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
+        return pa.table({"ckey": kept["c_custkey"],
+                         "seg": kept["c_mktsegment"],
+                         "cents": pa.array(cents, type=pa.int64())})
 
     def order_side(batch: pa.Table) -> pa.Table:
         dt = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
         kept = batch.filter(pa.array(dt >= cut_us))
-        keys = pc.unique(kept["o_custkey"])
-        n = len(keys)
-        return pa.table({
-            "ckey": keys,
-            "seg": pa.nulls(n, type=pa.string()),
-            "cents": pa.array(np.zeros(n, dtype=np.int64)),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+        return pa.table({"ckey": pc.unique(kept["o_custkey"])})
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_mktsegment", "c_acctbal"]).map_batches(
@@ -1901,20 +1834,14 @@ def run_lapsed_customers(sf_dir: str, cutoff: str = Q22_CUTOFF,
     n_rows = sum(n for t in ("customer", "orders") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _anti(df: pd.DataFrame) -> pd.DataFrame:
-        active = df.loc[df["side"] == 1, "ckey"].unique()
-        c = df[(df["side"] == 0) & ~df["ckey"].isin(active)]
-        g = (c.groupby("seg", sort=False)
-             .agg(n=("ckey", "size"), cents=("cents", "sum"))
-             .reset_index())
-        return pd.DataFrame({"seg": g["seg"],
-                             "n": g["n"].astype("int64"),
-                             "cents": g["cents"].astype("int64")})
-
-    partials = hash_grouped_reduce(
-        cust.union(orders), "ckey", _anti, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("seg", "n", "cents"))
+    partials = shuffle_join(
+        (cust, pa.schema([("ckey", pa.int64()), ("seg", pa.string()),
+                          ("cents", pa.int64())])),
+        (orders, pa.schema([("ckey", pa.int64())])),
+        "ckey", n_rows,
+        lambda t: _group_agg(t, ["seg"], {"n": ("ckey", "count"),
+                                          "cents": ("cents", "sum")}),
+        how="left anti", target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["seg"], sums=("n", "cents"))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -2218,78 +2145,53 @@ def run_small_qty_revenue(sf_dir: str, frac: float = 0.2,
 
     Plan (the 100 TB shape): the threshold needs every row of a part
     on one worker ANYWAY, so instead of aggregate + re-scan + join we
-    hash-colocate ONE projected pass of lineitem with the tagged part
-    dimension (the :func:`run_revenue_by_nation` tag-union discipline)
-    and compute avg-threshold, filter and brand attribution per part
-    inside the group — lineitem is scanned once and only (partkey,
-    qty, price-cents, brand) ever shuffles.  Money follows the
-    integer-cents contract (`run_lapsed_customers`): half-away
-    conversion per row, int64 sums exact under any merge order; the
-    threshold compare reproduces DuckDB's ``0.2 * avg(qty)`` double
-    arithmetic exactly because integral quantities sum exactly in
-    float64.  Reference parity: the correlated-filter shape of
-    dude's per-group handler filters (dude/base.py flatten loop),
-    here as one distributed pass."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    :func:`shuffle_join` ONE projected pass of lineitem with the part
+    dimension on partkey (the :func:`run_revenue_by_nation`
+    discipline) and compute avg-threshold, filter and brand
+    attribution per part inside the group — lineitem is scanned once
+    and only (partkey, qty, price-cents, brand) ever shuffles.  Money
+    follows the integer-cents contract (`run_lapsed_customers`):
+    half-away conversion per row, int64 sums exact under any merge
+    order; the threshold compare reproduces DuckDB's
+    ``0.2 * avg(qty)`` double arithmetic exactly because integral
+    quantities sum exactly in float64.  Reference parity: the
+    correlated-filter shape of dude's per-group handler filters
+    (dude/base.py flatten loop), here as one distributed pass."""
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     def line_side(batch: pa.Table) -> pa.Table:
         y = pc.multiply(batch["l_extendedprice"],
                         pa.scalar(100.0)).to_numpy(zero_copy_only=False)
         cents = (np.sign(y) * np.floor(np.abs(y) + 0.5)).astype(np.int64)
-        n = len(batch)
-        return pa.table({
-            "pkey": batch["l_partkey"],
-            "qty": batch["l_quantity"],
-            "cents": pa.array(cents, type=pa.int64()),
-            "p_brand": pa.nulls(n, type=pa.string()),
-        })
-
-    def part_side(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table({
-            "pkey": batch["p_partkey"],
-            "qty": pa.nulls(n, type=pa.float64()),
-            "cents": pa.array(np.zeros(n, dtype=np.int64)),
-            "p_brand": batch["p_brand"],
-        })
+        return pa.table({"p_partkey": batch["l_partkey"],
+                         "qty": batch["l_quantity"],
+                         "cents": pa.array(cents, type=pa.int64())})
 
     lines = _read(sf_dir, "lineitem",
                   ["l_partkey", "l_quantity", "l_extendedprice"]).map_batches(
         line_side, batch_format="pyarrow", batch_size=65536)
-    parts = _read(sf_dir, "part", ["p_partkey", "p_brand"]).map_batches(
-        part_side, batch_format="pyarrow", batch_size=65536)
+    parts = _read(sf_dir, "part", ["p_partkey", "p_brand"])
 
-    def _per_part(df: pd.DataFrame) -> pd.DataFrame:
-        dim = df[df["p_brand"].notna()]
-        fact = df[df["p_brand"].isna()]
-        if dim.empty or fact.empty:
-            return pd.DataFrame({"p_brand": pd.Series(dtype="object"),
-                                 "revenue_cents": pd.Series(dtype="int64"),
-                                 "n_small": pd.Series(dtype="int64")})
-        codes, uniq = pd.factorize(fact["pkey"].to_numpy(dtype=np.int64))
-        qty = fact["qty"].to_numpy(dtype=np.float64)
-        sum_q = np.bincount(codes, weights=qty, minlength=len(uniq))
-        n_q = np.bincount(codes, minlength=len(uniq))
-        thr = frac * (sum_q / n_q)          # same op order as the SQL
-        keep = qty < thr[codes]
-        kc = codes[keep]
-        rev = np.bincount(kc, weights=fact["cents"].to_numpy(
-            dtype=np.float64)[keep], minlength=len(uniq)).astype(np.int64)
-        n_small = np.bincount(kc, minlength=len(uniq)).astype(np.int64)
-        found, brand = dim_lookup(
-            dim_table(dim["pkey"], dim["p_brand"].to_numpy()), uniq)
-        out = pd.DataFrame({"p_brand": brand, "revenue_cents": rev,
-                            "n_small": n_small})
-        out = out[(n_small > 0) & found]
-        return (out.groupby("p_brand", sort=False)
-                [["revenue_cents", "n_small"]].sum().reset_index())
+    def _per_part(t: pa.Table) -> pa.Table:
+        t = t.join(_group_agg(t, ["p_partkey"], {"sq": ("qty", "sum"),
+                                                 "nq": ("qty", "count")}),
+                   "p_partkey", use_threads=False)
+        # same op order as the SQL's 0.2 * avg(qty)
+        thr = pc.multiply(pa.scalar(frac), pc.divide(
+            t["sq"], pc.cast(t["nq"], pa.float64())))
+        return _group_agg(t.filter(pc.less(t["qty"], thr)), ["p_brand"],
+                          {"revenue_cents": ("cents", "sum"),
+                           "n_small": ("cents", "count")})
 
     n_rows = sum(n for t in ("lineitem", "part") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
-    partials = hash_grouped_reduce(
-        lines.union(parts), "pkey", _per_part, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("p_brand", "revenue_cents", "n_small"))
+    partials = shuffle_join(
+        (lines, pa.schema([("p_partkey", pa.int64()), ("qty", pa.float64()),
+                           ("cents", pa.int64())])),
+        (parts, pa.schema([("p_partkey", pa.int64()),
+                           ("p_brand", pa.string())])),
+        "p_partkey", n_rows, _per_part,
+        target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["p_brand"],
                        sums=("revenue_cents", "n_small"))
 
@@ -2339,34 +2241,26 @@ def run_large_orders(sf_dir: str, min_qty: float = Q18_MIN_QTY,
 
     Plan (the 100 TB shape): lineitem pre-aggregates per batch to one
     (orderkey, qty) partial row (Arrow group_by — only ~|orders per
-    block| rows shuffle), tag-unions with the projected orders table
-    on ONE orderkey hash colocation where the HAVING cut applies, then
-    the ~1%-selective survivor set tag-unions with customer on a
-    SECOND custkey colocation for the name.  No driver-side key lists,
-    no broadcast of a data-scaled dimension; quantities are integral
-    so every float sum is exact in any association."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    block| rows shuffle) and meets the projected orders table in ONE
+    :func:`shuffle_join` on orderkey, whose groups apply the HAVING
+    cut; the ~1%-selective survivor set then joins customer in a
+    SECOND :func:`shuffle_join` on custkey for the name.  No
+    driver-side key lists, no broadcast of a data-scaled dimension;
+    quantities are integral so every float sum is exact in any
+    association."""
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     def line_partial(batch: pa.Table) -> pa.Table:
-        g = (batch.select(["l_orderkey", "l_quantity"])
-             .group_by("l_orderkey").aggregate([("l_quantity", "sum")]))
-        n = len(g)
-        return pa.table({
-            "okey": g["l_orderkey"],
-            "sqty": g["l_quantity_sum"],
-            "ckey": pa.array(np.full(n, -1, dtype=np.int64)),
-            "odate_us": pa.array(np.zeros(n, dtype=np.int64)),
-            "tprice": pa.array(np.zeros(n, dtype=np.float64)),
-        })
+        return _group_agg(pa.table({"o_orderkey": batch["l_orderkey"],
+                                    "qty": batch["l_quantity"]}),
+                          ["o_orderkey"], {"sqty": ("qty", "sum")})
 
     def order_side(batch: pa.Table) -> pa.Table:
-        n = len(batch)
         return pa.table({
-            "okey": batch["o_orderkey"],
-            "sqty": pa.nulls(n, type=pa.float64()),
-            "ckey": pc.cast(batch["o_custkey"], pa.int64()),
+            "o_orderkey": batch["o_orderkey"],
+            "c_custkey": batch["o_custkey"],
             "odate_us": pc.cast(batch["o_orderdate"], pa.int64()),
-            "tprice": batch["o_totalprice"],
+            "o_totalprice": batch["o_totalprice"],
         })
 
     lines = _read(sf_dir, "lineitem",
@@ -2376,98 +2270,23 @@ def run_large_orders(sf_dir: str, min_qty: float = Q18_MIN_QTY,
                    ["o_orderkey", "o_custkey", "o_orderdate",
                     "o_totalprice"]).map_batches(
         order_side, batch_format="pyarrow", batch_size=65536)
+    order_cols = pa.schema([("o_orderkey", pa.int64()),
+                            ("c_custkey", pa.int64()),
+                            ("odate_us", pa.int64()),
+                            ("o_totalprice", pa.float64())])
 
-    def _having_join(df: pd.DataFrame) -> pd.DataFrame:
-        fact = df[df["sqty"].notna()]
-        dim = df[df["sqty"].isna()]
-        empty = pd.DataFrame({
-            "o_orderkey": pd.Series(dtype="int64"),
-            "ckey": pd.Series(dtype="int64"),
-            "odate_us": pd.Series(dtype="int64"),
-            "o_totalprice": pd.Series(dtype="float64"),
-            "total_qty": pd.Series(dtype="int64")})
-        if fact.empty or dim.empty:
-            return empty
-        codes, uniq = pd.factorize(fact["okey"].to_numpy(dtype=np.int64))
-        tot = np.bincount(codes, weights=fact["sqty"].to_numpy(
-            dtype=np.float64), minlength=len(uniq))
-        big = tot > min_qty
-        if not big.any():
-            return empty
-        found, qty = dim_lookup(dim_table(uniq[big], tot[big]), dim["okey"])
-        d = dim[found]
-        return pd.DataFrame({
-            "o_orderkey": d["okey"].to_numpy(dtype=np.int64),
-            "ckey": d["ckey"].to_numpy(dtype=np.int64),
-            "odate_us": d["odate_us"].to_numpy(dtype=np.int64),
-            "o_totalprice": d["tprice"].to_numpy(dtype=np.float64),
-            "total_qty": qty[found].astype(np.int64),
-        })
+    def _having(t: pa.Table) -> pa.Table:
+        g = _group_agg(t, order_cols.names, {"total_qty": ("sqty", "sum")})
+        return g.filter(pc.greater(g["total_qty"], min_qty))
 
     n1 = sum(n for t in ("lineitem", "orders") for _f, _rg, n in
              parquet_row_groups(f"{sf_dir}/{t}.parquet"))
-    survivors = hash_grouped_reduce(
-        lines.union(orders), "okey", _having_join, n1,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("o_orderkey", "ckey", "odate_us", "o_totalprice",
-                  "total_qty"))
-
-    def surv_side(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ckey": batch["ckey"],
-            "c_name": pa.nulls(len(batch), type=pa.string()),
-            "o_orderkey": batch["o_orderkey"],
-            "odate_us": batch["odate_us"],
-            "o_totalprice": batch["o_totalprice"],
-            "total_qty": batch["total_qty"],
-        })
-
-    def cust_side(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table({
-            "ckey": pc.cast(batch["c_custkey"], pa.int64()),
-            "c_name": batch["c_name"],
-            "o_orderkey": pa.array(np.full(n, -1, dtype=np.int64)),
-            "odate_us": pa.array(np.zeros(n, dtype=np.int64)),
-            "o_totalprice": pa.array(np.zeros(n, dtype=np.float64)),
-            "total_qty": pa.array(np.zeros(n, dtype=np.int64)),
-        })
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"]).map_batches(
-        cust_side, batch_format="pyarrow", batch_size=65536)
-
-    def _name_join(df: pd.DataFrame) -> pd.DataFrame:
-        dim = df[df["c_name"].notna()]
-        fact = df[df["c_name"].isna()]
-        if fact.empty:
-            return pd.DataFrame({
-                "c_name": pd.Series(dtype="object"),
-                "c_custkey": pd.Series(dtype="int64"),
-                "o_orderkey": pd.Series(dtype="int64"),
-                "odate_us": pd.Series(dtype="int64"),
-                "o_totalprice": pd.Series(dtype="float64"),
-                "total_qty": pd.Series(dtype="int64")})
-        ck = fact["ckey"].to_numpy(dtype=np.int64)
-        found, name = dim_lookup(
-            dim_table(dim["ckey"], dim["c_name"].to_numpy()), ck)
-        return pd.DataFrame({
-            "c_name": name,
-            "c_custkey": ck,
-            "o_orderkey": fact["o_orderkey"].to_numpy(dtype=np.int64),
-            "odate_us": fact["odate_us"].to_numpy(dtype=np.int64),
-            "o_totalprice": fact["o_totalprice"].to_numpy(
-                dtype=np.float64),
-            "total_qty": fact["total_qty"].to_numpy(dtype=np.int64),
-        })[found]
-
-    n2 = sum(n for _f, _rg, n in
-             parquet_row_groups(f"{sf_dir}/customer.parquet"))
-    named = hash_grouped_reduce(
-        survivors.map_batches(surv_side, batch_format="pyarrow")
-        .union(cust), "ckey", _name_join, n2,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("c_name", "c_custkey", "o_orderkey", "odate_us",
-                  "o_totalprice", "total_qty"))
+    survivors = shuffle_join(
+        (orders, order_cols),
+        (lines, pa.schema([("o_orderkey", pa.int64()),
+                           ("sqty", pa.float64())])),
+        "o_orderkey", n1, _having,
+        target_rows_per_group=target_rows_per_group)
 
     def finalize(batch: pa.Table) -> pa.Table:
         odate = pd.to_datetime(
@@ -2479,12 +2298,20 @@ def run_large_orders(sf_dir: str, min_qty: float = Q18_MIN_QTY,
             "o_orderkey": batch["o_orderkey"],
             "o_orderdate": pa.array(odate, type=pa.string()),
             "o_totalprice": batch["o_totalprice"],
-            "total_qty": batch["total_qty"],
+            "total_qty": pc.cast(batch["total_qty"], pa.int64()),
         })
 
-    return (named.map_batches(finalize, batch_format="pyarrow")
-            .sort(["o_totalprice", "o_orderkey"],
-                  descending=[True, False]))
+    n2 = sum(n for _f, _rg, n in
+             parquet_row_groups(f"{sf_dir}/customer.parquet"))
+    named = shuffle_join(
+        (survivors, pa.schema([*order_cols,
+                               ("total_qty", pa.float64())])),
+        (_read(sf_dir, "customer", ["c_custkey", "c_name"]),
+         pa.schema([("c_custkey", pa.int64()), ("c_name", pa.string())])),
+        "c_custkey", n2, finalize,
+        target_rows_per_group=target_rows_per_group)
+    return named.sort(["o_totalprice", "o_orderkey"],
+                      descending=[True, False])
 
 
 def large_orders_oracle_sql(min_qty: float = Q18_MIN_QTY) -> str:
@@ -3407,8 +3234,8 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
     Plan (the 100 TB shape): both fact scans filter + project +
     pre-aggregate per batch (lineitem keeps only returnflag='R' rows
     and collapses to one partial row per (orderkey, batch)); ONE
-    data-scaled hash-grouped reduce colocates the tagged streams on
-    orderkey AND re-keys the joined revenue to custkey; a SECOND
+    :func:`shuffle_join` on orderkey joins the streams AND re-keys the
+    joined revenue to custkey; a SECOND
     hash-grouped reduce makes per-customer revenue exact and cuts to
     a local top-k per group, so the global sort sees ≤k rows per
     group.  Customer name/balance/nation attach afterwards: the ≤k
@@ -3420,7 +3247,8 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
     shipping_priority precedent)."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import (hash_grouped_reduce,
+                                       parquet_row_groups, shuffle_join)
 
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
@@ -3429,27 +3257,15 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
         dt = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
         kept = batch.filter(pa.array((dt >= start_us) & (dt < end_us)))
-        n = len(kept)
-        return pa.table({
-            "okey": kept["o_orderkey"],
-            "ckey": kept["o_custkey"],
-            "rev": pa.nulls(n, type=pa.float64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
+        return pa.table({"okey": kept["o_orderkey"],
+                         "ckey": kept["o_custkey"]})
 
     def line_side(batch: pa.Table) -> pa.Table:
         kept = batch.filter(pc.equal(batch["l_returnflag"], "R"))
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        g = (pa.table({"okey": kept["l_orderkey"], "rev": rev})
-             .group_by("okey").aggregate([("rev", "sum")]))
-        n = len(g)
-        return pa.table({
-            "okey": g["okey"],
-            "ckey": pa.nulls(n, type=pa.int64()),
-            "rev": g["rev_sum"],
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+        return _group_agg(pa.table({"okey": kept["l_orderkey"], "rev": rev}),
+                          ["okey"], {"rev": ("rev", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
@@ -3462,23 +3278,12 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _join(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 0]
-        l = df[df["side"] == 1]
-        if o.empty or l.empty:
-            return pd.DataFrame({"ckey": pd.Series(dtype="int64"),
-                                 "rev": pd.Series(dtype="float64")})
-        rev = l.groupby("okey", sort=False)["rev"].sum()
-        m = o.merge(rev.rename("revenue"), left_on="okey",
-                    right_index=True, how="inner")
-        g = m.groupby("ckey", sort=False)["revenue"].sum().reset_index()
-        return pd.DataFrame({"ckey": g["ckey"].astype("int64"),
-                             "rev": g["revenue"].to_numpy(dtype=np.float64)})
-
-    by_cust = hash_grouped_reduce(
-        orders.union(lines), "okey", _join, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("ckey", "rev"))
+    by_cust = shuffle_join(
+        (orders, pa.schema([("okey", pa.int64()), ("ckey", pa.int64())])),
+        (lines, pa.schema([("okey", pa.int64()), ("rev", pa.float64())])),
+        "okey", n_rows,
+        lambda t: _group_agg(t, ["ckey"], {"rev": ("rev", "sum")}),
+        target_rows_per_group=target_rows_per_group)
 
     def _cust_topk(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("ckey", sort=False)["rev"].sum().reset_index()
@@ -3855,8 +3660,8 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
     (the :func:`run_revenue_by_nation` pattern — dimension rows never
     shuffle); lineitem pre-aggregates per batch to one partial row per
     (orderkey, supp-nation, year); orders contributes (orderkey,
-    cust-nation); ONE data-scaled hash-grouped reduce colocates the
-    tagged streams on orderkey and keeps only cross-nation pairs.  The
+    cust-nation); ONE :func:`shuffle_join` on orderkey joins the
+    streams and keeps only cross-nation pairs.  The
     final combine sees ≤ 2 nations × 2 nations × years rows per
     group.
 
@@ -3864,7 +3669,7 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
     final merge."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
@@ -3884,14 +3689,8 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
         found, cnat = dim_lookup(ray.get(cust_ref), batch["o_custkey"]
                                  .to_numpy(zero_copy_only=False))
         kept = batch.filter(pa.array(found))
-        n = len(kept)
-        return pa.table({
-            "okey": kept["o_orderkey"],
-            "nat": pa.array(cnat[found], type=pa.int64()),
-            "year": pa.nulls(n, type=pa.int64()),
-            "rev": pa.nulls(n, type=pa.float64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
+        return pa.table({"okey": kept["o_orderkey"],
+                         "cnat": pa.array(cnat[found], type=pa.int64())})
 
     def line_side(batch: pa.Table) -> pa.Table:
         sd = pc.cast(batch["l_shipdate"], pa.int64()).to_numpy(
@@ -3903,17 +3702,11 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
         year = pc.cast(pc.year(kept["l_shipdate"]), pa.int64())
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        g = (pa.table({"okey": kept["l_orderkey"],
-                       "nat": pa.array(snat[found], type=pa.int64()),
-                       "year": year, "rev": rev})
-             .group_by(["okey", "nat", "year"])
-             .aggregate([("rev", "sum")]))
-        n = len(g)
-        return pa.table({
-            "okey": g["okey"], "nat": g["nat"], "year": g["year"],
-            "rev": g["rev_sum"],
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+        return _group_agg(
+            pa.table({"okey": kept["l_orderkey"],
+                      "snat": pa.array(snat[found], type=pa.int64()),
+                      "year": year, "rev": rev}),
+            ["okey", "snat", "year"], {"rev": ("rev", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey"]).map_batches(
@@ -3926,30 +3719,16 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _join(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 0]
-        l = df[df["side"] == 1]
-        if o.empty or l.empty:
-            return pd.DataFrame({
-                "snat": pd.Series(dtype="int64"),
-                "cnat": pd.Series(dtype="int64"),
-                "year": pd.Series(dtype="int64"),
-                "rev": pd.Series(dtype="float64")})
-        m = l.merge(o[["okey", "nat"]].rename(columns={"nat": "cnat"}),
-                    on="okey", how="inner")
-        m = m[m["nat"] != m["cnat"]]  # cross-nation pairs only
-        g = (m.groupby(["nat", "cnat", "year"], sort=False)["rev"]
-             .sum().reset_index())
-        return pd.DataFrame({
-            "snat": g["nat"].astype("int64"),
-            "cnat": g["cnat"].astype("int64"),
-            "year": g["year"].astype("int64"),
-            "rev": g["rev"].to_numpy(dtype=np.float64)})
+    def _cross(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.not_equal(t["snat"], t["cnat"]))
+        return _group_agg(t, ["snat", "cnat", "year"], {"rev": ("rev", "sum")})
 
-    partials = hash_grouped_reduce(
-        orders.union(lines), "okey", _join, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("snat", "cnat", "year", "rev"))
+    partials = shuffle_join(
+        (orders, pa.schema([("okey", pa.int64()), ("cnat", pa.int64())])),
+        (lines, pa.schema([("okey", pa.int64()), ("snat", pa.int64()),
+                           ("year", pa.int64()), ("rev", pa.float64())])),
+        "okey", n_rows, _cross,
+        target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["snat", "cnat", "year"], sums=("rev",))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -4021,7 +3800,7 @@ def _type_mask_hist(sf_dir: str, n_buckets: int | None = None):
             "hash-grouped reduce over per-user sorted type lists")
     dom = pa.array(types, type=pa.string())
     if n_buckets is None:
-        n_buckets = _scaled_buckets(sf_dir, "events", lo=16)
+        n_buckets = _scaled_buckets(sf_dir, "events")
 
     def _pairs(batch: pa.Table) -> pa.Table:
         g = batch.select(["user_id", "event_type"]).group_by(
@@ -4249,20 +4028,19 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
     broadcasts — a sorted partkey set (type filter), a sorted suppkey
     array with an is-target-nation bit, and a sorted custkey set
     (region semi-join; at a scale where one region's customers no
-    longer broadcast, this leg becomes a second tagged stream in the
-    same orderkey reduce, the :func:`run_lapsed_customers` shape).
+    longer broadcast, this leg becomes a :func:`shuffle_join` on
+    custkey, the :func:`run_lapsed_customers` shape).
     Facts then shuffle ONCE: lineitem pre-aggregates per batch to
     (orderkey, target_vol, total_vol); orders contributes (orderkey,
-    year); a data-scaled hash reduce on orderkey joins them and
-    re-groups to ≤ #years rows per group before a constant-size final
-    merge.
+    year); a :func:`shuffle_join` on orderkey joins them and re-groups
+    to ≤ #years rows per group before a constant-size final merge.
 
     Float contract: the share rounds to 4 dp after the final merge;
     numerator/denominator sum in engine-local order (repo ulp
     contract)."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
@@ -4291,13 +4069,9 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
         keep = dim_lookup(ray.get(order_ref), batch["o_custkey"]
                           .to_numpy(zero_copy_only=False))[0]
         kept = batch.filter(pa.array(keep))
-        n = len(kept)
         return pa.table({
             "okey": kept["o_orderkey"],
             "year": pc.cast(pc.year(kept["o_orderdate"]), pa.int64()),
-            "tvol": pa.nulls(n, type=pa.float64()),
-            "vol": pa.nulls(n, type=pa.float64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
         })
 
     def line_side(batch: pa.Table) -> pa.Table:
@@ -4311,20 +4085,12 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
                           pc.subtract(pa.scalar(1.0),
                                       kept["l_discount"])).to_numpy(
             zero_copy_only=False)
-        g = (pa.table({
+        return _group_agg(pa.table({
             "okey": kept["l_orderkey"],
             "tvol": pa.array(np.where(found & target, vol, 0.0),
                              type=pa.float64()),
-            "vol": pa.array(vol, type=pa.float64())})
-             .group_by(["okey"])
-             .aggregate([("tvol", "sum"), ("vol", "sum")]))
-        n = len(g)
-        return pa.table({
-            "okey": g["okey"],
-            "year": pa.nulls(n, type=pa.int64()),
-            "tvol": g["tvol_sum"], "vol": g["vol_sum"],
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+            "vol": pa.array(vol, type=pa.float64())}),
+            ["okey"], {"tvol": ("tvol", "sum"), "vol": ("vol", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
@@ -4337,27 +4103,14 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _join(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 0]
-        l = df[df["side"] == 1]
-        if o.empty or l.empty:
-            return pd.DataFrame({
-                "year": pd.Series(dtype="int64"),
-                "tvol": pd.Series(dtype="float64"),
-                "vol": pd.Series(dtype="float64")})
-        m = l.merge(o[["okey", "year"]], on="okey", how="inner",
-                    suffixes=("_l", ""))
-        g = (m.groupby("year", sort=False)[["tvol", "vol"]]
-             .sum().reset_index())
-        return pd.DataFrame({
-            "year": g["year"].astype("int64"),
-            "tvol": g["tvol"].to_numpy(dtype=np.float64),
-            "vol": g["vol"].to_numpy(dtype=np.float64)})
-
-    partials = hash_grouped_reduce(
-        orders.union(lines), "okey", _join, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("year", "tvol", "vol"))
+    partials = shuffle_join(
+        (orders, pa.schema([("okey", pa.int64()), ("year", pa.int64())])),
+        (lines, pa.schema([("okey", pa.int64()), ("tvol", pa.float64()),
+                           ("vol", pa.float64())])),
+        "okey", n_rows,
+        lambda t: _group_agg(t, ["year"], {"tvol": ("tvol", "sum"),
+                                           "vol": ("vol", "sum")}),
+        target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["year"], sums=("tvol", "vol"))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -4826,8 +4579,8 @@ def run_revenue_gini(sf_dir: str, target_rows_per_group: int = 65536):
     customers carry the segment?").
 
     Plan (the 100 TB shape): orders fold to per-customer exact cents
-    and join the customer's segment in ONE tagged-union hash reduce
-    on custkey (the :func:`run_lapsed_customers` shape — neither side
+    and join the customer's segment in ONE :func:`shuffle_join` on
+    custkey (the :func:`run_lapsed_customers` shape — neither side
     broadcasts); each reduce group emits only its local
     (segment, cents → count) histogram, so the merge holds the
     distinct-spend distribution per segment, not customers.  The Gini
@@ -4839,62 +4592,42 @@ def run_revenue_gini(sf_dir: str, target_rows_per_group: int = 65536):
     Float contract: ``gini = (2·S)/(n·T) − (n+1)/n`` evaluated with
     the SAME float64 expression tree on both engines (S, T, n exact
     ints converted once to double)."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     def order_side(batch: pa.Table) -> pa.Table:
         y = batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
         cents = (np.sign(y) * np.floor(np.abs(y) + 0.5)).astype(np.int64)
-        t = pa.table({"ckey": batch["o_custkey"],
-                      "cents": pa.array(cents, type=pa.int64())})
-        g = t.group_by(["ckey"]).aggregate([("cents", "sum")])
-        n = len(g)
-        return pa.table({
-            "ckey": g["ckey"], "cents": g["cents_sum"],
-            "seg": pa.nulls(n, type=pa.string()),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
-
-    def cust_side(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table({
-            "ckey": batch["c_custkey"],
-            "cents": pa.nulls(n, type=pa.int64()),
-            "seg": batch["c_mktsegment"],
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
+        return _group_agg(pa.table({"c_custkey": batch["o_custkey"],
+                                    "cents": pa.array(cents,
+                                                      type=pa.int64())}),
+                          ["c_custkey"], {"cents": ("cents", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_totalprice"]).map_batches(
         order_side, batch_format="pyarrow", batch_size=65536)
-    cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_mktsegment"]).map_batches(
-        cust_side, batch_format="pyarrow", batch_size=65536)
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     n_rows = sum(n for t in ("orders", "customer") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _hist(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 1]
-        c = df[df["side"] == 0]
-        spend = (o.groupby("ckey", sort=False)["cents"].sum()
-                 .reset_index())
-        m = spend.merge(c[["ckey", "seg"]], on="ckey", how="inner")
-        g = (m.groupby(["seg", "cents"], sort=False).size()
-             .reset_index(name="n"))
-        return pd.DataFrame({
-            "seg": g["seg"],
-            "cents": g["cents"].astype("int64"),
-            "n": g["n"].astype("int64")})
+    def _hist(t: pa.Table) -> pa.Table:
+        spend = _group_agg(t, ["c_custkey", "c_mktsegment"],
+                           {"cents": ("cents", "sum")})
+        return _group_agg(spend, ["c_mktsegment", "cents"],
+                          {"n": ("c_custkey", "count")})
 
-    partials = hash_grouped_reduce(
-        orders.union(cust), "ckey", _hist, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("seg", "cents", "n"))
-    hist = tree_combine(partials, ["seg", "cents"], sums=("n",))
+    partials = shuffle_join(
+        (orders, pa.schema([("c_custkey", pa.int64()),
+                            ("cents", pa.int64())])),
+        (cust, pa.schema([("c_custkey", pa.int64()),
+                          ("c_mktsegment", pa.string())])),
+        "c_custkey", n_rows, _hist,
+        target_rows_per_group=target_rows_per_group)
+    hist = tree_combine(partials, ["c_mktsegment", "cents"], sums=("n",))
 
     def _gini(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
-            "seg": batch["seg"].to_pylist(),
+            "seg": batch["c_mktsegment"].to_pylist(),
             "v": batch["cents"].to_numpy(zero_copy_only=False),
             "n": batch["n"].to_numpy(zero_copy_only=False),
         }).sort_values(["seg", "v"])
@@ -5432,40 +5165,25 @@ def run_waiting_suppliers(sf_dir: str, k: int = 20,
 
     Scale shape (`run_shipping_priority`'s discipline): both fact
     scans pre-aggregate per batch — lineitem collapses to one
-    (orderkey, suppkey, n_r_lines, n_lines) row per pair per batch,
-    orders to its 'F' keys — then ONE data-scaled hash-grouped reduce
-    on orderkey colocates the streams; the per-group kernel is
-    all-vectorized pandas (two groupbys + boolean masks, no Python
-    row loop) and emits one (suppkey, numwait) partial per supplier
-    per group; a tree_combine sums them and the tiny final block
-    joins the driver-broadcast supplier names.  numwait counts
+    (orderkey, suppkey, n_r_lines) row per pair per batch, orders to
+    its 'F' keys — then ONE left-semi :func:`shuffle_join` on orderkey
+    keeps the lines of 'F' orders; the lone-fault test is per
+    orderkey, so each group decides it exactly with three Arrow
+    group-bys (no Python row loop) and emits one (suppkey, numwait)
+    partial per supplier per group; a tree_combine sums them and the
+    tiny final block joins the driver-broadcast supplier names.  numwait counts
     qualifying R-lines exactly as the oracle's count(*) does."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     def order_side(batch: pa.Table) -> pa.Table:
         kept = batch.filter(pc.equal(batch["o_orderstatus"], "F"))
-        n = len(kept)
-        return pa.table({
-            "okey": kept["o_orderkey"],
-            "skey": pa.nulls(n, type=pa.int64()),
-            "nr": pa.nulls(n, type=pa.int64()),
-            "nl": pa.nulls(n, type=pa.int64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
+        return pa.table({"okey": kept["o_orderkey"]})
 
     def line_side(batch: pa.Table) -> pa.Table:
         r = pc.cast(pc.equal(batch["l_returnflag"], "R"), pa.int64())
-        g = (pa.table({"okey": batch["l_orderkey"],
-                       "skey": batch["l_suppkey"], "r": r})
-             .group_by(["okey", "skey"])
-             .aggregate([("r", "sum"), ("r", "count")]))
-        n = len(g)
-        return pa.table({
-            "okey": g["okey"], "skey": g["skey"],
-            "nr": pc.cast(g["r_sum"], pa.int64()),
-            "nl": pc.cast(g["r_count"], pa.int64()),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
+        return _group_agg(pa.table({"okey": batch["l_orderkey"],
+                                    "skey": batch["l_suppkey"], "r": r}),
+                          ["okey", "skey"], {"nr": ("r", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderstatus"]).map_batches(
@@ -5478,33 +5196,25 @@ def run_waiting_suppliers(sf_dir: str, k: int = 20,
     n_rows = sum(n for t in ("orders", "lineitem") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
-    def _lone_fault(df: pd.DataFrame) -> pd.DataFrame:
-        f_keys = df.loc[df["side"] == 0, "okey"]
-        l = df[df["side"] == 1]
-        empty = pd.DataFrame({"skey": pd.Series(dtype="int64"),
-                              "numwait": pd.Series(dtype="int64")})
-        if f_keys.empty or l.empty:
-            return empty
-        pair = (l.groupby(["okey", "skey"], sort=False)["nr"].sum()
-                .reset_index())
-        per_order = pair.groupby("okey", sort=False).agg(
-            n_sups=("skey", "size"),
-            r_sups=("nr", lambda s: int((s > 0).sum())))
-        ok = per_order.index[(per_order["n_sups"] >= 2)
-                             & (per_order["r_sups"] == 1)]
-        qual = pair[pair["okey"].isin(ok)
-                    & pair["okey"].isin(set(f_keys))
-                    & (pair["nr"] > 0)]
-        if qual.empty:
-            return empty
-        out = qual.groupby("skey", sort=False)["nr"].sum().reset_index()
-        return pd.DataFrame({"skey": out["skey"].astype("int64"),
-                             "numwait": out["nr"].astype("int64")})
+    def _lone_fault(t: pa.Table) -> pa.Table:
+        pair = _group_agg(t, ["okey", "skey"], {"nr": ("nr", "sum")})
+        has_r = pc.greater(pair["nr"], 0)
+        per_order = _group_agg(
+            pa.table({"okey": pair["okey"],
+                      "r": pc.cast(has_r, pa.int64())}),
+            ["okey"], {"n_sups": ("r", "count"), "r_sups": ("r", "sum")})
+        ok = per_order.filter(pc.and_(
+            pc.greater_equal(per_order["n_sups"], 2),
+            pc.equal(per_order["r_sups"], 1)))["okey"]
+        qual = pair.filter(pc.and_(has_r, pc.is_in(pair["okey"], ok)))
+        return _group_agg(qual, ["skey"], {"numwait": ("nr", "sum")})
 
-    partials = hash_grouped_reduce(
-        orders.union(lines), "okey", _lone_fault, n_rows,
-        target_rows_per_group=target_rows_per_group,
-        out_cols=("skey", "numwait"))
+    partials = shuffle_join(
+        (lines, pa.schema([("okey", pa.int64()), ("skey", pa.int64()),
+                           ("nr", pa.int64())])),
+        (orders, pa.schema([("okey", pa.int64())])),
+        "okey", n_rows, _lone_fault, how="left semi",
+        target_rows_per_group=target_rows_per_group)
     merged = tree_combine(partials, ["skey"], sums=("numwait",))
 
     names = _read_dim(sf_dir, "supplier", ["s_suppkey", "s_name"])

@@ -525,11 +525,9 @@ def test_jaccard_join_chunked_bucket_path(ray_session, monkeypatch):
 def test_scaled_group_count():
     from dude_ray.partitioning import estimate_rows, scaled_group_count
 
-    # an explicit floor for small inputs, grows with rows, capped at hi
-    assert scaled_group_count(1_000, 100_000, lo=64) == 64
-    assert scaled_group_count(10_000_000, 100_000, lo=64) == 128
-    assert scaled_group_count(10**12, 100_000, lo=64, hi=1 << 16) == 1 << 16
-    # the default floor is one group: next power of two ≥ rows / target
+    # capped at hi
+    assert scaled_group_count(10**12, 100_000, hi=1 << 16) == 1 << 16
+    # the floor is one group: next power of two ≥ rows / target
     assert scaled_group_count(1_000, 100_000) == 1
     assert scaled_group_count(150_000, 100_000) == 2
     assert scaled_group_count(10_000_000, 100_000) == 128
@@ -557,6 +555,88 @@ def test_small_grouped_reduce_calls_reducer_once(ray_session):
     rows = hash_grouped_reduce(ds, "k", one_row, n_rows=n,
                                target_rows_per_group=n).take_all()
     assert rows == [{"n_rows": n, "n_keys": 997}]
+
+
+@pytest.mark.parametrize("how", ["inner", "left semi", "left anti"],
+                         ids=["inner", "left_semi", "left_anti"])
+def test_shuffle_join_matches_pandas(ray_session, how):
+    """``shuffle_join`` equals ``pandas.merge`` / ``isin`` on random int
+    keys with duplicates on both sides, and gives the same rows with one
+    group per row (many groups hold rows of one side only), 64 rows per
+    group and the default width.  The semi and anti joins take a
+    key-only right side."""
+    import pandas as pd
+    import ray.data as rd
+
+    from dude_ray.partitioning import (_group_ids, scaled_group_count,
+                                       shuffle_join)
+
+    rng = np.random.default_rng(12)
+    left = pd.DataFrame({"k": rng.integers(0, 40, 300),
+                         "a": rng.integers(0, 1000, 300)})
+    right = pd.DataFrame({"k": rng.integers(20, 60, 200),
+                          "b": rng.random(200)})
+    lschema = pa.schema([("k", pa.int64()), ("a", pa.int64())])
+    if how == "inner":
+        rschema = pa.schema([("k", pa.int64()), ("b", pa.float64())])
+        want = left.merge(right, on="k")
+    else:
+        right = right[["k"]]
+        rschema = pa.schema([("k", pa.int64())])
+        hit = left["k"].isin(right["k"])
+        want = left[hit if how == "left semi" else ~hit]
+    want_rows = sorted(want.itertuples(index=False, name=None))
+    assert want_rows
+
+    n_rows = len(left) + len(right)
+    n_groups = scaled_group_count(n_rows, 1)
+    lg = set(_group_ids(pa.table(left), ["k"], n_groups))
+    rg = set(_group_ids(pa.table(right), ["k"], n_groups))
+    assert lg - rg and rg - lg  # groups holding one side only
+
+    for width in (1, 64, 65536):
+        got = shuffle_join(
+            (rd.from_pandas(left, override_num_blocks=3), lschema),
+            (rd.from_pandas(right, override_num_blocks=2), rschema),
+            "k", n_rows, lambda t: t, how=how,
+            target_rows_per_group=width).to_pandas()
+        assert list(got.columns) == list(want.columns)
+        assert sorted(got.itertuples(index=False, name=None)) == want_rows
+
+
+def test_shuffle_join_rejects_shared_columns():
+    """Side schemas may share only the key: a shared payload column
+    would be ambiguous in the joined table."""
+    from dude_ray.partitioning import shuffle_join
+
+    schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    with pytest.raises(ValueError, match="v"):
+        shuffle_join((None, schema), (None, schema), "k", 10, lambda t: t)
+
+
+def test_tree_combine_short_stream_logs_no_schema_warning(ray_session):
+    """A one-row partial stream merges to its row, and Ray Data logs no
+    "different schema" warning: the first combine level runs on the
+    partial blocks as they come and makes no empty, schema-less block."""
+    import logging
+
+    import ray.data as rd
+
+    from dude_ray.pipelines.relational import tree_combine
+
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        rows = tree_combine(rd.from_arrow(pa.table({"k": [3], "n": [5]})),
+                            ["k"], sums=("n",)).take_all()
+    finally:
+        logger.removeHandler(handler)
+    assert rows == [{"k": 3, "n": 5}]
+    assert records  # the handler sees Ray Data's execution log
+    assert not [r for r in records if "different schema" in r.getMessage()]
 
 
 def test_band_join_block_boundary(ray_session, tmp_path):

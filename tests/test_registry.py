@@ -120,3 +120,31 @@ def test_stateless_maps_are_task_stages():
         == []
     for key, reason in STATEFUL_MAP_CLASSES.items():
         assert reason and any((mod, name) == key for mod, _l, name in pools)
+
+
+def test_no_hand_rolled_shuffle_join():
+    """Fact×fact joins go through ``partitioning.shuffle_join``: no
+    ``hash_grouped_reduce`` in dude_ray/ takes a ``.union(...)`` of two
+    side-tagged streams as its input."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "dude_ray"
+    n_calls, unions = 0, []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(
+                fn, "id", None)
+            if name != "hash_grouped_reduce" or not node.args:
+                continue
+            n_calls += 1
+            arg = node.args[0]
+            if (isinstance(arg, ast.Call)
+                    and isinstance(arg.func, ast.Attribute)
+                    and arg.func.attr == "union"):
+                unions.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert n_calls > 50  # the scan sees the real call sites
+    assert unions == []

@@ -67,12 +67,12 @@ def _q_anchor_texts(sf_dir: str):
 def _q_crawl_visits(sf_dir: str):
     import os
 
-    from dude_ray.crawl import run_crawl
+    from dude_ray.crawl import read_crawl_output, run_crawl
 
     out = os.path.join("/tmp/dude_ray_crawl", "q_" + os.path.basename(sf_dir))
-    ds = run_crawl(sf_dir, out_dir=out, num_shards=4)
-    return ds.select_columns(["doc_id", "host", "depth", "round",
-                              "order_in_round", "status", "n_links"])
+    run_crawl(sf_dir, out_dir=out, num_shards=4)
+    return read_crawl_output(out, columns=["doc_id", "host", "depth", "round",
+                                           "order_in_round", "status", "n_links"])
 
 
 def _q_crawl_skip_counts(sf_dir: str):

@@ -115,6 +115,11 @@ from .stages.fetch import CorpusFetcher
 from .stages.links import collect_links, route_edges
 from .state.frontier import Frontier, release_free_memory
 
+# What a CrawlWorker's busy time is spent on, per page batch: corpus
+# lookup, DOM parse, span extraction (the spans column included), link
+# collection, and edge routing plus the output table.
+WORKER_LAYERS = ("fetch", "parse", "extract", "links", "route")
+
 
 class CrawlWorker:
     """Persistent crawl worker: fetch + parse-once + extract spans +
@@ -164,38 +169,46 @@ class CrawlWorker:
         self._last_offers: list = []
         self._pending_offers: list = []
         self.busy_s = 0.0
+        self.layers_s = dict.fromkeys(WORKER_LAYERS, 0.0)
         self.n_batches = 0
-        # DOM trees are cyclic (parent pointers) so cyclic GC must stay
-        # on, but the default gen0 threshold (700) makes every worker
-        # scan its whole young heap thousands of times per batch of
-        # parses — a measurable fraction of the 8→32 busy-time
-        # inflation.  The warm corpus/selector state is frozen out of
-        # GC (``configure``) and collections run much less often; DOMs
-        # are batch-local so peak heap stays bounded by a few batches.
+        # Each page's DOM is decomposed once its spans and links are
+        # out, so reference counting frees it.  The cyclic GC stays on
+        # for other garbage, but under the default gen0 threshold (700)
+        # it scanned the worker's young heap thousands of times per
+        # batch of parses — a measurable fraction of the 8→32 busy-time
+        # inflation — so it runs much less often, and the warm heap is
+        # frozen out of it (``configure``).
         gc.set_threshold(50_000, 20, 20)
 
     def configure(self, epoch: int, cfg: list) -> str:
         """Adopt crawl ``epoch``'s config (``cfg[0]``: an ObjectRef of
         the dict ``run_crawl`` puts) unless already on it; returns the
         incarnation token.  A new epoch drops the previous crawl's state
-        and returns its memory first."""
+        and returns its memory first.
+
+        The warm heap (imports, Ray's state) stays frozen out of the
+        cyclic GC across crawls: the one collection here scans only what
+        was allocated since the last freeze, which is the previous
+        crawl's state and garbage, and the freeze comes before this
+        crawl's state is built, so that state stays collectable.
+        Unfreezing here would make the collection scan the whole
+        ~120k-object heap at the start of every crawl."""
         if epoch != self.epoch:
             import gc
 
             conf = ray.get(cfg[0])
             self.fetcher = self.compiled = None
             self._last_offers, self._pending_offers = [], []
-            gc.unfreeze()
             release_free_memory()
+            gc.freeze()
             self.fetcher = CorpusFetcher(conf["corpus_dir"], conf["num_parts"])
             self.compiled = _CompiledRules(list(conf["rules"]))
             self.frontier = conf["frontier"]
             self.num_shards = conf["num_shards"]
             self.busy_s = 0.0
+            self.layers_s = dict.fromkeys(WORKER_LAYERS, 0.0)
             self.n_batches = 0
             self.epoch = epoch
-            gc.collect()
-            gc.freeze()
         return self.token
 
     def process(self, batch: pa.Table) -> pa.Table:
@@ -253,17 +266,25 @@ class CrawlWorker:
         return t.num_rows
 
     def worker_stats(self) -> dict:
-        return {"busy_s": round(self.busy_s, 2), "n_batches": self.n_batches}
+        return {"busy_s": round(self.busy_s, 2), "n_batches": self.n_batches,
+                "layers_s": dict(self.layers_s)}
 
     def ping(self) -> bool:
         return True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        from time import perf_counter
+
+        layers = self.layers_s
+        t0 = perf_counter()
         urls = batch["url"].to_pylist()
         depths = batch["depth"].to_pylist()
         rounds = batch["round"].to_pylist()
         orders = batch["order_in_round"].to_pylist()
         htmls = self.fetcher.lookup(urls)
+        t1 = perf_counter()
+        layers["fetch"] += t1 - t0
+        parse_s = extract_s = links_s = 0.0
         statuses, n_links_col = [], []
         kinds: list[str] = []
         texts: list[str] = []
@@ -281,19 +302,32 @@ class CrawlWorker:
                 offsets.append(len(kinds))
                 n_links_col.append(0)
                 continue
+            t0 = perf_counter()
             dom = parse_html(html)
+            t1 = perf_counter()
             accumulate_spans(extract_all(self.compiled, dom, url),
                              kinds, texts, refs_c, offs)
             offsets.append(len(kinds))
             statuses.append("ok")
+            t2 = perf_counter()
+            parse_s += t1 - t0
+            extract_s += t2 - t1
             if self.follow_urls:
                 links = collect_links(dom, url)
                 n_links_col.append(len(links))
                 edge_urls.extend(links)
                 edge_depths.extend([depth + 1] * len(links))
                 edge_keys.extend((rnd, order, j) for j in range(len(links)))
+                links_s += perf_counter() - t2
             else:
                 n_links_col.append(0)
+            dom.decompose()  # its spans and links are strings by now
+        t0 = perf_counter()
+        spans = spans_column(kinds, texts, refs_c, offs, offsets)
+        t1 = perf_counter()
+        layers["parse"] += parse_s
+        layers["extract"] += extract_s + (t1 - t0)
+        layers["links"] += links_s
         if edge_urls:
             # fire-and-forget; refs kept for the owner-local flush AND
             # returned with the chunk (process_slice) for the driver's
@@ -302,7 +336,7 @@ class CrawlWorker:
                                  self.frontier, self.num_shards)
             self._pending_offers.extend(offers)
             self._last_offers.extend(offers)
-        return pa.table({
+        out = pa.table({
             "doc_id": pa.array(urls, type=pa.string()),
             "host": pa.array([canonical_url_host(u) for u in urls],
                              type=pa.string()),
@@ -314,8 +348,10 @@ class CrawlWorker:
             "ek_link": batch["ek_link"],
             "status": pa.array(statuses, type=pa.string()),
             "n_links": pa.array(n_links_col, type=pa.int32()),
-            "spans": spans_column(kinds, texts, refs_c, offs, offsets),
+            "spans": spans,
         })
+        layers["route"] += perf_counter() - t1
+        return out
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -442,10 +478,11 @@ def run_crawl(
     alive for the next call (see "Actor pool" in the module docstring);
     ``METRICS.json`` reports ``pool`` ("cold": created by this call,
     "warm": reused) and ``startup_s``, the seconds from the call's start
-    until the first frontier release returned.  ``frontier_calls`` is
-    the number of RPCs the frontier served for this call, and
-    ``frontier_busy_s`` the CPU seconds of its release, offer and
-    snapshot work.
+    until the first frontier release returned.  ``worker_busy_s`` is the
+    workers' summed busy time and ``worker_layers_s`` its split over
+    ``WORKER_LAYERS``.  ``frontier_calls`` is the number of RPCs the
+    frontier served for this call, and ``frontier_busy_s`` the CPU
+    seconds of its release, offer and snapshot work.
     """
     import time as _time
 
@@ -486,8 +523,11 @@ def run_crawl(
         # leave headroom for the frontier process and the driver —
         # oversubscription slows every stage
         total = int(ray.cluster_resources().get("CPU", 4))
-        # ~75% of CPUs: parsing is allocation/bandwidth-bound, so a full
-        # pool loses more to memory contention than it gains in slots
+        # ~75% of CPUs: a larger pool did not pay.  On a 4-CPU session
+        # (crawl_bulk, warm pool) 3 workers took the same wall per call
+        # as 2 (2.80-2.95 s against 2.98 s) and 10-19% more CPU per URL
+        # (899-970 µs against 813-836 µs): each worker's per-row cost
+        # rose with the third
         concurrency = max(2, min(total - 2, (total * 3) // 4))
 
     global _EPOCH
@@ -876,6 +916,9 @@ def run_crawl(
             # seconds measure actual compute, independent of VM wall-clock
             # noise (see bench.py --scaling)
             "worker_busy_s": round(sum(w["busy_s"] for w in wstats), 2),
+            # the same busy time by layer (see WORKER_LAYERS)
+            "worker_layers_s": {k: round(sum(w["layers_s"][k] for w in wstats), 3)
+                                for k in WORKER_LAYERS},
             "n_workers": len(wstats),
             "startup_s": round(startup_s if startup_s is not None
                                else _loop_t0 - call_t0, 3),
@@ -895,14 +938,15 @@ def run_crawl(
         _POOL_LOCK.release()
 
 
-def read_crawl_output(out_dir: str):
-    """Dataset over all finished round partitions of a crawl output dir."""
+def read_crawl_output(out_dir: str, columns: Optional[list[str]] = None):
+    """Dataset over all finished round partitions of a crawl output dir,
+    read with only ``columns`` if given."""
     import glob as _glob
 
     files = sorted(_glob.glob(os.path.join(out_dir, "round_*", "*.parquet")))
     if not files:
         return rd.from_items([])
-    return rd.read_parquet(files)
+    return rd.read_parquet(files, columns=columns)
 
 
 def crawl_metrics(out_dir: str) -> dict:

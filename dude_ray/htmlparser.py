@@ -88,8 +88,8 @@ class Element:
         self.children: list[Union["Element", str]] = []
         self.parent = parent
         self._order = order  # document order for stable sorts
-        self._index: Optional[dict] = None  # built lazily on the root
-        self._end = order  # max descendant order (set by index())
+        self._index: Optional[dict] = None  # set on the root (see index())
+        self._end = order  # max descendant order (see index())
 
     def root(self) -> "Element":
         el = self
@@ -98,12 +98,14 @@ class Element:
         return el
 
     def index(self) -> dict:
-        """Lazily-built subtree index: ``("t", tag)`` / ``("c", class)``
-        → elements in document order.  One DOM walk serves every
-        selector evaluation anywhere in the tree: the walk also assigns
-        each element its subtree interval ``[_order, _end]``, so a
-        scoped selection is a binary-searched slice of the root's
-        candidate list instead of a per-scope subtree walk/index."""
+        """Subtree index: ``("t", tag)`` / ``("c", class)`` → elements in
+        document order.  One index serves every selector evaluation
+        anywhere in the tree: each element also carries its subtree
+        interval ``[_order, _end]``, so a scoped selection is a
+        binary-searched slice of the root's candidate list instead of a
+        per-scope subtree walk/index.  :func:`parse_html` stores both on
+        the tree it builds; for any other tree (``parse_html_strict``)
+        the first call walks the subtree once to build them."""
         idx = self._index
         if idx is None:
             by_key: dict = {}
@@ -124,6 +126,18 @@ class Element:
             walk(self)
             idx = self._index = by_key
         return idx
+
+    def decompose(self) -> None:
+        """Break the parent links of this subtree, so that reference
+        counting frees it as soon as it is dropped.  A parsed page is
+        cyclic (parent ↔ children), so otherwise only the cyclic GC
+        frees it, after scanning it along with everything else
+        allocated since its last run.  The subtree's elements must not
+        be used afterwards."""
+        for (kind, _), els in self.index().items():
+            if kind == "t":  # every element once
+                for el in els:
+                    el.parent = None
 
     # ---- text accessors (mirror lxml/bs4 semantics used by handlers) ----
     @property
@@ -210,8 +224,10 @@ def parse_html_strict(html: str) -> Element:
     return b.root
 
 
-# Fast anchored-regex tokenizer.  parse is ~45% of crawl-worker busy
-# time and stdlib html.parser spends most of it in per-token Python
+# Fast anchored-regex tokenizer.  parse is ~39% of crawl-worker busy
+# time (METRICS.json ``worker_layers_s`` of a crawl_bulk crawl: parse
+# 1.22 s, extract 0.96 s, links 0.41 s, fetch 0.28 s and route 0.22 s
+# of 3.1 s), and stdlib html.parser spends most of it in per-token Python
 # method dispatch (goahead/parse_starttag/check_for_whole_start_tag);
 # one anchored alternation regex + a tight position-driven loop builds
 # the identical tree substantially faster.  Equivalence with
@@ -227,7 +243,7 @@ _TAG = re.compile(
     r"|/\s*([a-zA-Z][a-zA-Z0-9:._-]*)[^>]*(?:>|$)"  # 1: end tag
     r"|([a-zA-Z][^\t\n\r\f />]*)"                   # 2: start tag name
                                                     # (tagfind_tolerant)
-    r"((?:\"[^\"]*\"|'[^']*'|[^>])*)"               # 3: attr blob
+    r"((?:\"[^\"]*\"|'[^']*'|[^>\"']+|[\"'])*)"     # 3: attr blob
     r"(?:>|$)"
     r")",
     re.S)
@@ -248,9 +264,16 @@ def parse_html(html: str) -> Element:
     convert_charrefs=True): lowercased tag/attr names, entity-unescaped
     text and attribute values (last duplicate attribute wins), void
     elements unpushed, stray end tags ignored, raw text inside
-    <script>/<style>."""
+    <script>/<style>.
+
+    The same loop builds the selector index (``Element.index``): every
+    element joins its tag's and classes' lists as it is created, and
+    gets ``_end`` (its last descendant's order) when it is closed."""
     root = Element(":document", {}, None, 0)
     stack = [root]
+    cur, kids = root, root.children  # top of the stack, its children
+    by_tag: dict[str, list[Element]] = {}
+    by_class: dict[str, list[Element]] = {}
     counter = 0
     unescape = _unescape
     find = html.find
@@ -261,17 +284,15 @@ def parse_html(html: str) -> Element:
         lt = find("<", pos)
         if lt == -1:
             text = html[pos:]
-            stack[-1].children.append(
-                unescape(text) if "&" in text else text)
+            kids.append(unescape(text) if "&" in text else text)
             break
         if lt > pos:
             text = html[pos:lt]
-            stack[-1].children.append(
-                unescape(text) if "&" in text else text)
+            kids.append(unescape(text) if "&" in text else text)
         m = tag_match(html, lt)
         if m is None:
             # '<' not opening any construct → literal text char
-            stack[-1].children.append("<")
+            kids.append("<")
             pos = lt + 1
             continue
         pos = m.end()
@@ -299,13 +320,27 @@ def parse_html(html: str) -> Element:
                     attrs[am.group(1).lower()] = (
                         unescape(val) if "&" in val else val)
             counter += 1
-            el = Element(tag, attrs, stack[-1], counter)
-            stack[-1].children.append(el)
+            el = Element(tag, attrs, cur, counter)
+            kids.append(el)
+            lst = by_tag.get(tag)
+            if lst is None:
+                by_tag[tag] = [el]
+            else:
+                lst.append(el)
+            cls = attrs.get("class")
+            if cls:
+                for cl in cls.split():
+                    lst = by_class.get(cl)
+                    if lst is None:
+                        by_class[cl] = [el]
+                    else:
+                        lst.append(el)
             if selfclose or tag in _VOID_TAGS:
                 continue
             raw = _RAW_CLOSE.get(tag)
             if raw is None:
                 stack.append(el)
+                cur, kids = el, el.children
                 continue
             # raw-text element: literal content up to its close tag
             rm = raw.search(html, pos)
@@ -319,11 +354,26 @@ def parse_html(html: str) -> Element:
                 pos = n
         elif end_tag is not None:
             t = end_tag.lower()
-            for i in range(len(stack) - 1, 0, -1):
-                if stack[i].tag == t:
-                    del stack[i:]
-                    break
+            if cur.tag == t:  # never the root: ':document' is no tag name
+                cur._end = counter
+                stack.pop()
+            else:
+                for i in range(len(stack) - 1, 0, -1):
+                    if stack[i].tag == t:
+                        for el in stack[i:]:
+                            el._end = counter
+                        del stack[i:]
+                        break
+                else:
+                    continue  # stray end tag: ignored
+            cur = stack[-1]
+            kids = cur.children
         # comments/doctype/PI: ignored
+    for el in stack:  # still open at EOF
+        el._end = counter
+    index = {("t", t): lst for t, lst in by_tag.items()}
+    index.update((("c", c), lst) for c, lst in by_class.items())
+    root._index = index
     return root
 
 

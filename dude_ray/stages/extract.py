@@ -8,7 +8,8 @@ Pure-function layer (unit-testable without Ray):
   /root/reference/dude/optional/beautifulsoup_scraper.py:158-172 /
   lxml_scraper.py:162-176: rules sorted by (group, selector) then
   grouped by group selector; within a group, rules by priority;
-  elements enumerated in document order.
+  elements enumerated in document order.  Each CSS selector runs once
+  per page (``_CompiledRules.page_selector``).
 * ``extract_all``        — handler application with generator fan-out
   (re-indexed element_index) and falsy-result filtering
   (/root/reference/dude/base.py:532-563).
@@ -32,16 +33,17 @@ span-list row per doc.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import inspect
 import itertools
 import re
-import weakref
 from types import GeneratorType
 from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 import pyarrow as pa
 
 from ..htmlparser import (
+    CompiledCSS,
     Element,
     compile_css,
     compile_xpath,
@@ -51,7 +53,7 @@ from ..htmlparser import (
     text_select,
     xpath_eval,
 )
-from ..rule import Rule, Selector, SelectorType, rule_filter, rule_grouper, rule_sorter
+from ..rule import Rule, Selector, SelectorType, rule_filter, rule_sorter
 from ..scraped import ScrapedData, scraped_data_grouper, scraped_data_sorter
 
 SPAN_TYPE = pa.struct(
@@ -98,46 +100,131 @@ def compile_selector(sel: Selector) -> Callable[[Element], List[Union[Element, s
 
 
 class _CompiledRules:
-    """Compiled form of a rule list (selectors → closures, compiled
-    lazily by :meth:`matcher` and cached on the instance)."""
+    """Compiled form of a rule list: the rule plan :func:`collect_elements`
+    walks, plus one compiled program per distinct selector, keyed by
+    ``to_str(with_type=True)`` and compiled on first use.  CSS programs
+    run set-at-a-time (:meth:`page_selector`); XPath, TEXT and REGEX
+    selectors, and :meth:`matcher`'s callers, use the per-scope
+    :func:`compile_selector` closure, which is also the spec the CSS
+    path is tested against."""
 
     def __init__(self, rules: List[Rule]):
         self.rules = rules
         self._cache: dict[str, Callable] = {}
+        self._css: dict[str, Optional[CompiledCSS]] = {}
+        self._selector: dict[str, Selector] = {}
         # deterministic ordinal per distinct group selector (replaces
         # the reference's nondeterministic id(group) — see scraped.py)
-        distinct_groups = sorted({r.group.to_str(with_type=True) for r in rules})
+        distinct_groups = sorted({self._key(r.group) for r in rules})
         self.group_ordinal = {g: i for i, g in enumerate(distinct_groups)}
         # (group, selector) order is URL-independent — sort ONCE per
-        # rule list; per-doc enumeration only filters (stably) over this
-        self.presorted = sorted(rules, key=rule_sorter)
+        # rule list; each rule's plan entry is (selector key, handler,
+        # is-async-generator), computed once here
+        self._sorted = [(r, (self._key(r.selector), r.handler,
+                             inspect.isasyncgenfunction(r.handler)))
+                        for r in sorted(rules, key=rule_sorter)]
+        # a "*" matcher passes every URL, so when no rule has another
+        # matcher the plan is the same for every URL and built once
+        self._static_plan = (
+            self._plan("") if all(r.url_matcher == "*" for r in rules)
+            else None)
+
+    def _key(self, sel: Selector) -> str:
+        key = sel.to_str(with_type=True)
+        self._selector[key] = sel
+        return key
+
+    def plan(self, url: str) -> list:
+        """``[(group key, group id, ((selector key, handler,
+        is_asyncgen), ...)), ...]`` for the rules that apply to ``url``:
+        groups in (group, selector) order, each group's rules by
+        priority."""
+        if self._static_plan is not None:
+            return self._static_plan
+        return self._plan(url)
+
+    def _plan(self, url: str) -> list:
+        keep = rule_filter(url)
+        out = []
+        for group, g in itertools.groupby(
+                (p for p in self._sorted if keep(p[0])),
+                key=lambda p: p[0].group):
+            gkey = group.to_str(with_type=True)
+            entries = tuple(e for _, e in sorted(g, key=lambda p: p[0].priority))
+            out.append((gkey, self.group_ordinal[gkey], entries))
+        return out
 
     def matcher(self, sel: Selector) -> Callable:
-        key = sel.to_str(with_type=True)
+        return self._matcher(sel.to_str(with_type=True), sel)
+
+    def _matcher(self, key: str, sel: Selector) -> Callable:
         fn = self._cache.get(key)
         if fn is None:
             fn = self._cache[key] = compile_selector(sel)
         return fn
 
+    def _css_program(self, key: str) -> Optional[CompiledCSS]:
+        """Selector ``key``'s CSS program, or None if it is not CSS."""
+        try:
+            return self._css[key]
+        except KeyError:
+            sel = self._selector[key]
+            css = (compile_css(sel.to_str())
+                   if sel.selector_type() in (SelectorType.CSS, SelectorType.ANY)
+                   else None)
+            self._css[key] = css
+            return css
+
+    def page_selector(self, dom: Element) -> Callable[[str, Element], list]:
+        """``select(key, scope)`` for one page: the same list as
+        ``self.matcher(selector)(scope)``, set at a time for CSS.  Each
+        CSS selector runs once per page, against the root; a scope gets
+        the slice of those matches inside its subtree interval
+        ``(_order, _end]``.  That is exact: :func:`css_select` itself
+        takes the root index's candidates in that interval and matches
+        them right to left with unbounded ancestors, so the matches
+        under a scope are the root's matches in its interval (``:root``,
+        selector lists and sibling combinators included)."""
+        memo: dict[str, tuple] = {}
+        bisect_right = bisect.bisect_right
+
+        def select(key: str, scope: Element) -> list:
+            hit = memo.get(key)
+            if hit is None:
+                css = self._css_program(key)
+                if css is None:  # XPath / TEXT / REGEX: per scope
+                    return self._matcher(key, self._selector[key])(scope)
+                els = css_select(dom, css)
+                hit = memo[key] = (els, [e._order for e in els], css.extract)
+            els, orders, extract = hit
+            if scope is not dom:
+                els = els[bisect_right(orders, scope._order):
+                          bisect_right(orders, scope._end)]
+            if extract is None:
+                return els
+            if extract == "text":
+                return [e.text_content() for e in els]
+            name = extract[1]
+            return [e.attrs[name] for e in els if name in e.attrs]
+
+        return select
+
 
 def collect_elements(
     compiled: _CompiledRules, dom: Element, url: str
-) -> Iterable[Tuple[str, int, int, int, Any, Callable]]:
-    """Yield (url, group_index, group_id, element_index, element, handler)
-    in the reference's enumeration order
+) -> Iterable[Tuple[str, int, int, int, Any, Callable, bool]]:
+    """Yield (url, group_index, group_id, element_index, element, handler,
+    handler_is_asyncgen) in the reference's enumeration order
     (/root/reference/dude/optional/beautifulsoup_scraper.py:158-172)."""
-    scraping_rules = filter(rule_filter(url), compiled.presorted)
-    for group_selector, g in itertools.groupby(scraping_rules, key=rule_grouper):
-        rules = sorted(g, key=lambda r: r.priority)
-        gid = compiled.group_ordinal[group_selector.to_str(with_type=True)]
-        group_matcher = compiled.matcher(group_selector)
-        for group_index, group_el in enumerate(group_matcher(dom)):
+    select = compiled.page_selector(dom)
+    for gkey, gid, rules in compiled.plan(url):
+        for group_index, group_el in enumerate(select(gkey, dom)):
             if not isinstance(group_el, Element):
                 continue  # ::text / @attr group selections have no subtree
-            for rule in rules:
-                elem_matcher = compiled.matcher(rule.selector)
-                for element_index, element in enumerate(elem_matcher(group_el)):
-                    yield url, group_index, gid, element_index, element, rule.handler
+            for key, handler, is_agen in rules:
+                for element_index, element in enumerate(select(key, group_el)):
+                    yield (url, group_index, gid, element_index, element,
+                           handler, is_agen)
 
 
 _LOOP: Optional[asyncio.AbstractEventLoop] = None
@@ -152,27 +239,6 @@ def _event_loop() -> asyncio.AbstractEventLoop:
     if _LOOP is None or _LOOP.is_closed():
         _LOOP = asyncio.new_event_loop()
     return _LOOP
-
-
-_ASYNCGEN_MEMO: "weakref.WeakKeyDictionary[Any, bool]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _is_asyncgen(handler) -> bool:
-    """Memoized isasyncgenfunction — the inspect call walks code flags
-    and showed up at ~6µs per element in the extraction hot loop.  Keyed
-    on the handler object itself via weakref (an id() key could be
-    reused by a new function after the original is GC'd, and the memo
-    would grow unboundedly); non-weakrefable callables just pay the
-    inspect call."""
-    try:
-        v = _ASYNCGEN_MEMO.get(handler)
-    except TypeError:
-        return inspect.isasyncgenfunction(handler)
-    if v is None:
-        v = inspect.isasyncgenfunction(handler)
-        _ASYNCGEN_MEMO[handler] = v
-    return v
 
 
 def _drain_async_gen(agen) -> List[Any]:
@@ -193,10 +259,9 @@ def extract_all(
     variant 565-599): generator and async-generator handlers fan out
     with re-assigned element_index; coroutine handlers are awaited;
     falsy non-generator results are dropped."""
-    for page_url, group_index, group_id, element_index, element, handler in collect_elements(
-        compiled, dom, url
-    ):
-        if _is_asyncgen(handler):
+    for (page_url, group_index, group_id, element_index, element, handler,
+         is_agen) in collect_elements(compiled, dom, url):
+        if is_agen:
             for index, d in enumerate(_drain_async_gen(handler(element))):
                 yield ScrapedData(page_number, page_url, group_id, group_index, index, d)
             continue
@@ -349,6 +414,7 @@ class SpanExtractor:
             accumulate_spans(extract_all(self.compiled, dom, url,
                                          page_number=1),
                              kinds, texts, refs, offs)
+            dom.decompose()  # its spans are strings by now
             offsets.append(len(kinds))
         cols: dict[str, pa.Array] = {"doc_id": batch["doc_id"]}
         cols["spans"] = spans_column(kinds, texts, refs, offs, offsets)

@@ -533,9 +533,18 @@ class Frontier:
               allowed_domains: set[str], **kwargs) -> None:
         """Start a new crawl: drop the previous crawl's shards, return
         their memory once, and build ``num_shards`` fresh shards with
-        this crawl's robots, allowed domains, capacity and gates."""
+        this crawl's robots, allowed domains, capacity and gates.
+
+        What survives the collection (imports, Ray's state) is frozen out
+        of the cyclic GC before the new shards are built, so the next
+        reset's collection scans only this crawl's objects, not the
+        whole ~110k-object heap (~75 ms, on the path to a crawl's first
+        release)."""
+        import gc
+
         self.shards = []
         release_free_memory()
+        gc.freeze()
         self.shards = [FrontierShardLocalArrow(i, robots_map, allowed_domains,
                                                **kwargs)
                        for i in range(num_shards)]

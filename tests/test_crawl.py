@@ -153,6 +153,18 @@ def test_frontier_accounting_in_metrics(crawl_rows):
     assert m["frontier_calls"] > m["rounds"]
 
 
+def test_worker_layer_times_in_metrics(crawl_rows):
+    """METRICS.json splits the workers' busy time into fetch, parse,
+    extract, links and route seconds, which add up to it."""
+    from dude_ray.crawl import crawl_metrics
+
+    m = crawl_metrics(crawl_rows[1])
+    layers = m["worker_layers_s"]
+    assert set(layers) == {"fetch", "parse", "extract", "links", "route"}
+    assert all(v >= 0 for v in layers.values())
+    assert sum(layers.values()) == pytest.approx(m["worker_busy_s"], rel=0.10)
+
+
 def test_politeness_accounting(crawl_rows):
     from dude_ray.crawl import crawl_metrics
 

@@ -2,6 +2,11 @@
 suites (/root/reference/tests/test_bs4.py, test_lxml.py, test_parsel.py)
 re-encoded against the single Arrow extractor."""
 
+import itertools
+
+from dude_ray.htmlparser import Element, parse_html
+from dude_ray.rule import Rule, Selector, rule_filter, rule_grouper, rule_sorter
+from dude_ray.scraped import ScrapedData
 from dude_ray.stages.extract import (
     _CompiledRules,
     extract_all,
@@ -9,7 +14,6 @@ from dude_ray.stages.extract import (
     flatten,
     rows_to_spans,
 )
-from dude_ray.htmlparser import parse_html
 
 
 def compiled_for(app):
@@ -218,3 +222,90 @@ def test_spans_output(app, dude_html, base_url):
         {"kind": "title", "text": "Title 3", "media_ref": "", "offset": 4},
         {"kind": "url", "text": "Title 3", "media_ref": "url-3.html", "offset": 5},
     ]
+
+
+def _describe(x):
+    return {"v": (x.tag, x._order) if isinstance(x, Element) else x}
+
+
+def _reference_extract(rules, dom, url):
+    """``extract_all`` for plain handlers as a per-scope loop: every
+    group element calls ``matcher(selector)`` on its own subtree — the
+    spec that the set-at-a-time path must reproduce."""
+    spec = _CompiledRules(rules)
+    gids = {g: i for i, g in enumerate(
+        sorted({r.group.to_str(with_type=True) for r in rules}))}
+    kept = sorted(filter(rule_filter(url), rules), key=rule_sorter)
+    rows = []
+    for group, g in itertools.groupby(kept, key=rule_grouper):
+        by_priority = sorted(g, key=lambda r: r.priority)
+        gid = gids[group.to_str(with_type=True)]
+        for gi, gel in enumerate(spec.matcher(group)(dom)):
+            if not isinstance(gel, Element):
+                continue
+            for r in by_priority:
+                for ei, el in enumerate(spec.matcher(r.selector)(gel)):
+                    data = r.handler(el)
+                    if data:
+                        rows.append(ScrapedData(1, url, gid, gi, ei, data))
+    return rows
+
+
+def _differential_rules(url_matcher="*"):
+    groups = [Selector(css=".custom-group"), Selector(selector=":root"),
+              Selector(css="div"), Selector(css="body > *"),
+              Selector(css="ul, div#y"), Selector(css="p + p"),
+              Selector(css="*"), Selector(css=".title::text"),
+              Selector(xpath=".//div")]
+    selectors = [
+        Selector(css=".title"), Selector(css="a.url"), Selector(css="p"),
+        Selector(css="*"), Selector(css=":root"), Selector(css=":root, p"),
+        Selector(css="p ~ p"), Selector(css="li + li"),
+        Selector(css="span.m"), Selector(css=".a .a"),
+        Selector(css="div > p:last-of-type"), Selector(css="[data-x]"),
+        Selector(css="li:nth-child(odd)"), Selector(css="li:not(.a)"),
+        Selector(css="p:first-child"), Selector(css=".title::text"),
+        Selector(css="a::attr(href)"), Selector(css="a.nav, p.para"),
+        Selector(selector="img.thumb"), Selector(xpath=".//a/@href"),
+        Selector(xpath=".//p/text()"), Selector(text="Title"),
+        Selector(regex=r"t\w+"),
+    ]
+    return [Rule(group=g, selector=s, url_matcher=url_matcher,
+                 handler=_describe, priority=(7 * i + 3 * j) % 11)
+            for i, g in enumerate(groups) for j, s in enumerate(selectors)]
+
+
+def test_set_at_a_time_extract_matches_per_scope_loop(dude_html, base_url):
+    """Set-at-a-time ``extract_all`` (each CSS selector once per page,
+    sliced per group element) yields exactly the per-scope loop's rows,
+    over the selector fixtures and the sf0.001 corpus, with the
+    URL-independent plan and with per-URL rule filtering."""
+    import pyarrow.dataset as pads
+    from test_crawl import SF
+    from test_htmlparser import (CSSX_HTML, HTML, XEXPR_HTML, XGRAM_HTML,
+                                 XHTML)
+
+    from dude_ray.sources.corpus import ensure_corpus
+
+    cd = ensure_corpus(SF, scale=1, seed_every=2)
+    t = pads.dataset(f"{cd}/web", partitioning="hive").to_table(
+        columns=["doc_id", "html"])
+    pages = [(base_url, h) for h in (dude_html, HTML, XHTML, XGRAM_HTML,
+                                     CSSX_HTML, XEXPR_HTML, "")]
+    pages += list(zip(t["doc_id"].to_pylist()[:150],
+                      t["html"].to_pylist()[:150]))
+    star = _differential_rules()
+    # a glob matcher and a predicate: the plan is filtered per URL
+    mixed = (_differential_rules(url_matcher="*/docs/1*")[::2]
+             + _differential_rules(url_matcher=lambda u: u.endswith("5.html"))[1::2])
+    assert _CompiledRules(star)._static_plan is not None
+    assert _CompiledRules(mixed)._static_plan is None
+    n_rows = n_mixed = 0
+    for rules in (star, mixed):
+        compiled = _CompiledRules(rules)
+        for url, html in pages:
+            got = list(extract_all(compiled, parse_html(html), url))
+            assert got == _reference_extract(rules, parse_html(html), url), url
+            n_rows += len(got)
+            n_mixed += len(got) * (rules is mixed)
+    assert n_rows > 100_000 and n_mixed > 1000

@@ -542,3 +542,82 @@ def test_xpath_expression_spec_edges():
     assert _xe("not(false())") == [True]
     assert _xe("round(2.5)") == [3.0]
     assert _xe("floor(2.9)") == [2.0]
+
+
+# the tricky shapes of test_fast_parser_matches_strict
+PARSER_CASES = [
+    '<ul><li>a<li>b</ul>',
+    '<a href=foo>x</a><a href>y</a><a href="a&amp;b">z</a>',
+    '<script>if (a<b) { x(); }</script><p>after</p>',
+    '<style>p{color:red}</style>text',
+    '<!-- c --><!DOCTYPE html><p>x</p>',
+    '<div><span>unclosed<p>para</div>tail',
+    '<p>5 < 6 and & more</p>',
+    '<A HREF="X">UP</A>',
+    '<div data-x="1" data-x="2">dup</div>',
+    '<div/>selfclosed<p>q</p>',
+    '<em>stray</b></em>done',
+    '<td rowspan=2 nowrap>cell',
+    "<p title='sin&#39;gle'>q</p>",
+    '<x:ns attr:b="1">ns</x:ns>',
+    '<br><img src=x.png><hr/>',
+    '<a href=http://e.com/a/b/>link</a>',
+    '<a href=foo/>bar</a>',
+    '<a href=foo />bar</a>',
+    '<input disabled/>',
+    '<x a=b c/>',
+    '<input value=/>',
+]
+
+
+def test_parser_index_matches_lazy_walk(dude_html):
+    """The index and ``[_order, _end]`` intervals that ``parse_html``
+    builds while parsing equal those that ``Element.index()`` walks on
+    the ``parse_html_strict`` tree of the same page, over every parser
+    and selector fixture and the sf0.001 corpus."""
+    from test_crawl import SF
+
+    from dude_ray.htmlparser import parse_html_strict
+    from dude_ray.sources.corpus import ensure_corpus, load_manifest
+    from dude_ray.stages.fetch import CorpusFetcher
+
+    def summary(root, index):
+        keys = {k: [el._order for el in els] for k, els in index.items()}
+        spans = [(root._order, root._end)]
+        spans += [(el._order, el._end) for el in root.iter()]
+        return keys, spans
+
+    cd = ensure_corpus(SF, scale=1, seed_every=2)
+    f = CorpusFetcher(cd, load_manifest(cd)["num_parts"])
+    import pyarrow.dataset as pads
+
+    urls = pads.dataset(f"{cd}/web", partitioning="hive").to_table(
+        columns=["doc_id"])["doc_id"].to_pylist()
+    pages = [dude_html, HTML, XHTML, XGRAM_HTML, CSSX_HTML, XEXPR_HTML,
+             '<p class="a a\tb">dup class</p>', ""] + PARSER_CASES
+    pages += f.lookup(urls)
+    for h in pages:
+        fast = parse_html(h)
+        assert fast._index is not None  # stored, not walked
+        strict = parse_html_strict(h)
+        assert strict._index is None
+        assert summary(fast, fast.index()) == summary(strict, strict.index()), h
+
+
+def test_decompose_frees_page_without_cyclic_gc(dude_html):
+    """A parsed page is cyclic until ``decompose()``; after it, dropping
+    the page leaves the cyclic GC nothing to find."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        dom = parse_html(dude_html)
+        del dom
+        assert gc.collect() > 0
+        dom = parse_html(dude_html)
+        dom.decompose()
+        del dom
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -109,14 +109,15 @@ def _q_crawl_host_counts(sf_dir: str):
     """Politeness accounting (SURVEY A3): visited pages per host."""
     import os
 
-    from dude_ray.crawl import run_crawl
+    from dude_ray.crawl import read_crawl_output, run_crawl
     from dude_ray.pipelines.relational import tree_combine
 
     out = os.path.join("/tmp/dude_ray_crawl", "qh_" + os.path.basename(sf_dir))
-    ds = run_crawl(sf_dir, out_dir=out, num_shards=4)
+    run_crawl(sf_dir, out_dir=out, num_shards=4)
+    ds = read_crawl_output(out, columns=["host", "n_links"])
 
     def _host_partials(batch: pa.Table) -> pa.Table:
-        g = batch.select(["host", "n_links"]).group_by("host").aggregate(
+        g = batch.group_by("host").aggregate(
             [("host", "count"), ("n_links", "sum")])
         return pa.table({"host": g["host"],
                          "n_pages": pc.cast(g["host_count"], pa.int64()),
@@ -241,9 +242,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
     percentiles when nothing converts).  They displaced five
     already-hash-matched, unchanged operators (winsorize,
     pareto_front, rrf_fusion, asof_attribution, type_lift) into the
-    tail.  The rotation tail (51+) — all previously hash-matched by
-    the gate — stays verified by tools/check_oracle.py (the same
-    rows+schema+hash protocol over ALL entries) and by pytest."""
+    tail.  Since the eleven per-user sequence queries moved onto
+    :func:`~dude_ray.pipelines.relational.user_timelines`, the seven
+    of them that sat past slot 50 (user_sessions, event_funnel,
+    retention_cohorts, event_trigrams, asof_attribution,
+    interarrival_stats, session_type_pairs) lead slots 22-50, and
+    seven unchanged, already-hash-matched entries (source_similarity,
+    skipgram_counts, cocitation, media_size_stats, dup_cluster_sizes,
+    ann_recall, coverage_curve) moved to the tail.  The rotation tail
+    (51+) — all previously hash-matched by the gate — stays verified
+    by tools/check_oracle.py (the same rows+schema+hash protocol over
+    ALL entries) and by pytest."""
     from dude_ray.pipelines import (cleaning, dedup, graph, relational,
                                     sampling, similarity, textops)
 
@@ -270,22 +279,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "value_percent_rank": _q_value_percent_rank,
         "bloom_registers": _q_bloom_registers,
         "anchor_texts": _q_anchor_texts,
-        # -- slots 22-50: the round-5 operators and every query whose
-        # dimension broadcast is a dim_lookup task stage (see the
-        # docstring).  Evicted near-siblings (small_qty_revenue~
-        # large_orders, qty_cube~qty_rollup, ...) open the 51+ tail
-        # and stay green in check_oracle ------------------------------
-        "source_similarity": textops.run_source_similarity,
+        # -- slots 22-50: the queries on relational.user_timelines
+        # (the other four sit in slots 1-50 already), then the
+        # round-5 operators and every query whose dimension
+        # broadcast is a dim_lookup task stage (see the docstring).
+        # Evicted near-siblings (small_qty_revenue~large_orders,
+        # qty_cube~qty_rollup, ...) open the 51+ tail and stay
+        # green in check_oracle -----------------------------------
+        "user_sessions": relational.run_user_sessions,
+        "event_funnel": relational.run_event_funnel,
+        "retention_cohorts": relational.run_retention_cohorts,
+        "event_trigrams": relational.run_event_trigrams,
+        "asof_attribution": relational.run_asof_attribution,
+        "interarrival_stats": relational.run_interarrival_stats,
+        "session_type_pairs": relational.run_session_type_pairs,
         "graph_degree_dist": graph.run_graph_degree_dist,
         "user_entropy": relational.run_user_entropy,
-        "skipgram_counts": textops.run_skipgram_counts,
         "session_stats": relational.run_session_stats,
-        "cocitation": graph.run_cocitation,
         "extract_spans": _q_extract_spans,
         "crawl_host_counts": _q_crawl_host_counts,
         "crawl_skip_counts": _q_crawl_skip_counts,
-        "media_size_stats": _q_media_size_stats,
-        "dup_cluster_sizes": _q_dup_cluster_sizes,
         # iterative graph ops new in r5: union-find/label-prop CC and
         # BFS depth, recursive-CTE oracled (pipelines/components.py)
         "link_components": _q_link_components,
@@ -303,12 +316,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "market_share": relational.run_market_share,
         "funnel_latency": relational.run_funnel_latency,
         "rfm_segments": relational.run_rfm_segments,
-        "ann_recall": similarity.run_ann_recall,
         "dedup_recall": dedup.run_dedup_recall,
-        "coverage_curve": textops.run_coverage_curve,
         "user_burstiness": relational.run_user_burstiness,
         "revenue_gini": relational.run_revenue_gini,
-        "interarrival_stats": relational.run_interarrival_stats,
         "weekday_index": relational.run_weekday_index,
         "forecast_revenue": relational.run_forecast_revenue,
         "props_field_stats": relational.run_props_field_stats,
@@ -317,7 +327,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "waiting_suppliers": relational.run_waiting_suppliers,
         "value_autocorr": relational.run_value_autocorr,
         "lang_confusion": textops.run_lang_confusion,
-        "session_type_pairs": relational.run_session_type_pairs,
         "coupling": graph.run_coupling,
         "hour_profile": relational.run_hour_profile,
         "doclen_percentiles": relational.run_doclen_percentiles,
@@ -358,14 +367,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "basket_pairs": relational.run_basket_pairs,
         "crawl_budget": _q_crawl_budget,
         # -- evicted near-siblings (all hash-matched) ------------------
+        "source_similarity": textops.run_source_similarity,
+        "skipgram_counts": textops.run_skipgram_counts,
+        "cocitation": graph.run_cocitation,
+        "media_size_stats": _q_media_size_stats,
+        "dup_cluster_sizes": _q_dup_cluster_sizes,
+        "ann_recall": similarity.run_ann_recall,
+        "coverage_curve": textops.run_coverage_curve,
         "winsorize": relational.run_winsorize,
         "pareto_front": relational.run_pareto_front,
         "rrf_fusion": relational.run_rrf_fusion,
-        "asof_attribution": relational.run_asof_attribution,
         "type_lift": relational.run_type_lift,
         "small_qty_revenue": relational.run_small_qty_revenue,
         "qty_cube": relational.run_qty_cube,
-        "event_trigrams": relational.run_event_trigrams,
         "median_by_type": relational.run_median_by_type,
         "top_orders_per_cust": relational.run_top_orders_per_cust,
         "custdist": relational.run_custdist,
@@ -415,8 +429,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_cov": _q_embedding_cov,
         "pagerank": _q_pagerank,
         "graph_pagerank": _q_graph_pagerank,
-        "event_funnel": relational.run_event_funnel,
-        "retention_cohorts": relational.run_retention_cohorts,
         "quantize_embeddings": _q_quantize_embeddings,
         "bpe_pair_counts": textops.run_bpe_pair_counts,
         "char_entropy": textops.run_char_entropy,
@@ -452,7 +464,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ann_topk": similarity.run_ann_topk,
         "events_window": relational.run_events_window,
         "pricing_summary": relational.run_pricing_summary,
-        "user_sessions": relational.run_user_sessions,
         "asof_join": relational.run_asof_join,
         "events_band_join": relational.run_events_band_join,
         "value_percentiles": relational.run_value_percentiles,

@@ -940,13 +940,17 @@ def run_crawl(
 
 def read_crawl_output(out_dir: str, columns: Optional[list[str]] = None):
     """Dataset over all finished round partitions of a crawl output dir,
-    read with only ``columns`` if given."""
+    read with only ``columns`` if given, one block per round file.
+    Ray's default read splits a file into pieces, and a 1-row file's
+    0-row piece makes every ``map_batches`` over it emit a block with
+    no schema."""
     import glob as _glob
 
     files = sorted(_glob.glob(os.path.join(out_dir, "round_*", "*.parquet")))
     if not files:
         return rd.from_items([])
-    return rd.read_parquet(files, columns=columns)
+    return rd.read_parquet(files, columns=columns,
+                           override_num_blocks=len(files))
 
 
 def crawl_metrics(out_dir: str) -> dict:

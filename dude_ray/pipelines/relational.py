@@ -11,7 +11,11 @@ inside plain task stages, never shuffled.  Two fact-sized sides meet
 in :func:`dude_ray.partitioning.shuffle_join`: each side map filters,
 projects and pre-aggregates to its own declared columns, one sort
 shuffle colocates both sides by a data-scaled hash of the key, and
-each group is an Arrow hash join whose ``post`` reduces it.
+each group is an Arrow hash join whose ``post`` reduces it.  A
+per-user sequence query (PARTITION BY user_id ORDER BY ts, event_id)
+is one :func:`user_timelines` scan: one sort shuffle on coarsened user
+buckets, one Arrow sort per bucket, and a numpy kernel over each
+user's sorted segment.
 """
 
 from __future__ import annotations
@@ -118,19 +122,19 @@ def dim_lookup(table, keys):
     return (dk[pos] == keys, *(c[pos] for c in cols))
 
 
-def _empty_result(schema: pa.Schema):
-    """A 0-row Dataset whose ``to_pandas`` keeps ``schema``'s columns.
-    Ray Data builds that frame from the non-empty blocks only, so a
-    plain empty Dataset converts to a frame without columns."""
-    import ray.data
-    from ray.data.dataset import MaterializedDataset
+def _keep_columns(ds, schema: pa.Schema):
+    """``ds``, whose ``to_pandas`` keeps ``schema``'s columns when it
+    has no rows.  Ray Data builds that frame from the non-empty blocks
+    only, so a 0-row Dataset otherwise converts to a frame without
+    columns."""
 
-    class EmptyResult(MaterializedDataset):
+    class KeepColumns(type(ds)):
         def to_pandas(self, limit=None):
-            return schema.empty_table().to_pandas()
+            df = super().to_pandas(limit)
+            return df if len(df.columns) else \
+                schema.empty_table().to_pandas()
 
-    ds = ray.data.from_arrow(schema.empty_table())
-    ds.__class__ = EmptyResult
+    ds.__class__ = KeepColumns
     return ds
 
 
@@ -344,9 +348,9 @@ def run_pricing_summary(sf_dir: str):
 
 SESSION_GAP_US = 1800 * 1_000_000  # 30-min inactivity gap
 
-# Rows a single coarse-keyed map_groups task should hold — the dispatch
-# granularity knob every bucketed groupby here derives its key width
-# from (see dude_ray/partitioning.py).
+# Rows a single coarse-keyed map_groups task should hold; every
+# bucketed groupby here derives its key width from it (see
+# dude_ray/partitioning.py).
 TARGET_ROWS_PER_GROUP = 100_000
 
 
@@ -362,62 +366,98 @@ def _scaled_buckets(sf_dir: str, table: str,
         estimate_rows(f"{sf_dir}/{table}.parquet"), target)
 
 
+def user_timelines(sf_dir: str, cols, fn, schema: pa.Schema,
+                   users_per_group: int | None = None, where=None):
+    """PARTITION BY user_id ORDER BY (ts, event_id) over ``events``:
+    the one shape of every per-user sequence query here.
+
+    Reads ``user_id``, ``event_id``, ``ts`` and ``cols``, keeps the
+    rows matching the optional ``where`` expression over those columns
+    (before the shuffle, so only relevant rows move), and hash-partitions them in
+    ONE sort shuffle on the coarsened user bucket
+    ``user_id & (users_per_group-1)``.  The bucket count is data-scaled
+    by :func:`_scaled_buckets` unless given: a fixed 64 would
+    concentrate 1/64 of ALL events in one task at any scale.  A
+    user's timeline lands whole in one bucket, so results are
+    bucket-width independent.  Each bucket is sorted once by
+    (user_id, ts_us, event_id) and handed to ``fn(c, starts)``: ``c``
+    maps ``user_id``, ``event_id``, ``ts_us`` (``ts`` as int64
+    microseconds) and ``cols`` to sorted numpy arrays, and ``starts``
+    holds the index of each user's first row.  ``fn`` returns a
+    mapping (a dict or a ``pa.Table``) holding ``schema``'s columns;
+    each bucket's output is cast to ``schema``, and a 0-row result
+    still converts to a frame with ``schema``'s columns.
+
+    Hot-user skew at 10^12-event scale would salt by (user, day) with
+    a stitch pass across day boundaries.  Not on this shape:
+    :func:`run_rrf_fusion` and :func:`run_user_type_profile` shuffle
+    per-batch partials, not timelines (a grouped reduce), and
+    :func:`run_asof_join` is a two-sided merge."""
+    if users_per_group is None:
+        users_per_group = _scaled_buckets(sf_dir, "events")
+    names = ["user_id", "event_id", "ts_us", *cols]
+
+    def bucket(t: pa.Table) -> pa.Table:
+        if where is not None:
+            t = t.filter(where)
+        return t.append_column(
+            "ugroup", pc.bit_wise_and(t["user_id"], users_per_group - 1))
+
+    def scan(t: pa.Table) -> pa.Table:
+        t = t.append_column("ts_us", pc.cast(t["ts"], pa.int64())) \
+            .select(names)
+        t = t.take(pc.sort_indices(t, [("user_id", "ascending"),
+                                       ("ts_us", "ascending"),
+                                       ("event_id", "ascending")]))
+        c = {n: t[n].to_numpy() for n in names}
+        uid = c["user_id"]
+        new_user = np.ones(len(uid), dtype=bool)
+        new_user[1:] = uid[1:] != uid[:-1]
+        out = fn(c, np.flatnonzero(new_user))
+        return pa.table({f.name: out[f.name] for f in schema}).cast(schema)
+
+    ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", *cols])
+    return _keep_columns(
+        ds.map_batches(bucket, batch_format="pyarrow", batch_size=16384)
+        .groupby("ugroup").map_groups(scan, batch_format="pyarrow"),
+        schema)
+
+
+def _rank(starts, n: int) -> np.ndarray:
+    """0-based position of each of ``n`` sorted rows in its user's
+    timeline, from :func:`user_timelines`' ``starts``."""
+    return np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+
+
+def _session_starts(ts, starts) -> np.ndarray:
+    """Index of each session's first row in a sorted timeline: a new
+    user, or more than SESSION_GAP_US since the user's previous
+    event."""
+    new = np.zeros(len(ts), dtype=bool)
+    new[starts] = True
+    new[1:] |= ts[1:] - ts[:-1] > SESSION_GAP_US
+    return np.flatnonzero(new)
+
+
 def run_user_sessions(sf_dir: str, users_per_group: int | None = None):
     """Per-user sessions split on >30-min inactivity; one row per
     session (user_id, session_start_us, n_events, sum_value).
 
-    Scale shape: sessionization needs each user's full timeline in one
-    place — the one unavoidable shuffle is a hash partition on user_id.
-    Users are coarsened ``user_id & (n_buckets-1)`` so Ray dispatches
-    one task per bucket of users rather than one per user; inside a
-    bucket the scan is a single vectorized pass (lexsort → gap/user
-    boundaries → np.add.reduceat per-session aggregates).  The bucket
-    count is DATA-SCALED (~TARGET_ROWS_PER_GROUP event rows per task,
-    estimated from parquet footers) — a fixed 64 would concentrate
-    1/64 of ALL events in one task at any scale.  Results are
-    bucket-width-independent (a user's timeline always lands whole in
-    exactly one bucket); asserted by the parametrized width test.
-    Hot-user skew at 10^12-event scale would salt by (user, day) with
-    a session-stitch pass across day boundaries."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    One :func:`user_timelines` scan; inside a bucket the sessions are
+    one vectorized pass (gap/user boundaries → np.add.reduceat
+    per-session aggregates)."""
+    def _sessions(c, starts):
+        ts = c["ts_us"]
+        s = _session_starts(ts, starts)
+        return {"user_id": c["user_id"][s], "session_start_us": ts[s],
+                "n_events": np.diff(np.r_[s, len(ts)]),
+                "sum_value": np.round(np.add.reduceat(c["value"], s), 4)}
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch["ts"], pa.int64())
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": us,
-            "value": batch["value"],
-        })
-
-    def _sessions(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        val = g["value"].to_numpy(dtype=np.float64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, val = uid[order], ts[order], val[order]
-        new_sess = np.ones(len(uid), dtype=bool)
-        if len(uid) > 1:
-            new_sess[1:] = (uid[1:] != uid[:-1]) | \
-                (ts[1:] - ts[:-1] > SESSION_GAP_US)
-        starts = np.flatnonzero(new_sess)
-        n = np.diff(np.r_[starts, len(uid)])
-        sums = np.add.reduceat(val, starts) if len(starts) else np.array([])
-        return pd.DataFrame({
-            "user_id": pd.Series(uid[starts], dtype="int64"),
-            "session_start_us": pd.Series(ts[starts], dtype="int64"),
-            "n_events": pd.Series(n, dtype="int64"),
-            "sum_value": pd.Series(np.round(sums, 4), dtype="float64"),
-        })
-
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow", batch_size=16384)
-    return keyed.groupby("ugroup").map_groups(_sessions, batch_format="pandas")
+    return user_timelines(
+        sf_dir, ["value"], _sessions,
+        pa.schema([("user_id", pa.int64()), ("session_start_us", pa.int64()),
+                   ("n_events", pa.int64()), ("sum_value", pa.float64())]),
+        users_per_group)
 
 
 # --------------------------------------------------------------------------
@@ -999,66 +1039,31 @@ def run_event_funnel(sf_dir: str, first: str = FUNNEL_FIRST,
                      then: str = FUNNEL_THEN,
                      users_per_group: int | None = None):
     """Per-user conversion funnel: for every user whose first ``first``
-    event is followed (at or after it) by a ``then`` event, emit
-    (user_id, first_view_us, first_purchase_us, delay_us).  The classic
-    product-analytics two-step funnel, expressed as the same hash-
-    partition-on-user shape as sessionization: the filter to the two
-    event types happens BEFORE the shuffle (the only rows that move are
-    funnel-relevant), users are coarsened into data-scaled buckets, and
-    the per-bucket kernel is one vectorized lexsort + reduceat-style
-    pass — no per-user Python."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    event is followed (at or after it, by ``ts`` alone) by a ``then``
+    event, emit (user_id, first_view_us, first_purchase_us, delay_us).
+    The classic product-analytics two-step funnel as one
+    :func:`user_timelines` scan over the rows of the two event types
+    (filtered before the shuffle); per user, two masked
+    ``np.minimum.reduceat`` passes over the sorted segments — no
+    per-user Python."""
+    never = np.iinfo(np.int64).max
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch["event_type"],
-                        value_set=pa.array([first, then]))
-        b = batch.filter(keep)
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(b["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": b["user_id"],
-            "is_then": pc.equal(b["event_type"], then),
-            "ts_us": pc.cast(b["ts"], pa.int64()),
-        })
+    def _funnel(c, starts):
+        ts, is_then = c["ts_us"], c["event_type"] == then
+        fv = np.minimum.reduceat(np.where(is_then, never, ts), starts)
+        after = ts >= np.repeat(fv, np.diff(np.r_[starts, len(ts)]))
+        fp = np.minimum.reduceat(np.where(is_then & after, ts, never),
+                                 starts)
+        ok = fp < never
+        return {"user_id": c["user_id"][starts][ok],
+                "first_view_us": fv[ok], "first_purchase_us": fp[ok],
+                "delay_us": fp[ok] - fv[ok]}
 
-    def _funnel(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype="int64"),
-            "first_view_us": pd.Series([], dtype="int64"),
-            "first_purchase_us": pd.Series([], dtype="int64"),
-            "delay_us": pd.Series([], dtype="int64"),
-        })
-        firsts = (g.loc[~g["is_then"]]
-                  .groupby("user_id", sort=False)["ts_us"].min()
-                  .reset_index(name="first_view_us")
-                  .sort_values("first_view_us", kind="mergesort"))
-        thens = (g.loc[g["is_then"], ["user_id", "ts_us"]]
-                 .rename(columns={"ts_us": "first_purchase_us"})
-                 .sort_values("first_purchase_us", kind="mergesort"))
-        if not len(firsts) or not len(thens):
-            return empty
-        # earliest then-event at/after the user's first view — a
-        # forward as-of join, vectorized end-to-end in pandas C
-        m = pd.merge_asof(firsts, thens, left_on="first_view_us",
-                          right_on="first_purchase_us", by="user_id",
-                          direction="forward")
-        m = m.dropna(subset=["first_purchase_us"])
-        fp = m["first_purchase_us"].to_numpy(dtype=np.int64)
-        fv = m["first_view_us"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "user_id": m["user_id"].to_numpy(dtype=np.int64),
-            "first_view_us": fv,
-            "first_purchase_us": fp,
-            "delay_us": fp - fv,
-        })
-
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    return keyed.groupby("ugroup").map_groups(_funnel,
-                                              batch_format="pandas")
+    return user_timelines(
+        sf_dir, ["event_type"], _funnel,
+        pa.schema([(n, pa.int64()) for n in (
+            "user_id", "first_view_us", "first_purchase_us", "delay_us")]),
+        users_per_group, where=pc.field("event_type").isin([first, then]))
 
 
 # --------------------------------------------------------------------------
@@ -1074,46 +1079,29 @@ def run_retention_cohorts(sf_dir: str, users_per_group: int | None = None):
     output counts the distinct cohort users active that many weeks
     later — the classic product-analytics retention triangle.
 
-    Scale shape: one hash partition on user_id (the same data-scaled
-    ugroup buckets as sessionization — a user's history lands whole in
+    One :func:`user_timelines` scan: a user's history lands whole in
     one bucket, so cohort assignment and the per-user distinct-week
-    set never cross buckets); each bucket emits pre-counted
+    set never cross buckets; each bucket emits pre-counted
     (cohort, offset, n) partials — at most O(weeks²) rows per bucket
     regardless of event volume — and the tiny tree_combine sums them."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    def _cohort(c, starts):
+        week = c["ts_us"] // WEEK_US
+        cohort = np.repeat(week[starts], np.diff(np.r_[starts, len(week)]))
+        # one row per distinct (user, week): weeks ascend within a user
+        new = np.ones(len(week), dtype=bool)
+        new[1:] = week[1:] != week[:-1]
+        new[starts] = True
+        return _group_agg(
+            pa.table({"cohort_week_us": cohort[new] * WEEK_US,
+                      "week_offset": week[new] - cohort[new]}),
+            ["cohort_week_us", "week_offset"],
+            {"n_users": ("week_offset", "count")})
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch["ts"], pa.int64())
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "week": pc.divide(us, WEEK_US),
-        })
-
-    def _cohort(g: pd.DataFrame) -> pd.DataFrame:
-        uw = g[["user_id", "week"]].drop_duplicates()
-        cohort = uw.groupby("user_id", sort=False)["week"].transform("min")
-        off = uw["week"].to_numpy(dtype=np.int64) - \
-            cohort.to_numpy(dtype=np.int64)
-        out = (pd.DataFrame({"cohort": cohort.to_numpy(dtype=np.int64),
-                             "off": off})
-               .groupby(["cohort", "off"], sort=False).size()
-               .reset_index(name="n_users"))
-        return pd.DataFrame({
-            "cohort_week_us": out["cohort"].to_numpy(dtype=np.int64)
-            * WEEK_US,
-            "week_offset": out["off"].to_numpy(dtype=np.int64),
-            "n_users": out["n_users"].to_numpy(dtype=np.int64),
-        })
-
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    partials = keyed.groupby("ugroup").map_groups(_cohort,
-                                                  batch_format="pandas")
+    partials = user_timelines(
+        sf_dir, [], _cohort,
+        pa.schema([(n, pa.int64()) for n in (
+            "cohort_week_us", "week_offset", "n_users")]),
+        users_per_group)
     return tree_combine(partials, keys=("cohort_week_us", "week_offset"),
                         sums=("n_users",))
 
@@ -1260,47 +1248,23 @@ def run_events_lag_diff(sf_dir: str, users_per_group: int | None = None):
     delta and the microsecond gap — the feature-engineering shape
     (inter-event time, value momentum) sessionization doesn't cover.
 
-    Scale shape: identical to :func:`run_user_sessions` — ONE hash
-    partition on data-scaled coarsened user buckets, one vectorized
-    lexsort + shifted-subtract pass per bucket; a user's timeline
-    always lands whole in one bucket so the result is bucket-width
-    independent.  First-per-user rows are dropped, so every output is
+    One :func:`user_timelines` scan and a shifted-subtract pass per
+    bucket.  First-per-user rows are dropped, so every output is
     per-row arithmetic on identical float64/int64 inputs in both
     engines — IEEE-deterministic, no null-representation or rounding
     contract."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    def _lag(c, starts):
+        ts, val = c["ts_us"], c["value"]
+        k = np.flatnonzero(_rank(starts, len(ts)) >= 1)
+        return {"event_id": c["event_id"][k], "prev_value": val[k - 1],
+                "value_delta": val[k] - val[k - 1],
+                "gap_us": ts[k] - ts[k - 1]}
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "value": batch["value"],
-        })
-
-    def _lag(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        val = g["value"].to_numpy(dtype=np.float64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, val = uid[order], ts[order], eid[order], val[order]
-        same = uid[1:] == uid[:-1]
-        return pd.DataFrame({
-            "event_id": pd.Series(eid[1:][same], dtype="int64"),
-            "prev_value": pd.Series(val[:-1][same], dtype="float64"),
-            "value_delta": pd.Series((val[1:] - val[:-1])[same],
-                                     dtype="float64"),
-            "gap_us": pd.Series((ts[1:] - ts[:-1])[same], dtype="int64"),
-        })
-
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow", batch_size=16384)
-    return keyed.groupby("ugroup").map_groups(_lag, batch_format="pandas")
+    return user_timelines(
+        sf_dir, ["value"], _lag,
+        pa.schema([("event_id", pa.int64()), ("prev_value", pa.float64()),
+                   ("value_delta", pa.float64()), ("gap_us", pa.int64())]),
+        users_per_group)
 
 
 def events_lag_diff_oracle_sql() -> str:
@@ -1332,12 +1296,8 @@ def run_events_rolling(sf_dir: str, users_per_group: int | None = None):
     """The three remaining window frames the family lacked: per-user
     ``row_number()``, running total (ROWS UNBOUNDED PRECEDING) and a
     3-row moving average (ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)
-    over the (ts, event_id)-ordered timeline.
-
-    Scale shape: identical to :func:`run_events_lag_diff` — ONE hash
-    partition on data-scaled coarsened user buckets, one vectorized
-    lexsort + shifted-add pass per bucket; a user's whole timeline
-    lands in one bucket, so output is bucket-width independent.
+    over the (ts, event_id)-ordered timeline, as one
+    :func:`user_timelines` scan.
 
     Float contract: the running sum accumulates sequentially per user
     (pandas groupby-cumsum) and the 3-row sum adds explicitly shifted
@@ -1347,57 +1307,25 @@ def run_events_rolling(sf_dir: str, users_per_group: int | None = None):
     rounding itself is :func:`_vec_round` (correctly-rounded decimal,
     == _py_round == DuckDB), not bare np.round, so tie-adjacent
     cumulative sums cannot diverge by a scale-multiply ulp."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
-
-    def _coarse(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "value": batch["value"],
-        })
-
-    def _roll(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        val = g["value"].to_numpy(dtype=np.float64)
-        order = np.lexsort((eid, ts, uid))
-        uid, eid, val = uid[order], eid[order], val[order]
-        n = len(uid)
-        # row_number per user: position minus position of segment start
-        new_seg = np.ones(n, dtype=bool)
-        new_seg[1:] = uid[1:] != uid[:-1]
-        seg_start = np.maximum.accumulate(np.where(new_seg, np.arange(n), 0))
-        rn = np.arange(n) - seg_start + 1
+    def _roll(c, starts):
+        val = c["value"]
+        r = _rank(starts, len(val))
         # sequential per-user running total (pandas cumsum is ordered)
-        cum = pd.Series(val).groupby(pd.Series(uid), sort=False).cumsum() \
+        cum = pd.Series(val).groupby(c["user_id"], sort=False).cumsum() \
             .to_numpy(dtype=np.float64)
-        # 3-row moving sum/count with the window clipped at segment start
-        prev1 = np.zeros(n)
-        prev1[1:] = np.where(uid[1:] == uid[:-1], val[:-1], 0.0)
-        has1 = np.zeros(n, dtype=bool)
-        has1[1:] = uid[1:] == uid[:-1]
-        prev2 = np.zeros(n)
-        prev2[2:] = np.where(uid[2:] == uid[:-2], val[:-2], 0.0)
-        has2 = np.zeros(n, dtype=bool)
-        has2[2:] = uid[2:] == uid[:-2]
-        cnt3 = 1 + has1.astype(np.int64) + has2.astype(np.int64)
-        avg3 = (val + prev1 + prev2) / cnt3
-        return pd.DataFrame({
-            "event_id": pd.Series(eid, dtype="int64"),
-            "rn": pd.Series(rn, dtype="int64"),
-            "cum_value": _vec_round(cum, 6),
-            "avg3": _vec_round(avg3, 6),
-        })
+        # 3-row moving sum/count with the window clipped at user start
+        avg3 = (val + np.where(r >= 1, np.roll(val, 1), 0.0)
+                + np.where(r >= 2, np.roll(val, 2), 0.0)) \
+            / (1 + np.minimum(r, 2))
+        return {"event_id": c["event_id"], "rn": r + 1,
+                "cum_value": _vec_round(cum, 6),
+                "avg3": _vec_round(avg3, 6)}
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow", batch_size=16384)
-    return keyed.groupby("ugroup").map_groups(_roll, batch_format="pandas")
+    return user_timelines(
+        sf_dir, ["value"], _roll,
+        pa.schema([("event_id", pa.int64()), ("rn", pa.int64()),
+                   ("cum_value", pa.float64()), ("avg3", pa.float64())]),
+        users_per_group)
 
 
 def events_rolling_oracle_sql() -> str:
@@ -2060,57 +1988,24 @@ def run_event_transitions(sf_dir: str, users_per_group: int | None = None):
     bigram shape (funnel analysis's raw material; event_funnel counts
     one fixed path, this counts all 1-step paths).
 
-    Scale shape: the :func:`run_events_lag_diff` discipline — ONE
-    hash partition on data-scaled coarsened user buckets, a vectorized
-    lexsort + shift per bucket emitting ≤|types|² partial count rows,
-    then :func:`tree_combine` sums the tiny pair table.  Counts are
-    integers — exact under any merge order."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    One :func:`user_timelines` scan; each bucket emits ≤|types|²
+    partial count rows, then :func:`tree_combine` sums the tiny pair
+    table.  Counts are integers — exact under any merge order."""
+    def _pairs(c, starts):
+        typ = c["event_type"]
+        k = np.flatnonzero(_rank(starts, len(typ)) >= 1)
+        return _group_agg(
+            pa.table({"prev_type": typ[k - 1], "event_type": typ[k]}),
+            ["prev_type", "event_type"],
+            {"n_transitions": ("event_type", "count")})
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "event_type": batch["event_type"],
-        })
-
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        typ = g["event_type"].to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        uid, typ = uid[order], typ[order]
-        same = uid[1:] == uid[:-1]
-        pairs = pd.DataFrame({"prev_type": typ[:-1][same],
-                              "event_type": typ[1:][same]})
-        out = (pairs.groupby(["prev_type", "event_type"], sort=False)
-               .size().reset_index(name="n_transitions"))
-        out["n_transitions"] = out["n_transitions"].astype("int64")
-        return out
-
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                  "event_type"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    partials = keyed.groupby("ugroup").map_groups(
-        _pairs, batch_format="pandas")
-    out = tree_combine(partials, ["prev_type", "event_type"],
-                       sums=("n_transitions",))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "prev_type": batch["prev_type"],
-            "event_type": batch["event_type"],
-            "n_transitions": pc.cast(batch["n_transitions"], pa.int64()),
-        })
-
-    return (out.map_batches(finalize, batch_format="pyarrow")
+    partials = user_timelines(
+        sf_dir, ["event_type"], _pairs,
+        pa.schema([("prev_type", pa.string()), ("event_type", pa.string()),
+                   ("n_transitions", pa.int64())]),
+        users_per_group)
+    return (tree_combine(partials, ["prev_type", "event_type"],
+                         sums=("n_transitions",))
             .sort(["prev_type", "event_type"]))
 
 
@@ -2416,64 +2311,24 @@ def run_event_trigrams(sf_dir: str, users_per_group: int | None = None):
     count of (t1 → t2 → t3) paths — the 2-step funnel raw material,
     one order deeper than :func:`run_event_transitions`.
 
-    Scale shape: same discipline — ONE hash partition on data-scaled
-    coarsened user buckets, a vectorized lexsort + double shift per
-    bucket emitting ≤|types|³ partial count rows, then
-    :func:`tree_combine` sums the tiny path table.  Integer counts
-    are exact under any merge order."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    One :func:`user_timelines` scan; each bucket emits ≤|types|³
+    partial count rows, then :func:`tree_combine` sums the tiny path
+    table.  Integer counts are exact under any merge order."""
+    def _trigrams(c, starts):
+        typ = c["event_type"]
+        k = np.flatnonzero(_rank(starts, len(typ)) >= 2)
+        return _group_agg(
+            pa.table({"type_1": typ[k - 2], "type_2": typ[k - 1],
+                      "type_3": typ[k]}),
+            ["type_1", "type_2", "type_3"], {"n_paths": ("type_3", "count")})
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "event_type": batch["event_type"],
-        })
-
-    def _trigrams(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        typ = g["event_type"].to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        uid, typ = uid[order], typ[order]
-        if len(uid) < 3:
-            return pd.DataFrame({"type_1": pd.Series(dtype="object"),
-                                 "type_2": pd.Series(dtype="object"),
-                                 "type_3": pd.Series(dtype="object"),
-                                 "n_paths": pd.Series(dtype="int64")})
-        same = (uid[2:] == uid[1:-1]) & (uid[1:-1] == uid[:-2])
-        tri = pd.DataFrame({"type_1": typ[:-2][same],
-                            "type_2": typ[1:-1][same],
-                            "type_3": typ[2:][same]})
-        out = (tri.groupby(["type_1", "type_2", "type_3"], sort=False)
-               .size().reset_index(name="n_paths"))
-        out["n_paths"] = out["n_paths"].astype("int64")
-        return out
-
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                  "event_type"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    partials = keyed.groupby("ugroup").map_groups(
-        _trigrams, batch_format="pandas")
-    out = tree_combine(partials, ["type_1", "type_2", "type_3"],
-                       sums=("n_paths",))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "type_1": batch["type_1"],
-            "type_2": batch["type_2"],
-            "type_3": batch["type_3"],
-            "n_paths": pc.cast(batch["n_paths"], pa.int64()),
-        })
-
-    return (out.map_batches(finalize, batch_format="pyarrow")
+    partials = user_timelines(
+        sf_dir, ["event_type"], _trigrams,
+        pa.schema([("type_1", pa.string()), ("type_2", pa.string()),
+                   ("type_3", pa.string()), ("n_paths", pa.int64())]),
+        users_per_group)
+    return (tree_combine(partials, ["type_1", "type_2", "type_3"],
+                         sums=("n_paths",))
             .sort(["type_1", "type_2", "type_3"]))
 
 
@@ -2758,63 +2613,31 @@ def run_asof_attribution(sf_dir: str, match: str = "view",
     (ts, event_id) total order, so simultaneous-timestamp ties are
     deterministic on both engines.
 
-    Scale shape: the sessionization discipline — filter to the two
-    event types BEFORE any shuffle (only attribution-relevant rows
-    move), ONE hash partition on data-scaled coarsened user buckets,
-    then a per-bucket vectorized kernel: lexsort, forward-fill of the
-    last match index via ``np.maximum.accumulate`` with user-boundary
-    reset (no per-row Python, no per-user loop).  Output: one row per
+    One :func:`user_timelines` scan over the rows of the two event
+    types (filtered before the shuffle), then a per-bucket vectorized
+    kernel: forward-fill of the last match index via
+    ``np.maximum.accumulate``, reset at each user's first row (no
+    per-row Python, no per-user loop).  Output: one row per
     attributed target with the matched ts and the gap."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    def _attrib(c, starts):
+        ts, tgt = c["ts_us"], c["event_type"] == target
+        idx = np.arange(len(ts))
+        # last match index up to AND INCLUDING each row, shifted to
+        # "strictly preceding"; kept only inside the row's own user
+        ff = np.maximum.accumulate(np.where(tgt, -1, idx))
+        prev = np.r_[-1, ff[:-1]]
+        t = np.flatnonzero(tgt & (prev >= idx - _rank(starts, len(ts))))
+        v = prev[t]
+        return {"event_id": c["event_id"][t], "user_id": c["user_id"][t],
+                "ts_us": ts[t], "last_view_us": ts[v],
+                "gap_us": ts[t] - ts[v]}
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch["event_type"],
-                        value_set=pa.array([match, target]))
-        b = batch.filter(keep)
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(b["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": b["user_id"],
-            "event_id": b["event_id"],
-            "is_target": pc.equal(b["event_type"], target),
-            "ts_us": pc.cast(b["ts"], pa.int64()),
-        })
-
-    def _attrib(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        tgt = g["is_target"].to_numpy(dtype=bool)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, tgt = uid[order], ts[order], eid[order], tgt[order]
-        n = len(uid)
-        idx = np.arange(n)
-        # last match (view) index up to AND INCLUDING each position,
-        # then shift to "strictly preceding"; reset at user boundary
-        mark = np.where(~tgt, idx, -1)
-        ff = np.maximum.accumulate(mark)
-        prev_ff = np.concatenate(([-1], ff[:-1]))
-        new_user = np.concatenate(([True], uid[1:] != uid[:-1]))
-        ustart = idx[new_user][np.cumsum(new_user) - 1]
-        ok = tgt & (prev_ff >= ustart)
-        out_t = idx[ok]
-        out_v = prev_ff[ok]
-        return pd.DataFrame({
-            "event_id": eid[out_t],
-            "user_id": uid[out_t],
-            "ts_us": ts[out_t],
-            "last_view_us": ts[out_v],
-            "gap_us": ts[out_t] - ts[out_v],
-        })
-
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                  "event_type"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    return (keyed.groupby("ugroup").map_groups(
-        _attrib, batch_format="pandas").sort("event_id"))
+    return user_timelines(
+        sf_dir, ["event_type"], _attrib,
+        pa.schema([(n, pa.int64()) for n in (
+            "event_id", "user_id", "ts_us", "last_view_us", "gap_us")]),
+        users_per_group,
+        where=pc.field("event_type").isin([match, target])).sort("event_id")
 
 
 def asof_attribution_oracle_sql(match: str = "view",
@@ -3741,16 +3564,13 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
             "revenue": _py_round(batch["rev"], 2),
         })
 
-    # the result is a few rows (nation pairs × years), materialized so
-    # that an empty one can be returned with its declared columns
-    res = (out.map_batches(finalize, batch_format="pyarrow")
-           .sort(["supp_nation", "cust_nation", "l_year"]).materialize())
-    if res.count():
-        return res
-    return _empty_result(pa.schema([("supp_nation", pa.string()),
-                                    ("cust_nation", pa.string()),
-                                    ("l_year", pa.int64()),
-                                    ("revenue", pa.float64())]))
+    return _keep_columns(
+        out.map_batches(finalize, batch_format="pyarrow")
+        .sort(["supp_nation", "cust_nation", "l_year"]),
+        pa.schema([("supp_nation", pa.string()),
+                   ("cust_nation", pa.string()),
+                   ("l_year", pa.int64()),
+                   ("revenue", pa.float64())]))
 
 
 def volume_shipping_oracle_sql(nation_a: str = Q7_NATION_A,
@@ -4693,51 +4513,29 @@ def run_interarrival_stats(sf_dir: str, users_per_group: int | None = None):
     statistic behind rate limiting and engagement models.  A gap is
     attributed to the type of the LATER event.
 
-    Scale shape: the :func:`run_event_transitions` discipline — ONE
-    hash partition on data-scaled coarsened user buckets, a vectorized
-    lexsort + shift per bucket, then per-type EXACT int64 moment
+    One :func:`user_timelines` scan, then per-type EXACT int64 moment
     partials (n, Σgap, Σgap²) into :func:`tree_combine`.
 
     Float contract: mean/var derive from the exact moments via the
-    same float64 expression tree as :func:`run_user_burstiness`."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    same float64 expression tree as :func:`run_user_burstiness`, except
+    that ``Σg·Σg`` is exact: DuckDB forms ``(sum_g * 1.0) * sum_g`` as a
+    DECIMAL(38,1) and casts it to double once, and past 2^53 s² (sf0.1)
+    a float64 product rounds differently."""
+    def _moments(c, starts):
+        ts_s = c["ts_us"] // 1_000_000
+        k = np.flatnonzero(_rank(starts, len(ts_s)) >= 1)
+        g = ts_s[k] - ts_s[k - 1]
+        return _group_agg(
+            pa.table({"event_type": c["event_type"][k], "g": g, "g2": g * g}),
+            ["event_type"],
+            {"n": ("g", "count"), "sum_g": ("g", "sum"),
+             "sum_g2": ("g2", "sum")})
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "event_type": batch["event_type"],
-        })
-
-    def _moments(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        typ = g["event_type"].to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        uid, typ = uid[order], typ[order]
-        ts_s = ts[order] // 1_000_000
-        same = uid[1:] == uid[:-1]
-        gaps = (ts_s[1:] - ts_s[:-1])[same]
-        d = pd.DataFrame({"event_type": typ[1:][same], "gap": gaps})
-        out = d.groupby("event_type", sort=False)["gap"].agg(
-            n="size", sum_g="sum",
-            sum_g2=lambda s: int((s.to_numpy(dtype=np.int64) ** 2)
-                                 .sum())).reset_index()
-        return out.astype({"n": "int64", "sum_g": "int64",
-                           "sum_g2": "int64"})
-
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                  "event_type"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    partials = keyed.groupby("ugroup").map_groups(
-        _moments, batch_format="pandas")
+    partials = user_timelines(
+        sf_dir, ["event_type"], _moments,
+        pa.schema([("event_type", pa.string()), ("n", pa.int64()),
+                   ("sum_g", pa.int64()), ("sum_g2", pa.int64())]),
+        users_per_group)
     out = tree_combine(partials, ["event_type"],
                        sums=("n", "sum_g", "sum_g2"))
 
@@ -4745,11 +4543,13 @@ def run_interarrival_stats(sf_dir: str, users_per_group: int | None = None):
         n = batch["n"].to_numpy(zero_copy_only=False).astype(np.float64)
         sg = batch["sum_g"].to_numpy(zero_copy_only=False)
         sg2 = batch["sum_g2"].to_numpy(zero_copy_only=False)
+        # the DECIMAL's unscaled int (Σg·Σg·10) to double, then / 10
+        sq = np.array([float(int(v) * int(v) * 10) for v in sg]) / 10.0
         mean = sg / n
-        var = (sg2 - (sg * 1.0) * sg / n) / (n - 1.0)
+        var = (sg2 - sq / n) / (n - 1.0)
         return pa.table({
             "event_type": batch["event_type"],
-            "n_gaps": pc.cast(batch["n"], pa.int64()),
+            "n_gaps": batch["n"],
             "mean_gap_s": pa.array(mean, type=pa.float64()),
             "var_gap_s": pa.array(var, type=pa.float64()),
         })
@@ -5345,55 +5145,28 @@ def run_session_stats(sf_dir: str, users_per_group: int | None = None):
     (n_events) with the session count, total and mean session
     duration — the engagement histogram read off any event stream.
 
-    Scale shape: the same one-shuffle sessionization as
-    :func:`run_user_sessions` (hash partition on coarsened user
-    buckets, vectorized lexsort + reduceat inside), but each bucket
-    collapses its sessions to per-length partials before leaving the
-    task, so the final tree_combine sees #lengths × #buckets
-    constant-width rows.
+    The :func:`run_user_sessions` sessionization on one
+    :func:`user_timelines` scan, but each bucket collapses its
+    sessions to per-length partials before leaving the task, so the
+    final tree_combine sees #lengths × #buckets constant-width rows.
 
     Float contract: counts and duration sums are exact int64
     (microsecond epochs); mean = (sum * 1.0) / n is the identical
     float64 expression tree on both engines — no rounding contract."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    def _partial(c, starts):
+        ts = c["ts_us"]
+        s = _session_starts(ts, starts)
+        lens = np.diff(np.r_[s, len(ts)])
+        return _group_agg(
+            pa.table({"n_events": lens, "dur": ts[s + lens - 1] - ts[s]}),
+            ["n_events"],
+            {"n_sessions": ("dur", "count"), "sum_dur": ("dur", "sum")})
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-        })
-
-    def _partial(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts = uid[order], ts[order]
-        new_sess = np.ones(len(uid), dtype=bool)
-        if len(uid) > 1:
-            new_sess[1:] = (uid[1:] != uid[:-1]) | \
-                (ts[1:] - ts[:-1] > SESSION_GAP_US)
-        starts = np.flatnonzero(new_sess)
-        ends = np.r_[starts[1:], len(uid)] - 1
-        lens = ends - starts + 1
-        dur = ts[ends] - ts[starts]
-        df = pd.DataFrame({"n_events": lens, "dur": dur})
-        out = (df.groupby("n_events", sort=False)
-               .agg(n_sessions=("dur", "size"), sum_dur=("dur", "sum"))
-               .reset_index())
-        return out.astype({"n_events": "int64", "n_sessions": "int64",
-                           "sum_dur": "int64"})
-
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    partials = keyed.groupby("ugroup").map_groups(
-        _partial, batch_format="pandas")
+    partials = user_timelines(
+        sf_dir, [], _partial,
+        pa.schema([(n, pa.int64()) for n in (
+            "n_events", "n_sessions", "sum_dur")]),
+        users_per_group)
     out = tree_combine(partials, ["n_events"],
                        sums=("n_sessions", "sum_dur"))
 
@@ -5568,53 +5341,29 @@ def run_session_type_pairs(sf_dir: str,
     sessions in which both types occur — the session-granularity
     market-basket table (type_lift's sibling at user granularity).
 
-    Scale shape: the same one-shuffle coarsened-bucket sessionization
-    as :func:`run_user_sessions`; inside a bucket the distinct
+    The :func:`run_user_sessions` sessionization on one
+    :func:`user_timelines` scan; inside a bucket the distinct
     (session, type) sets fan out to at most |types|²/2 pair rows per
     session (the type domain is small by construction), pre-counted
     before leaving the task, then tree_combine merges the
     #pairs × #buckets partials.  All counts int64."""
-    if users_per_group is None:
-        users_per_group = _scaled_buckets(sf_dir, "events")
+    def _pairs(c, starts):
+        ts = c["ts_us"]
+        s = _session_starts(ts, starts)
+        sid = np.repeat(np.arange(len(s)), np.diff(np.r_[s, len(ts)]))
+        d = (pa.table({"sid": sid, "type": c["event_type"]})
+             .group_by(["sid", "type"]).aggregate([]))
+        m = d.join(d, "sid", left_suffix="_a", right_suffix="_b",
+                   use_threads=False)
+        return _group_agg(m.filter(pc.less(m["type_a"], m["type_b"])),
+                          ["type_a", "type_b"],
+                          {"n_sessions": ("sid", "count")})
 
-    def _coarse(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "ugroup": pc.cast(
-                pc.bit_wise_and(batch["user_id"], users_per_group - 1),
-                pa.int64()),
-            "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "event_type": batch["event_type"],
-        })
-
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        uid = g["user_id"].to_numpy(dtype=np.int64)
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
-        eid = g["event_id"].to_numpy(dtype=np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts = uid[order], ts[order]
-        et = g["event_type"].to_numpy()[order]
-        new_sess = np.ones(len(uid), dtype=bool)
-        if len(uid) > 1:
-            new_sess[1:] = (uid[1:] != uid[:-1]) | \
-                (ts[1:] - ts[:-1] > SESSION_GAP_US)
-        sid = np.cumsum(new_sess)
-        d = (pd.DataFrame({"sid": sid, "t": et})
-             .drop_duplicates())
-        m = d.merge(d, on="sid")
-        m = m[m["t_x"] < m["t_y"]]
-        out = (m.groupby(["t_x", "t_y"], sort=False)
-               .size().rename("n_sessions").reset_index()
-               .rename(columns={"t_x": "type_a", "t_y": "type_b"}))
-        return out.astype({"n_sessions": "int64"})
-
-    ds = _read(sf_dir, "events",
-               ["event_id", "user_id", "ts", "event_type"])
-    keyed = ds.map_batches(_coarse, batch_format="pyarrow",
-                           batch_size=16384)
-    partials = keyed.groupby("ugroup").map_groups(
-        _pairs, batch_format="pandas")
+    partials = user_timelines(
+        sf_dir, ["event_type"], _pairs,
+        pa.schema([("type_a", pa.string()), ("type_b", pa.string()),
+                   ("n_sessions", pa.int64())]),
+        users_per_group)
     return (tree_combine(partials, ["type_a", "type_b"],
                          sums=("n_sessions",))
             .sort(["type_a", "type_b"]))

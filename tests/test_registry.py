@@ -148,3 +148,41 @@ def test_no_hand_rolled_shuffle_join():
                 unions.append(f"{path.relative_to(root)}:{node.lineno}")
     assert n_calls > 50  # the scan sees the real call sites
     assert unions == []
+
+
+# Functions that may still group on the coarsened user bucket outside
+# ``relational.user_timelines``, each with the reason it is not a
+# per-user timeline.
+UGROUP_OUTSIDE_TIMELINES = {
+    "run_rrf_fusion": "shuffles per-batch (user, cents, n) partials to "
+                      "one bucket for a local top-k: a grouped reduce",
+    "run_user_type_profile": "shuffles per-batch distinct (user, type) "
+                             "pairs for a string_agg: a grouped reduce",
+}
+
+
+def test_no_hand_rolled_user_timeline():
+    """Per-user sequence queries go through
+    ``relational.user_timelines``: no function in dude_ray/ outside it
+    and the allowlist above calls ``groupby("ugroup")``."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "dude_ray"
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "groupby"
+                        and [getattr(a, "value", None) for a in node.args]
+                        == ["ugroup"]):
+                    sites.append((getattr(top, "name", "<module>"),
+                                  f"{path.relative_to(root)}:{node.lineno}"))
+    assert [s for s in sites if s[0] != "user_timelines"
+            and s[0] not in UGROUP_OUTSIDE_TIMELINES] == []
+    # the scan sees the primitive and every allowlisted caller
+    assert {"user_timelines", *UGROUP_OUTSIDE_TIMELINES} <= \
+        {name for name, _ in sites}

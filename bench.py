@@ -45,7 +45,7 @@ def _crawl_once() -> dict:
     # one frontier process, so the count sets the host-hash partition only
     run_crawl(SF_DIR, out_dir=out_dir,
               num_shards=max(4, NUM_CPUS // 4),
-              batch_size=192, checkpoint_every=8,
+              checkpoint_every=8,
               ticks_per_round=8, corpus_scale=CORPUS_SCALE, seed_every=1,
               num_parts_hint=NUM_PARTS, politeness_burst=100_000,
               exact_confirm=False, pipelined=True)

@@ -20,10 +20,14 @@ Ray shape per round:
     CrawlWorker pool — PERSISTENT raw actors (pooled across crawls with
     the frontier, see "Actor pool" below; one crawl's corpus partition
     cache + compiled selectors stay warm across its rounds — the one
-    stage whose state per-execution Dataset pools cannot amortize):
-        fetch = partitioned corpus lookup (LRU part cache,
-        load-aware dispatch: cold parts cache-affine, hot parts fan out
-        over a bounded, persistent owner set)
+    stage whose state per-execution Dataset pools cannot amortize),
+    fed about two chunk tasks per worker per round (``plan_chunks``):
+    rows go to workers by corpus part (cold parts cache-affine, hot
+    parts fan out over a persistent owner set that grows only past the
+    round's fair share), and each worker's share, across shards and
+    parts, is cut into chunks of at most ``batch_size`` rows; a chunk
+    is a list of (shard table ref, row indices, ranks) slices:
+        fetch = partitioned corpus lookup (LRU part cache)
         parse DOM once → span extraction + link collection
         links → canonicalize+SHA-1 → host-hash shard buckets →
         frontier.offer, one RPC per chunk (fire-and-forget; refs
@@ -128,9 +132,9 @@ class CrawlWorker:
     selector programs stay warm across a crawl's frontier rounds, and
     the process itself is reused by the next crawl — the frontier loop
     is the one stage whose statefulness the per-execution Dataset actor
-    pools cannot amortize.  Batches are routed with corpus-part
-    affinity (worker = part % pool_size) so each worker caches only its
-    slice of the corpus.
+    pools cannot amortize.  Rows are routed with corpus-part affinity
+    (a cold part goes to worker part % pool_size; see ``plan_chunks``)
+    so each worker caches mostly its slice of the corpus.
 
     The crawl's config is not a constructor argument: each chunk task
     carries the crawl's ``epoch`` and its config as ``[ObjectRef]``
@@ -211,36 +215,35 @@ class CrawlWorker:
             self.epoch = epoch
         return self.token
 
-    def process(self, batch: pa.Table) -> pa.Table:
-        import time as _t
-
-        t0 = _t.time()
-        out = self(batch)
-        self.busy_s += _t.time() - t0
-        self.n_batches += 1
-        return out
-
-    def process_slice(self, shard_table: pa.Table, idx, order, rnd: int,
-                      epoch: int, cfg: list):
-        """Scale-path entry: the driver dispatches (shard table ref, row
-        indices, visit ranks) instead of materialized row chunks, so URL
+    def process_slice(self, slices: list, rnd: int, epoch: int, cfg: list):
+        """Process one chunk: ``slices`` is ``[(shard table ref, row
+        indices, visit ranks), ...]`` (see ``plan_chunks``), so URL
         payload flows shard → object store → worker without transiting
-        the driver.  ``shard_table`` arrives auto-dereferenced from the
-        plasma store (zero-copy on the same node, one transfer/node).
+        the driver.  The refs sit in a list, so Ray does not resolve
+        them; the worker ``ray.get``s the tables (zero-copy from the
+        plasma store on the same node) and concatenates the taken rows.
 
         Called with ``num_returns=2``: (result table, this chunk's
         in-flight offer ObjectRefs).  The driver fetches only the tiny
         second return to confirm edge delivery — the table ref goes
         straight to the writers.  ``epoch``/``cfg``: the crawl this
         chunk belongs to (see ``configure``)."""
+        import time as _t
+
         import numpy as np
 
         self.configure(epoch, cfg)
-        batch = shard_table.take(pa.array(idx))
+        tables = ray.get([ref for ref, _, _ in slices])
+        batch = pa.concat_tables([t.take(pa.array(idx))
+                                  for t, (_, idx, _) in zip(tables, slices)])
+        order = np.concatenate([ranks for _, _, ranks in slices])
         batch = batch.append_column(
-            "round", pa.array(np.full(len(idx), rnd, dtype=np.int32)))
+            "round", pa.array(np.full(len(order), rnd, dtype=np.int32)))
         batch = batch.append_column("order_in_round", pa.array(order, type=pa.int64()))
-        out = self.process(batch)
+        t0 = _t.time()
+        out = self(batch)
+        self.busy_s += _t.time() - t0
+        self.n_batches += 1
         offers, self._last_offers = self._last_offers, []
         return out, offers
 
@@ -409,6 +412,9 @@ class _ActorPool:
             ray.kill(actor)
 
 
+# seconds a barrier waits on its chunks before it checks the frontier
+_PROBE_S = 0.1
+
 _POOL: Optional[_ActorPool] = None
 _POOL_LOCK = threading.Lock()
 _EPOCH = 0
@@ -441,12 +447,77 @@ def _drop_pool() -> None:
         pool.kill()
 
 
+def plan_chunks(parts: list, ranks: list, owners: dict, n_workers: int,
+                cap: int) -> tuple[list, dict]:
+    """Cut one released round into about two chunks per worker.
+
+    ``parts[i]``/``ranks[i]``: corpus part and global visit rank of each
+    row of shard table ``i``.  ``owners``: part -> the workers that have
+    that part's corpus lookup partition cached (the previous round's
+    result; not modified).  Returns ``(chunks, owners)``: ``chunks`` is
+    ``[(worker, [(shard, row indices, ranks), ...]), ...]`` and the new
+    owner map.
+
+    Rows are assigned part by part, largest part first, to the
+    least-loaded worker of the part's owner set; a cold part's set is
+    ``[part % n_workers]``, and a set grows by the least-loaded worker
+    only once all its owners hold the round's fair share
+    (``ceil(n / n_workers)`` rows), so a hot part fans out but no worker
+    ends above the fair share.  Each worker's rows, across shards and
+    parts, are then packed into chunks of
+    ``min(cap, ceil(n / (2 * n_workers)))`` rows: at most two per
+    worker unless ``cap`` binds."""
+    import numpy as np
+
+    owners = {p: list(o) for p, o in owners.items()}
+    n = sum(len(p) for p in parts)
+    if not n:
+        return [], owners
+    W = n_workers
+    size = min(cap, -(-n // (2 * W)))
+    fair = -(-n // W)
+    shard = np.concatenate([np.full(len(p), i, dtype=np.int64)
+                            for i, p in enumerate(parts)])
+    row = np.concatenate([np.arange(len(p), dtype=np.int64) for p in parts])
+    part = np.concatenate(parts)
+    rank = np.concatenate(ranks)
+    order = np.lexsort((rank, part))  # rows by part, then visit rank
+    part_s = part[order]
+    starts = np.flatnonzero(np.r_[True, part_s[1:] != part_s[:-1]])
+    ends = np.r_[starts[1:], n]
+    load = [0] * W
+    pieces: list[list] = [[] for _ in range(W)]
+    for s0, e0 in sorted(zip(starts.tolist(), ends.tolist()),
+                         key=lambda se: se[0] - se[1]):
+        own = owners.setdefault(int(part_s[s0]), [int(part_s[s0]) % W])
+        while s0 < e0:
+            w = min(own, key=load.__getitem__)
+            if load[w] >= fair:
+                # every owner is full, so the least-loaded worker is not
+                # an owner and is below the fair share
+                w = min(range(W), key=load.__getitem__)
+                own.append(w)
+            take = min(e0 - s0, fair - load[w])
+            pieces[w].append(order[s0:s0 + take])
+            load[w] += take
+            s0 += take
+    chunks = []
+    for w, ps in enumerate(pieces):
+        rows = np.concatenate(ps) if ps else []
+        for a in range(0, len(rows), size):
+            sel = rows[a:a + size]
+            sh = shard[sel]
+            chunks.append((w, [(int(i), row[sel[sh == i]], rank[sel[sh == i]])
+                               for i in np.unique(sh)]))
+    return chunks, owners
+
+
 def run_crawl(
     sf_dir: str,
     out_dir: Optional[str] = None,
     num_shards: int = 4,
     concurrency: Optional[int] = None,
-    batch_size: int = 128,
+    batch_size: int = 2048,
     max_rounds: int = 10_000,
     ticks_per_round: int = 8,
     release_budget: int = 1_000_000,
@@ -474,6 +545,10 @@ def run_crawl(
     amortizes per-round pipeline startup when only crawl-delayed hosts
     remain.  ``stop_after_rounds`` simulates a crash for resume tests.
 
+    Each round goes to the workers as about two chunk tasks per worker
+    (``plan_chunks``); ``batch_size`` caps the rows of one chunk, which
+    bounds a worker's memory per task on large rounds.
+
     The frontier and workers come from the module's actor pool and stay
     alive for the next call (see "Actor pool" in the module docstring);
     ``METRICS.json`` reports ``pool`` ("cold": created by this call,
@@ -482,7 +557,9 @@ def run_crawl(
     workers' summed busy time and ``worker_layers_s`` its split over
     ``WORKER_LAYERS``.  ``frontier_calls`` is the number of RPCs the
     frontier served for this call, and ``frontier_busy_s`` the CPU
-    seconds of its release, offer and snapshot work.
+    seconds of its release, offer and snapshot work.  ``chunks`` is the
+    number of chunk tasks dispatched (edge replays excluded) and
+    ``chunk_rows_max`` the rows of the largest.
     """
     import time as _time
 
@@ -523,11 +600,11 @@ def run_crawl(
         # leave headroom for the frontier process and the driver —
         # oversubscription slows every stage
         total = int(ray.cluster_resources().get("CPU", 4))
-        # ~75% of CPUs: a larger pool did not pay.  On a 4-CPU session
-        # (crawl_bulk, warm pool) 3 workers took the same wall per call
-        # as 2 (2.80-2.95 s against 2.98 s) and 10-19% more CPU per URL
-        # (899-970 µs against 813-836 µs): each worker's per-row cost
-        # rose with the third
+        # ~75% of CPUs.  On a 4-CPU session (crawl_bulk configuration,
+        # warm pool, medians of 8 calls, 4 runs each) 3 workers took
+        # 1.53-1.61 s per call against 1.83-2.03 s for 2, at 507-557 µs
+        # of CPU per URL against 491-557 µs, and they hold one more
+        # worker process's memory; 2 stays the 4-CPU default
         concurrency = max(2, min(total - 2, (total * 3) // 4))
 
     global _EPOCH
@@ -590,12 +667,13 @@ def run_crawl(
         pending_writes: list = []  # (write refs, tmp dir, round dir)
         pending_ckpt = None  # deferred persist of the PREVIOUS checkpoint
         part_owners: dict[int, list[int]] = {}
-        inflight: list = []
-        # (offers_ref, tick table ref, row sel, ranks, round) per dispatched
-        # chunk — the delivery-confirmation ledger.  Holding the tick table
-        # ref keeps the chunk replayable until its offers are confirmed.
+        inflight: list = []  # offer-ref returns of unfinished chunks
+        # (offers_ref, slices, round) per dispatched chunk — the
+        # delivery-confirmation ledger.  Holding the slices' shard table
+        # refs keeps the chunk replayable until its offers are confirmed.
         offer_pending: list = []
         _rr = [0]
+        n_chunks = max_chunk_rows = 0
 
         worker_tokens: list = list(worker_tokens0)
 
@@ -624,7 +702,7 @@ def run_crawl(
             # raises its ActorDiedError here, before any chunk is re-run
             ray.get(frontier.pending.remote())
             replayed = False
-            for o_ref, t_ref, sel, order_vals, ernd in offer_pending:
+            for o_ref, slices, ernd in offer_pending:
                 try:
                     ray.get(ray.get(o_ref))
                     continue
@@ -633,7 +711,7 @@ def run_crawl(
                 for _ in range(2 * len(workers)):
                     _rr[0] = (_rr[0] + 1) % len(workers)
                     _tbl, o2 = workers[_rr[0]].process_slice.options(
-                        num_returns=2).remote(t_ref, sel, order_vals, ernd, epoch, cfg)
+                        num_returns=2).remote(slices, ernd, epoch, cfg)
                     try:
                         ray.get(ray.get(o2))
                         replayed = True
@@ -647,6 +725,26 @@ def run_crawl(
             offer_pending.clear()
             worker_tokens[:] = ray.get([w.flush_offers.remote() for w in workers])
             return replayed
+
+        def _drain(chunks: list) -> None:
+            """Wait for ``chunks`` (offer-ref returns) one at a time, so
+            the first failed chunk raises at once instead of after the
+            rest: the frontier's death if it died (a dead frontier fails
+            every chunk that reads its shard tables), else the chunk's
+            own error.  A chunk that was running when the frontier died
+            still succeeds (its offers are fire-and-forget), so the
+            frontier is also probed whenever no chunk finishes for
+            ``_PROBE_S``."""
+            while chunks:
+                done, chunks = ray.wait(chunks, num_returns=1,
+                                        timeout=_PROBE_S)
+                try:
+                    ray.get(done)
+                except Exception:
+                    ray.get(frontier.pending.remote())
+                    raise
+                if not done:
+                    ray.get(frontier.pending.remote())
 
         def _submit_writes(drain: bool) -> None:
             """Hand rounds whose chunks have all finished to the workers'
@@ -733,55 +831,24 @@ def run_crawl(
             offs = np.cumsum([0] + [t["n"] for t in tick_out])
             _pt["build"] += _time.time() - _t0
             _t0 = _time.time()
-            # group this round's batches by corpus part, then assign workers:
-            # cold parts stay on their affine worker (lookup-cache locality);
-            # a hot part fans out so one hot host cannot serialize the round
-            # (hot-host skew splitting).  Chunks never span shards: a chunk
-            # is (shard index, row-index array, rank array) and the worker
-            # takes the rows from the shard table ref directly.
-            refs = []
-            per_part: dict[int, list] = {}
-            for i, t in enumerate(tick_out):
-                lr = ranks[offs[i]:offs[i + 1]]
-                pt_arr = t["parts"]
-                perm = np.lexsort((lr, pt_arr))
-                pt_s = pt_arr[perm]
-                bounds = np.flatnonzero(np.diff(pt_s)) + 1
-                starts = np.concatenate(([0], bounds))
-                ends = np.concatenate((bounds, [len(pt_s)]))
-                for s0, e0 in zip(starts, ends):
-                    part = int(pt_s[s0])
-                    lst = per_part.setdefault(part, [])
-                    for a in range(s0, e0, batch_size):
-                        b = min(a + batch_size, e0)
-                        sel = perm[a:b]
-                        lst.append((i, sel, lr[sel]))
-            # load-aware dispatch with bounded cache replication: each part
-            # has a persistent owner set (workers that have its lookup
-            # partition cached); batches go to the least-loaded owner, and a
-            # part's owner set only grows when all owners are above the
-            # round's fair share (hot-host skew splitting with an explicit
-            # replication bound instead of a fixed fan-out).
-            W = len(workers)
-            load = [0.0] * W
-            fair = n_released / W
-            for part, chunks in sorted(per_part.items(),
-                                       key=lambda kv: -len(kv[1])):
-                own = part_owners.setdefault(part, [part % W])
-                for si, sel, order_vals in chunks:
-                    w = min(own, key=lambda i: load[i])
-                    if load[w] >= fair and len(own) < W:
-                        cand = min(range(W), key=lambda i: load[i])
-                        if cand not in own and load[cand] < load[w]:
-                            own.append(cand)
-                            w = cand
-                    load[w] += len(sel)
-                    t_ref, o_ref = workers[w].process_slice.options(
-                        num_returns=2).remote(
-                        tick_out[si]["ref"], sel, order_vals, rnd, epoch, cfg)
-                    refs.append(t_ref)
-                    offer_pending.append(
-                        (o_ref, tick_out[si]["ref"], sel, order_vals, rnd))
+            # one chunk task per (worker, ~half its share of the round):
+            # see plan_chunks for the part-affine, load-aware assignment
+            chunks, part_owners = plan_chunks(
+                [t["parts"] for t in tick_out],
+                [ranks[offs[i]:offs[i + 1]] for i in range(len(tick_out))],
+                part_owners, len(workers), batch_size)
+            refs, orefs = [], []
+            for w, chunk in chunks:
+                slices = [(tick_out[si]["ref"], sel, order_vals)
+                          for si, sel, order_vals in chunk]
+                t_ref, o_ref = workers[w].process_slice.options(
+                    num_returns=2).remote(slices, rnd, epoch, cfg)
+                refs.append(t_ref)
+                orefs.append(o_ref)
+                offer_pending.append((o_ref, slices, rnd))
+                max_chunk_rows = max(max_chunk_rows,
+                                     sum(len(sel) for _, sel, _ in chunk))
+            n_chunks += len(chunks)
             do_ckpt = (rnd + 1) % checkpoint_every == 0
             if pipelined:
                 # pipelined (bench) mode: no per-round barrier — the next
@@ -800,8 +867,8 @@ def run_crawl(
                 # after the snapshot RPC below.
                 if not do_ckpt:
                     release_ref = release()
-                inflight.extend(refs)
-                # backpressure: allow 4 batches per worker in flight so the
+                inflight.extend(orefs)
+                # backpressure: allow 4 chunks per worker in flight so the
                 # pool stays fed across round transitions (the release
                 # prefetch + this window together hide the per-round gap);
                 # bounded, so object-store pressure stays O(workers)
@@ -816,7 +883,7 @@ def run_crawl(
                 # writes proceed asynchronously and are gathered lazily — a
                 # checkpoint must not outrun its rounds' files, so pending
                 # writes are drained before each snapshot
-                ray.wait(refs, num_returns=len(refs), fetch_local=False)
+                _drain(orefs)
                 _confirm_offers()
             _pt["dispatch"] += _time.time() - _t0
             _t0 = _time.time()
@@ -831,15 +898,12 @@ def run_crawl(
             if do_ckpt:
                 if pipelined:
                     # a snapshot must contain every edge of its committed
-                    # rounds: barrier straggler chunks of earlier rounds
-                    # (the current round's chunks completed in the dispatch
-                    # barrier above), then confirm offer delivery — the
-                    # replaying barrier — before shard state is serialized.
-                    if inflight:
-                        ray.wait(inflight, num_returns=len(inflight),
-                                 fetch_local=False)
-                    _confirm_offers()
+                    # rounds: barrier every in-flight chunk, then confirm
+                    # offer delivery — the replaying barrier — before
+                    # shard state is serialized.
+                    _drain(inflight)
                     inflight.clear()
+                    _confirm_offers()
                 _submit_writes(drain=True)
                 # issue snapshot AND the next release back-to-back: per-actor
                 # task-queue order guarantees the frontier serializes every
@@ -886,8 +950,7 @@ def run_crawl(
             print("CRAWL_PROFILE", json.dumps({k: round(v, 2) if isinstance(v, float) else v
                                                for k, v in _pt.items()}))
 
-        if inflight:
-            ray.wait(inflight, num_returns=len(inflight), fetch_local=False)
+        _drain(inflight)
         _confirm_offers()
         _submit_writes(drain=True)
         if pending_ckpt is not None:
@@ -925,6 +988,7 @@ def run_crawl(
             "pool": pool_state,
             "frontier_busy_s": facct["busy_s"],
             "frontier_calls": facct["calls"],
+            "chunks": n_chunks, "chunk_rows_max": max_chunk_rows,
             "shards": stats, "hosts": hosts,
         }).encode())
 

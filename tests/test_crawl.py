@@ -78,13 +78,28 @@ def crawl_rows(ray_session, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def strict_rows(ray_session, tmp_path_factory):
+def strict_crawl(ray_session, tmp_path_factory):
     from dude_ray.crawl import run_crawl
 
     out = tmp_path_factory.mktemp("crawl") / "strict"
     ds = run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3,
                    politeness=False)
-    return ds.take_all()
+    return ds.take_all(), str(out)
+
+
+@pytest.fixture(scope="module")
+def strict_rows(strict_crawl):
+    return strict_crawl[0]
+
+
+@pytest.fixture(scope="module")
+def pipelined_crawl(ray_session, tmp_path_factory):
+    from dude_ray.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("crawl") / "pipelined"
+    ds = run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3,
+                   politeness=True, politeness_burst=1000, pipelined=True)
+    return ds.take_all(), str(out)
 
 
 def test_strict_global_sequence_equals_oracle(strict_rows, oracle):
@@ -163,6 +178,77 @@ def test_worker_layer_times_in_metrics(crawl_rows):
     assert set(layers) == {"fetch", "parse", "extract", "links", "route"}
     assert all(v >= 0 for v in layers.values())
     assert sum(layers.values()) == pytest.approx(m["worker_busy_s"], rel=0.10)
+
+
+@pytest.mark.parametrize("fixture", ["strict_crawl", "pipelined_crawl"])
+def test_chunks_per_round_in_metrics(fixture, request):
+    """METRICS.json counts the chunk tasks: each round goes out as about
+    two chunks per worker (at most three), none above ``batch_size``
+    rows."""
+    import inspect
+
+    from dude_ray.crawl import crawl_metrics, run_crawl
+
+    m = crawl_metrics(request.getfixturevalue(fixture)[1])
+    cap = inspect.signature(run_crawl).parameters["batch_size"].default
+    assert m["rounds"] <= m["chunks"] <= 3 * m["n_workers"] * m["rounds"]
+    assert 0 < m["chunk_rows_max"] <= cap
+
+
+def _plan_round(sizes, n_parts, seed):
+    """Random per-shard part and rank arrays of one released round."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(sum(sizes))
+    offs = np.cumsum([0] + list(sizes))
+    parts = [rng.integers(0, n_parts, n).astype(np.int32) for n in sizes]
+    ranks = [np.sort(perm[offs[i]:offs[i + 1]]) for i in range(len(sizes))]
+    return parts, ranks
+
+
+@pytest.mark.parametrize("sizes,n_workers,cap", [
+    ((25, 25, 26), 2, 2048),
+    ((25, 25, 26), 3, 2048),
+    ((700, 0, 450, 900), 3, 2048),
+    ((700, 0, 450, 900), 4, 64),
+    ((5,), 2, 2048),
+])
+def test_plan_chunks(sizes, n_workers, cap):
+    """Every released row lands in exactly one chunk with its rank; no
+    chunk exceeds the cap; a part's rows go only to its owner set, which
+    starts at ``part % n_workers``; without a binding cap each worker
+    gets at most two chunks, and a round of at least 2 * n_workers rows
+    gives every worker one."""
+    import numpy as np
+
+    from dude_ray.crawl import plan_chunks
+
+    parts, ranks = _plan_round(sizes, 16, seed=sum(sizes) + n_workers)
+    owners0 = {3: [1 % n_workers]}
+    chunks, owners = plan_chunks(parts, ranks, owners0, n_workers, cap)
+    assert owners0 == {3: [1 % n_workers]}  # the input map is not modified
+    seen = {}
+    per_worker = collections.Counter()
+    for w, chunk in chunks:
+        per_worker[w] += 1
+        assert 0 < sum(len(idx) for _, idx, _ in chunk) <= cap
+        for shard, idx, rk in chunk:
+            assert len(idx) == len(rk)
+            for i, r in zip(idx.tolist(), rk.tolist()):
+                assert (shard, i) not in seen
+                seen[shard, i] = r
+                assert w in owners[int(parts[shard][i])]
+    assert seen == {(s, i): int(r) for s, rk in enumerate(ranks)
+                    for i, r in enumerate(rk)}
+    for p, own in owners.items():
+        assert own[0] == (1 % n_workers if p == 3 else p % n_workers)
+    if cap >= sum(sizes):
+        assert max(per_worker.values()) <= 2
+        if sum(sizes) >= 2 * n_workers:
+            assert set(per_worker) == set(range(n_workers))
+    assert plan_chunks([np.array([], np.int32)], [np.array([], np.int64)],
+                       {}, n_workers, cap) == ([], {})
 
 
 def test_politeness_accounting(crawl_rows):
@@ -396,16 +482,11 @@ def test_frontier_death_resumes_from_checkpoint(ray_session, tmp_path_factory,
     assert_spans_match_corpus(rows)
 
 
-def test_pipelined_same_visit_set(ray_session, tmp_path_factory, crawl_rows):
+def test_pipelined_same_visit_set(pipelined_crawl, crawl_rows):
     """Pipelined (bench) mode gives up deterministic enqueue-key labels
     but must visit exactly the same URL set as the strict mode."""
-    from dude_ray.crawl import run_crawl
-
     strict_set = {r["doc_id"] for r in crawl_rows[0]}
-    out = tmp_path_factory.mktemp("crawl") / "pipelined"
-    ds = run_crawl(SF, out_dir=str(out), num_shards=3, concurrency=3,
-                   politeness=True, politeness_burst=1000, pipelined=True)
-    got = [r["doc_id"] for r in ds.take_all()]
+    got = [r["doc_id"] for r in pipelined_crawl[0]]
     assert len(got) == len(set(got))  # no duplicate visits
     assert set(got) == strict_set
 

@@ -37,7 +37,10 @@ def main(argv=None) -> int:
     ap.add_argument("--corpus-scale", type=int, default=1)
     ap.add_argument("--shards", type=int, default=0,
                     help="frontier shards (0 = cluster_cpus // 4)")
-    ap.add_argument("--batch-size", type=int, default=192)
+    ap.add_argument("--batch-size", type=int, default=2048,
+                    help="most rows in one worker chunk task; each round "
+                         "goes out as about two chunks per worker, so this "
+                         "only binds on large rounds (a memory bound)")
     ap.add_argument("--checkpoint-every", type=int, default=8)
     ap.add_argument("--politeness-burst", type=int, default=100_000)
     args = ap.parse_args(argv)

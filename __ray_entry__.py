@@ -52,177 +52,6 @@ def entry() -> Any:
 # queries
 # --------------------------------------------------------------------------
 
-def _q_extract_spans(sf_dir: str):
-    from dude_ray.pipelines.flagship import run_extract
-
-    return _explode_spans(run_extract(sf_dir))
-
-
-def _q_anchor_texts(sf_dir: str):
-    from dude_ray.pipelines.flagship import run_anchor_texts
-
-    return run_anchor_texts(sf_dir)
-
-
-def _q_crawl_visits(sf_dir: str):
-    import os
-
-    from dude_ray.crawl import read_crawl_output, run_crawl
-
-    out = os.path.join("/tmp/dude_ray_crawl", "q_" + os.path.basename(sf_dir))
-    run_crawl(sf_dir, out_dir=out, num_shards=4)
-    return read_crawl_output(out, columns=["doc_id", "host", "depth", "round",
-                                           "order_in_round", "status", "n_links"])
-
-
-def _q_crawl_skip_counts(sf_dir: str):
-    """Frontier gate accounting (SURVEY A3/§2.7): offers by outcome —
-    released plus each skip reason — summed over the shard counters.
-    Equals the sequential replay's Counter (pytest contract
-    tests/test_crawl.py::test_skip_counters_match_oracle); the SQL
-    oracle inlines the replay's per-event reasons and re-aggregates."""
-    import os
-
-    import pyarrow as pa
-    import ray
-
-    from dude_ray.crawl import crawl_metrics, run_crawl
-
-    out = os.path.join("/tmp/dude_ray_crawl", "qs_" + os.path.basename(sf_dir))
-    run_crawl(sf_dir, out_dir=out, num_shards=4).materialize()
-    m = crawl_metrics(out)
-    keys = ("duplicate", "not_allowed_domain", "released",
-            "robots_disallowed")
-    totals = {k: 0 for k in keys}
-    for s in m["shards"]:
-        for k in keys:
-            totals[k] += int(s.get(k, 0))
-    present = [k for k in keys if totals[k] > 0]  # oracle omits zeros
-    t = pa.table({
-        "reason": pa.array(present, type=pa.string()),
-        "n": pa.array([totals[k] for k in present], type=pa.int64()),
-    })
-    return ray.data.from_arrow(t)
-
-
-def _q_crawl_host_counts(sf_dir: str):
-    """Politeness accounting (SURVEY A3): visited pages per host."""
-    import os
-
-    from dude_ray.crawl import read_crawl_output, run_crawl
-    from dude_ray.pipelines.relational import tree_combine
-
-    out = os.path.join("/tmp/dude_ray_crawl", "qh_" + os.path.basename(sf_dir))
-    run_crawl(sf_dir, out_dir=out, num_shards=4)
-    ds = read_crawl_output(out, columns=["host", "n_links"])
-
-    def _host_partials(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("host").aggregate(
-            [("host", "count"), ("n_links", "sum")])
-        return pa.table({"host": g["host"],
-                         "n_pages": pc.cast(g["host_count"], pa.int64()),
-                         "n_links": pc.cast(g["n_links_sum"], pa.int64())})
-
-    partials = ds.map_batches(_host_partials, batch_format="pyarrow")
-    return tree_combine(partials, ["host"], sums=("n_pages", "n_links"))
-
-
-def _q_media_size_stats(sf_dir: str):
-    from dude_ray.stages.multimodal import run_media_size_stats
-
-    return run_media_size_stats(sf_dir)
-
-
-def _q_media_decode(sf_dir: str):
-    from dude_ray.stages.multimodal import run_media_decode
-
-    return run_media_decode(sf_dir)
-
-
-def _q_media_frames(sf_dir: str):
-    from dude_ray.stages.multimodal import run_media_frames
-
-    return run_media_frames(sf_dir)
-
-
-def _q_media_thumbs(sf_dir: str):
-    from dude_ray.stages.multimodal import run_media_thumbs
-
-    return run_media_thumbs(sf_dir)
-
-
-def _q_media_audio_chunks(sf_dir: str):
-    from dude_ray.stages.multimodal import run_media_audio_chunks
-
-    return run_media_audio_chunks(sf_dir)
-
-
-def _q_link_components(sf_dir: str):
-    from dude_ray.pipelines.components import run_link_components
-
-    return run_link_components(sf_dir)
-
-
-def _q_link_depth(sf_dir: str):
-    from dude_ray.pipelines.components import run_link_depth
-
-    return run_link_depth(sf_dir)
-
-
-def _q_host_graph(sf_dir: str):
-    from dude_ray.pipelines.components import run_host_graph
-
-    return run_host_graph(sf_dir)
-
-
-def _q_link_reciprocity(sf_dir: str):
-    from dude_ray.pipelines.components import run_link_reciprocity
-
-    return run_link_reciprocity(sf_dir)
-
-
-def _q_component_sizes(sf_dir: str):
-    from dude_ray.pipelines.components import run_component_sizes
-
-    return run_component_sizes(sf_dir)
-
-
-def _q_k_core(sf_dir: str):
-    from dude_ray.pipelines.components import run_k_core
-
-    return run_k_core(sf_dir)
-
-
-def _q_degree_assortativity(sf_dir: str):
-    from dude_ray.pipelines.components import run_degree_assortativity
-
-    return run_degree_assortativity(sf_dir)
-
-
-def _q_host_depth_profile(sf_dir: str):
-    from dude_ray.pipelines.components import run_host_depth_profile
-
-    return run_host_depth_profile(sf_dir)
-
-
-def _q_seed_coverage(sf_dir: str):
-    from dude_ray.pipelines.components import run_seed_coverage
-
-    return run_seed_coverage(sf_dir)
-
-
-def _q_link_triangles(sf_dir: str):
-    from dude_ray.pipelines.components import run_link_triangles
-
-    return run_link_triangles(sf_dir)
-
-
-def _q_host_rank(sf_dir: str):
-    from dude_ray.pipelines.components import run_host_rank
-
-    return run_host_rank(sf_dir)
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     """ENTRY ORDER IS LOAD-BEARING: the driver's correctness gate
     records only the FIRST 50 entries (insertion order).  Round-5
@@ -253,8 +82,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
     (51+) — all previously hash-matched by the gate — stays verified
     by tools/check_oracle.py (the same rows+schema+hash protocol over
     ALL entries) and by pytest."""
-    from dude_ray.pipelines import (cleaning, dedup, graph, relational,
-                                    sampling, similarity, textops)
+    from dude_ray.pipelines import (bpe, ccnet, cleaning, clustering,
+                                    components, dedup, dsir, flagship,
+                                    graph, lm, lr, ranking, relational,
+                                    sampling, similarity, sketches,
+                                    streaming, textops)
+    from dude_ray.stages import multimodal
 
     return {
         # -- slots 1-21: never driver-verified through round 4 ---------
@@ -262,7 +95,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dup_rate_by_source": dedup.run_dup_rate_by_source,
         "editdist_neardup": dedup.run_editdist_neardup,
         "shipping_priority": relational.run_shipping_priority,
-        "knn_triangles": _q_knn_triangles,
+        "knn_triangles": graph.run_knn_triangles,
         "events_lag_diff": relational.run_events_lag_diff,
         "events_rolling": relational.run_events_rolling,
         "revenue_by_nation": relational.run_revenue_by_nation,
@@ -273,12 +106,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "user_top_event": relational.run_user_top_event,
         "event_pivot": relational.run_event_pivot,
         "event_transitions": relational.run_event_transitions,
-        "kmeans_assign": _q_kmeans_assign,
-        "label_centroids": _q_label_centroids,
-        "events_hopping_window": _q_events_hopping_window,
-        "value_percent_rank": _q_value_percent_rank,
-        "bloom_registers": _q_bloom_registers,
-        "anchor_texts": _q_anchor_texts,
+        "kmeans_assign": clustering.run_kmeans_assign,
+        "label_centroids": clustering.run_label_centroids,
+        "events_hopping_window": relational.run_events_hopping_window,
+        "value_percent_rank": relational.run_value_percent_rank,
+        "bloom_registers": sketches.run_bloom_registers,
+        "anchor_texts": flagship.run_anchor_texts,
         # -- slots 22-50: the queries on relational.user_timelines
         # (the other four sit in slots 1-50 already), then the
         # round-5 operators and every query whose dimension
@@ -301,8 +134,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_skip_counts": _q_crawl_skip_counts,
         # iterative graph ops new in r5: union-find/label-prop CC and
         # BFS depth, recursive-CTE oracled (pipelines/components.py)
-        "link_components": _q_link_components,
-        "link_depth": _q_link_depth,
+        "link_components": components.run_link_components,
+        "link_depth": components.run_link_depth,
         "large_orders": relational.run_large_orders,
         "segment_revenue": relational.run_segment_revenue,
         "top_orders_per_segment": relational.run_top_orders_per_segment,
@@ -334,44 +167,44 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # -- 51+: rotation tail.  First the r5 graph aggregations whose
         # kernels the window already gates via link_components/
         # link_depth (hash-matched; green in check_oracle) ------------
-        "host_graph": _q_host_graph,
-        "link_reciprocity": _q_link_reciprocity,
-        "component_sizes": _q_component_sizes,
-        "k_core": _q_k_core,
-        "degree_assortativity": _q_degree_assortativity,
-        "host_depth_profile": _q_host_depth_profile,
-        "seed_coverage": _q_seed_coverage,
+        "host_graph": components.run_host_graph,
+        "link_reciprocity": components.run_link_reciprocity,
+        "component_sizes": components.run_component_sizes,
+        "k_core": components.run_k_core,
+        "degree_assortativity": components.run_degree_assortativity,
+        "host_depth_profile": components.run_host_depth_profile,
+        "seed_coverage": components.run_seed_coverage,
         "dau_wau": relational.run_dau_wau,
         "order_backlog": relational.run_order_backlog,
-        "link_triangles": _q_link_triangles,
-        "host_rank": _q_host_rank,
+        "link_triangles": components.run_link_triangles,
+        "host_rank": components.run_host_rank,
         "type_day_mi": relational.run_type_day_mi,
         "zipf_fit": textops.run_zipf_fit,
         "ngram_containment": dedup.run_ngram_containment,
         "adamic_adar": graph.run_adamic_adar,
-        "hll_intersect": _q_hll_intersect,
+        "hll_intersect": sketches.run_hll_intersect,
         "burrows_delta": textops.run_burrows_delta,
         "keyness_llr": textops.run_keyness_llr,
-        "kmeans_silhouette": _q_kmeans_silhouette,
-        "bowtie_census": _q_bowtie_census,
+        "kmeans_silhouette": clustering.run_kmeans_silhouette,
+        "bowtie_census": components.run_bowtie_census,
         "dedup_threshold_sweep": dedup.run_dedup_threshold_sweep,
         "stationary_types": relational.run_stationary_types,
         "shingle_novelty": dedup.run_shingle_novelty,
         "kanon_risk": relational.run_kanon_risk,
         "knn_accuracy": similarity.run_knn_accuracy,
-        "host_modularity": _q_host_modularity,
-        "seed_walks": _q_seed_walks,
+        "host_modularity": components.run_host_modularity,
+        "seed_walks": components.run_seed_walks,
         "dup_source_matrix": dedup.run_dup_source_matrix,
         "markov_entropy_rate": relational.run_markov_entropy_rate,
-        "walk_visit_rank": _q_walk_visit_rank,
+        "walk_visit_rank": components.run_walk_visit_rank,
         "basket_pairs": relational.run_basket_pairs,
-        "crawl_budget": _q_crawl_budget,
+        "crawl_budget": components.run_crawl_budget,
         # -- evicted near-siblings (all hash-matched) ------------------
         "source_similarity": textops.run_source_similarity,
         "skipgram_counts": textops.run_skipgram_counts,
         "cocitation": graph.run_cocitation,
-        "media_size_stats": _q_media_size_stats,
-        "dup_cluster_sizes": _q_dup_cluster_sizes,
+        "media_size_stats": multimodal.run_media_size_stats,
+        "dup_cluster_sizes": dedup.run_dup_cluster_sizes,
         "ann_recall": similarity.run_ann_recall,
         "coverage_curve": textops.run_coverage_curve,
         "winsorize": relational.run_winsorize,
@@ -390,60 +223,60 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ngram_jaccard": dedup.run_ngram_jaccard,
         "ngram_jaccard_pairs": dedup.run_ngram_jaccard_pairs,
         "jaccard_join": dedup.run_jaccard_join,
-        "dup_clusters": _q_dup_clusters,
-        "hll_registers": _q_hll_registers,
-        "kmv_registers": _q_kmv_registers,
-        "distinct_users_kmv": _q_distinct_users_kmv,
-        "distinct_users_approx": _q_distinct_users_approx,
-        "mix_interleave": _q_mix_interleave,
+        "dup_clusters": dedup.run_dup_clusters,
+        "hll_registers": sketches.run_hll_registers,
+        "kmv_registers": sketches.run_kmv_registers,
+        "distinct_users_kmv": sketches.run_distinct_users_kmv,
+        "distinct_users_approx": sketches.run_distinct_users_approx,
+        "mix_interleave": sampling.run_mix_interleave,
         "crawl_visits": _q_crawl_visits,
         "semdedup": _q_semdedup,
         "chunk_dedup": dedup.run_chunk_dedup,
         "ann_lsh": similarity.run_ann_lsh,
         # -- 51+: rotation tail (hash-matched; green in check_oracle) --
-        "cms_registers": _q_cms_registers,
-        "top_terms_sketch": _q_top_terms_sketch,
+        "cms_registers": sketches.run_cms_registers,
+        "top_terms_sketch": sketches.run_top_terms_sketch,
         "priority_sample": sampling.run_priority_sample,
-        "dsir_weights": _q_dsir_weights,
-        "dsir_select": _q_dsir_select,
+        "dsir_weights": dsir.run_dsir_weights,
+        "dsir_select": dsir.run_dsir_select,
         "sample_stratified": sampling.run_sample_stratified,
         "sample_per_group": sampling.run_sample_per_group,
         "token_pack": sampling.run_token_pack,
         "text_chunk": sampling.run_text_chunk,
         "shard_assign": sampling.run_shard_assign,
-        "streaming_window": _q_streaming_window,
-        "training_mix": _q_training_mix,
-        "substring_dup": _q_substring_dup,
-        "substring_redact": _q_substring_redact,
-        "curate_keep_best": _q_curate_keep_best,
+        "streaming_window": streaming.run_streaming_window,
+        "training_mix": lr.run_training_mix,
+        "substring_dup": dedup.run_substring_dup,
+        "substring_redact": dedup.run_substring_redact,
+        "curate_keep_best": cleaning.run_curate_keep_best,
         "exact_dedup": dedup.run_exact_dedup,
         "simhash_dedup": dedup.run_simhash_dedup,
         "embedding_neardup": _q_embedding_neardup,
-        "tfidf_keywords": _q_tfidf_keywords,
-        "kmeans_cluster": _q_kmeans_cluster,
-        "term_postings": _q_term_postings,
-        "bm25_topk": _q_bm25_topk,
-        "value_buckets": _q_value_buckets,
-        "events_zscore": _q_events_zscore,
-        "embedding_pca": _q_embedding_pca,
-        "embedding_cov": _q_embedding_cov,
+        "tfidf_keywords": ranking.run_tfidf_keywords,
+        "kmeans_cluster": clustering.run_kmeans_cluster,
+        "term_postings": ranking.run_term_postings,
+        "bm25_topk": ranking.run_bm25,
+        "value_buckets": relational.run_value_buckets,
+        "events_zscore": relational.run_events_zscore,
+        "embedding_pca": clustering.run_embedding_pca,
+        "embedding_cov": clustering.run_embedding_cov,
         "pagerank": _q_pagerank,
-        "graph_pagerank": _q_graph_pagerank,
-        "quantize_embeddings": _q_quantize_embeddings,
+        "graph_pagerank": graph.run_graph_pagerank,
+        "quantize_embeddings": clustering.run_quantize_embeddings,
         "bpe_pair_counts": textops.run_bpe_pair_counts,
         "char_entropy": textops.run_char_entropy,
         "ann_ivf": similarity.run_ann_ivf,
         "ngram_counts": textops.run_ngram_counts,
         "gopher_filter": cleaning.run_gopher_filter,
-        "bpe_train": _q_bpe_train,
-        "knn_graph": _q_knn_graph,
-        "bpe_encode": _q_bpe_encode,
+        "bpe_train": bpe.run_bpe_train,
+        "knn_graph": similarity.run_knn_graph,
+        "bpe_encode": bpe.run_bpe_encode,
         "pmi_collocations": textops.run_pmi_collocations,
         "blocklist_filter": cleaning.run_blocklist_filter,
         "ann_pq": similarity.run_ann_pq,
-        "ccnet_buckets": _q_ccnet_buckets,
-        "graph_hits": _q_graph_hits,
-        "embedding_project": _q_embedding_project,
+        "ccnet_buckets": ccnet.run_ccnet_buckets,
+        "graph_hits": graph.run_graph_hits,
+        "embedding_project": clustering.run_embedding_project,
         "source_stats": textops.run_source_stats,
         "readability": textops.run_readability,
         "phrase_search": textops.run_phrase_search,
@@ -451,8 +284,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_incremental": _q_dedup_incremental,
         "embedding_neardup_exact": _q_embedding_neardup_exact,
         "doc_fingerprint": textops.run_fingerprint,
-        "lm_score": _q_lm_score,
-        "lr_quality": _q_lr_quality,
+        "lm_score": lm.run_lm_score,
+        "lr_quality": lr.run_lr_quality,
         "corpus_prep": textops.run_corpus_prep,
         "token_count": textops.run_token_count,
         "quality_score": textops.run_quality,
@@ -475,11 +308,78 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # -- rows-only: media decode stubs (non-SQL; pytest-oracled
         # seam contracts).  extract_spans/crawl_host_counts moved into
         # the gate window above with their new SQL oracles ------------
-        "media_decode": _q_media_decode,
-        "media_frames": _q_media_frames,
-        "media_thumbs": _q_media_thumbs,
-        "media_audio_chunks": _q_media_audio_chunks,
+        "media_decode": multimodal.run_media_decode,
+        "media_frames": multimodal.run_media_frames,
+        "media_thumbs": multimodal.run_media_thumbs,
+        "media_audio_chunks": multimodal.run_media_audio_chunks,
     }
+
+
+# --------------------------------------------------------------------------
+# adapters: the entries that are more than one run_* call
+# --------------------------------------------------------------------------
+
+def _q_extract_spans(sf_dir: str):
+    """The flagship extraction as flat span rows."""
+    from dude_ray.pipelines.flagship import run_extract
+
+    return _explode_spans(run_extract(sf_dir))
+
+
+def _crawl(sf_dir: str, tag: str) -> str:
+    """Crawl ``sf_dir`` with 4 frontier shards into the entry's own
+    output dir under /tmp/dude_ray_crawl; returns that dir."""
+    import os
+
+    from dude_ray.crawl import run_crawl
+
+    out = os.path.join("/tmp/dude_ray_crawl", tag + os.path.basename(sf_dir))
+    run_crawl(sf_dir, out_dir=out, num_shards=4)
+    return out
+
+
+def _q_crawl_visits(sf_dir: str):
+    from dude_ray.crawl import read_crawl_output
+
+    return read_crawl_output(_crawl(sf_dir, "q_"),
+                             columns=["doc_id", "host", "depth", "round",
+                                      "order_in_round", "status", "n_links"])
+
+
+def _q_crawl_skip_counts(sf_dir: str):
+    """Frontier gate accounting (SURVEY A3/§2.7): offers by outcome —
+    released plus each skip reason — summed over the shard counters.
+    Equals the sequential replay's Counter (pytest contract
+    tests/test_crawl.py::test_skip_counters_match_oracle); the SQL
+    oracle inlines the replay's per-event reasons and re-aggregates."""
+    import ray
+
+    from dude_ray.crawl import crawl_metrics
+
+    m = crawl_metrics(_crawl(sf_dir, "qs_"))
+    keys = ("duplicate", "not_allowed_domain", "released",
+            "robots_disallowed")
+    totals = {k: sum(int(s.get(k, 0)) for s in m["shards"]) for k in keys}
+    present = [k for k in keys if totals[k] > 0]  # oracle omits zeros
+    return ray.data.from_arrow(pa.table({
+        "reason": pa.array(present, type=pa.string()),
+        "n": pa.array([totals[k] for k in present], type=pa.int64()),
+    }))
+
+
+def _q_crawl_host_counts(sf_dir: str):
+    """Politeness accounting (SURVEY A3): visited pages per host."""
+    from dude_ray.crawl import read_crawl_output
+    from dude_ray.pipelines.relational import _group_agg, tree_combine
+
+    ds = read_crawl_output(_crawl(sf_dir, "qh_"), columns=["host", "n_links"])
+
+    def host_partials(batch: pa.Table) -> pa.Table:
+        return _group_agg(batch, ["host"], {"n_pages": ("host", "count"),
+                                            "n_links": ("n_links", "sum")})
+
+    partials = ds.map_batches(host_partials, batch_format="pyarrow")
+    return tree_combine(partials, ["host"], sums=("n_pages", "n_links"))
 
 
 def _q_pagerank(sf_dir: str):
@@ -498,385 +398,11 @@ def _q_pagerank(sf_dir: str):
         batch_format="pyarrow")
 
 
-def _q_graph_pagerank(sf_dir: str):
-    """The same distributed power-iteration kernel over an
-    SQL-derivable customer→supplier graph — hash-matched against an
-    unrolled-CTE DuckDB PageRank (the link-graph variant's input is
-    HTML extraction, unreachable from SQL)."""
-    from dude_ray.pipelines.graph import run_graph_pagerank
-
-    return run_graph_pagerank(sf_dir)
-
-
-def _q_events_hopping_window(sf_dir: str):
-    from dude_ray.pipelines.relational import run_events_hopping_window
-
-    return run_events_hopping_window(sf_dir)
-
-
-def _q_value_percent_rank(sf_dir: str):
-    from dude_ray.pipelines.relational import run_value_percent_rank
-
-    return run_value_percent_rank(sf_dir)
-
-
-def _q_embedding_pca(sf_dir: str):
-    """Distributed PCA, hash-matched (r4): the eigenbasis is
-    deterministic given the 10-dp-rounded covariance, so the oracle
-    (clustering.pca_oracle_sql) inlines it as exact float literals and
-    DuckDB recomputes every mean-centered projection from the raw
-    embeddings — the distributed moment pass and projection pass are
-    both independently verified (covariance additionally via
-    embedding_cov).  numpy reference kept in tests/test_clustering.py."""
-    from dude_ray.pipelines.clustering import run_embedding_pca
-
-    return run_embedding_pca(sf_dir)
-
-
-def _q_quantize_embeddings(sf_dir: str):
-    from dude_ray.pipelines.clustering import run_quantize_embeddings
-
-    return run_quantize_embeddings(sf_dir)
-
-
-def _q_label_centroids(sf_dir: str):
-    """Per-label mean embedding via fixed-width partials (unnested
-    scalar output for exact SQL comparability)."""
-    from dude_ray.pipelines.clustering import run_label_centroids
-
-    return run_label_centroids(sf_dir)
-
-
-def _q_embedding_cov(sf_dir: str):
-    """The SQL-verified distributed core of PCA: the streaming
-    sufficient-statistics covariance pass (clustering.run_embedding_cov
-    docstring)."""
-    from dude_ray.pipelines.clustering import run_embedding_cov
-
-    return run_embedding_cov(sf_dir)
-
-
-def _q_events_zscore(sf_dir: str):
-    from dude_ray.pipelines.relational import run_events_zscore
-
-    return run_events_zscore(sf_dir)
-
-
-def _q_curate_keep_best(sf_dir: str):
-    from dude_ray.pipelines.cleaning import run_curate_keep_best
-
-    return run_curate_keep_best(sf_dir)
-
-
-def _q_substring_redact(sf_dir: str):
-    """Substring-level dedup with REMOVAL (Lee et al. 2022): modified
-    docs only, duplicated runs >= 63 chars excised from the higher-id
-    side.  Non-SQL (char-level run expansion) -> rows-only; the planted
-    pytest asserts removal/keeper/untouched semantics."""
-    from dude_ray.pipelines.dedup import run_substring_redact
-
-    return run_substring_redact(sf_dir)
-
-
-def _q_substring_dup(sf_dir: str):
-    """Winnowed-hash sharing pairs — hash-function-specific, so no SQL
-    oracle (rows-only driver check); the winnowing guarantee is
-    asserted on planted shared-paragraph docs in
-    tests/test_pipelines.py::test_substring_dup_planted."""
-    from dude_ray.pipelines.dedup import run_substring_dup
-
-    return run_substring_dup(sf_dir)
-
-
-def _q_value_buckets(sf_dir: str):
-    from dude_ray.pipelines.relational import run_value_buckets
-
-    return run_value_buckets(sf_dir)
-
-
-def _q_dup_cluster_sizes(sf_dir: str):
-    from dude_ray.pipelines.dedup import run_dup_cluster_sizes
-
-    return run_dup_cluster_sizes(sf_dir)
-
-
-def _q_dup_clusters(sf_dir: str):
-    from dude_ray.pipelines.dedup import run_dup_clusters
-
-    return run_dup_clusters(sf_dir)
-
-
-def _q_mix_interleave(sf_dir: str):
-    from dude_ray.pipelines.sampling import run_mix_interleave
-
-    return run_mix_interleave(sf_dir)
-
-
-def _q_bm25_topk(sf_dir: str):
-    from dude_ray.pipelines.ranking import run_bm25
-
-    return run_bm25(sf_dir)
-
-
-def _q_kmeans_assign(sf_dir: str):
-    from dude_ray.pipelines.clustering import run_kmeans_assign
-
-    return run_kmeans_assign(sf_dir)
-
-
-def _q_host_modularity(sf_dir: str):
-    """Newman modularity of the host partition of the link graph —
-    the is-this-corpus-siloed community statistic."""
-    from dude_ray.pipelines.components import run_host_modularity
-
-    return run_host_modularity(sf_dir)
-
-
-def _q_seed_walks(sf_dir: str):
-    """Deterministic hash-stepped random walks from the seed set —
-    the node2vec sampling primitive, integer-exact and SQL-matched."""
-    from dude_ray.pipelines.components import run_seed_walks
-
-    return run_seed_walks(sf_dir)
-
-
-def _q_crawl_budget(sf_dir: str):
-    """Largest-remainder apportionment of a fixed fetch budget by
-    host PageRank mass — the crawl-scheduler quota table."""
-    from dude_ray.pipelines.components import run_crawl_budget
-
-    return run_crawl_budget(sf_dir)
-
-
-def _q_walk_visit_rank(sf_dir: str):
-    """Walk-frequency centrality: top pages by visit count across
-    the deterministic seed walks — sampling-based importance."""
-    from dude_ray.pipelines.components import run_walk_visit_rank
-
-    return run_walk_visit_rank(sf_dir)
-
-
-def _q_bowtie_census(sf_dir: str):
-    """Broder bow-tie decomposition of the directed link graph
-    (core/in/out/other page counts from the pivot's two reachability
-    closures) — recursive-CTE hash-matched."""
-    from dude_ray.pipelines.components import run_bowtie_census
-
-    return run_bowtie_census(sf_dir)
-
-
-def _q_kmeans_silhouette(sf_dir: str):
-    """Per-cluster mean simplified silhouette of the Lloyd's solution
-    — the cluster-quality gate, unrolled-CTE hash-matched."""
-    from dude_ray.pipelines.clustering import run_kmeans_silhouette
-
-    return run_kmeans_silhouette(sf_dir)
-
-
-def _q_kmeans_cluster(sf_dir: str):
-    """Iterative Lloyd's — not SQL-expressible (rows-only driver
-    check); exact equality vs a single-process numpy reference with
-    the identical init/update rule is asserted in
-    tests/test_clustering.py."""
-    from dude_ray.pipelines.clustering import run_kmeans_cluster
-
-    return run_kmeans_cluster(sf_dir)
-
-
 def _q_dedup_incremental(sf_dir: str):
     from dude_ray.pipelines import dedup
 
     return dedup.run_dedup_incremental(sf_dir).select_columns(
         ["doc_id", "h"])
-
-
-def _q_distinct_users_approx(sf_dir: str):
-    """HLL sketch estimate — hash-matched since r4: the harmonic sum
-    is the exact HUGEINT Σ 2^(53-rank) so the raw estimate is one
-    float division of shared values (sketches.distinct_users_approx
-    _oracle_sql); the state it derives from is separately matched as
-    ``hll_registers``; accuracy vs exact asserted in
-    tests/test_pipelines.py::test_hll_accuracy_and_merge_invariance."""
-    from dude_ray.pipelines.sketches import run_distinct_users_approx
-
-    return run_distinct_users_approx(sf_dir)
-
-
-def _q_hll_registers(sf_dir: str):
-    """The distributed HLL sketch state itself (event_type, reg, rank)
-    — splitmix64 + exact-clz ranks + max-merge, all integer-exact, so
-    the whole sketch pipeline hash-matches its DuckDB recompute."""
-    from dude_ray.pipelines.sketches import run_hll_registers
-
-    return run_hll_registers(sf_dir)
-
-
-def _q_hll_intersect(sf_dir: str):
-    """Pairwise audience overlap from HLL sketch algebra alone
-    (union = register max-merge, intersection by inclusion-exclusion
-    on the integer estimates) — never re-scans the fact stream."""
-    from dude_ray.pipelines.sketches import run_hll_intersect
-
-    return run_hll_intersect(sf_dir)
-
-
-def _q_kmv_registers(sf_dir: str):
-    """The distributed KMV sketch state (event_type, pos, h_hi, h_lo)
-    — the k smallest distinct splitmix64 user hashes per type;
-    mergeable (union → k-smallest), integer-exact, hash-matched
-    against the DuckDB window-rank recompute."""
-    from dude_ray.pipelines.sketches import run_kmv_registers
-
-    return run_kmv_registers(sf_dir)
-
-
-def _q_distinct_users_kmv(sf_dir: str):
-    """KMV distinct estimate (k-1)/h_k derived from the matched
-    register state with a shared one-division float contract;
-    accuracy vs exact asserted in
-    tests/test_pipelines.py::test_kmv_accuracy_and_merge."""
-    from dude_ray.pipelines.sketches import run_distinct_users_kmv
-
-    return run_distinct_users_kmv(sf_dir)
-
-
-def _q_bpe_train(sf_dir: str):
-    """Distributed BPE merge-learning (Sennrich et al. 2016): the
-    greedy merge trajectory as a table, bit-identical to the DuckDB
-    MATERIALIZED-CTE recompute via the spaced-string replace trick."""
-    from dude_ray.pipelines.bpe import run_bpe_train
-
-    return run_bpe_train(sf_dir)
-
-
-def _q_embedding_project(sf_dir: str):
-    """Johnson-Lindenstrauss integer random projection (Achlioptas
-    2003) — quantized embeddings × inlined integer planes, exact in
-    both engines; the dimensionality-reduction front of ANN/k-means."""
-    from dude_ray.pipelines.clustering import run_embedding_project
-
-    return run_embedding_project(sf_dir)
-
-
-def _q_graph_hits(sf_dir: str):
-    """HITS hubs & authorities (Kleinberg 1999) over the relational
-    customer→supplier graph — the second iterative graph kernel, with
-    the same adaptive broadcast/scatter/join tiers as PageRank."""
-    from dude_ray.pipelines.graph import run_graph_hits
-
-    return run_graph_hits(sf_dir)
-
-
-def _q_ccnet_buckets(sf_dir: str):
-    """CCNet-style per-language perplexity terciles (Wenzek et al.
-    2020): lang_id × lm_score joined distributed, ntile(3) bucket
-    assignment by distributed selection — no global sort."""
-    from dude_ray.pipelines.ccnet import run_ccnet_buckets
-
-    return run_ccnet_buckets(sf_dir)
-
-
-def _q_bloom_registers(sf_dir: str):
-    """Bloom filter membership state over document text hashes — the
-    third order-independent sketch state hash-matched end-to-end
-    (md5_number_lower slices; union is commutative+idempotent)."""
-    from dude_ray.pipelines.sketches import run_bloom_registers
-
-    return run_bloom_registers(sf_dir)
-
-
-def _q_cms_registers(sf_dir: str):
-    """Count-Min sketch of corpus word frequencies, reported as its
-    full register state (d, idx, c) — the hll_registers discipline:
-    the point estimate is a pure driver function of these rows."""
-    from dude_ray.pipelines.sketches import run_cms_registers
-
-    return run_cms_registers(sf_dir)
-
-
-def _q_bpe_encode(sf_dir: str):
-    """Tokenizer application: per-document BPE token count under the
-    learned merges, broadcast merge list, zero-shuffle scan."""
-    from dude_ray.pipelines.bpe import run_bpe_encode
-
-    return run_bpe_encode(sf_dir)
-
-
-def _q_knn_graph(sf_dir: str):
-    """Exact cosine k-nearest-neighbor graph over the embeddings table
-    (the curation-graph building block) — blocked row-group pair join
-    with tie-inclusive local top-k partials."""
-    from dude_ray.pipelines.similarity import run_knn_graph
-
-    return run_knn_graph(sf_dir)
-
-
-def _q_knn_triangles(sf_dir: str):
-    """Per-node triangle counts over the symmetrized kNN graph
-    (forward algorithm — wedge + edge streams colocated by pair)."""
-    from dude_ray.pipelines.graph import run_knn_triangles
-
-    return run_knn_triangles(sf_dir)
-
-
-def _q_lm_score(sf_dir: str):
-    """Bigram-LM average log-likelihood per document (CCNet/KenLM-style
-    quality filter) — distributed count tables + hash joins."""
-    from dude_ray.pipelines.lm import run_lm_score
-
-    return run_lm_score(sf_dir)
-
-
-def _q_term_postings(sf_dir: str):
-    """Inverted-index build: per-term df/cf + canonical ascending
-    posting-list strings via the data-scaled hash-grouped reduce."""
-    from dude_ray.pipelines.ranking import run_term_postings
-
-    return run_term_postings(sf_dir)
-
-
-def _q_training_mix(sf_dir: str):
-    """Composed flagship: one text scan -> features+hash+tokens; GD-
-    trained quality filter; exact-dedup keepers; token-budget packing.
-    End-to-end SQL-oracled (lr.training_mix_oracle_sql)."""
-    from dude_ray.pipelines.lr import run_training_mix
-
-    return run_training_mix(sf_dir)
-
-
-def _q_lr_quality(sf_dir: str):
-    """Distributed logistic-regression quality classifier: full-batch
-    GD over one materialized feature scan, 6-double gradient partials
-    per block, 9-dp weight rounding for the SQL-oracle contract."""
-    from dude_ray.pipelines.lr import run_lr_quality
-
-    return run_lr_quality(sf_dir)
-
-
-def _q_tfidf_keywords(sf_dir: str):
-    """Top-k TF-IDF keywords per document — distributed df table +
-    hash join + per-group top-k reduce."""
-    from dude_ray.pipelines.ranking import run_tfidf_keywords
-
-    return run_tfidf_keywords(sf_dir)
-
-
-def _q_top_terms_sketch(sf_dir: str):
-    """Misra-Gries heavy hitters.  The sf corpora's vocabulary (31
-    terms) is below the counter budget, so no pruning triggers and the
-    sketch is EXACT here — hence the SQL oracle below is a legitimate
-    hash-match; the pruning/error-bound path is exercised by
-    tests/test_pipelines.py::test_top_terms_sketch_heavy_hitters on a
-    6000-term skewed vocabulary."""
-    from dude_ray.pipelines.sketches import run_top_terms_sketch
-
-    return run_top_terms_sketch(sf_dir)
-
-
-def _q_streaming_window(sf_dir: str):
-    from dude_ray.pipelines.streaming import run_streaming_window
-
-    return run_streaming_window(sf_dir)
 
 
 def _q_embedding_neardup(sf_dir: str):
@@ -887,18 +413,6 @@ def _q_embedding_neardup(sf_dir: str):
     from dude_ray.pipelines import dedup
 
     return dedup.run_embedding_neardup(sf_dir, threshold=0.35, n_bits=4)
-
-
-def _q_dsir_weights(sf_dir: str):
-    from dude_ray.pipelines.dsir import run_dsir_weights
-
-    return run_dsir_weights(sf_dir)
-
-
-def _q_dsir_select(sf_dir: str):
-    from dude_ray.pipelines.dsir import run_dsir_select
-
-    return run_dsir_select(sf_dir)
 
 
 def _q_semdedup(sf_dir: str):
@@ -920,25 +434,20 @@ def _q_embedding_neardup_exact(sf_dir: str):
 
 
 def _q_lang_dist(sf_dir: str):
+    """Documents per language: per-batch Arrow counts, then the
+    Arrow-native tree merge (see relational.tree_combine for why not
+    Ray's sort-based aggregate)."""
     from dude_ray.io import read_parquet_clean
-    from dude_ray.pipelines.relational import tree_combine
+    from dude_ray.pipelines.relational import _group_agg, tree_combine
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["lang"])
 
-    def _lang_partials(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("lang").aggregate([("lang", "count")])
-        return pa.table({"lang": g["lang"],
-                         "n": pc.cast(g["lang_count"], pa.int64())})
+    def lang_partials(batch: pa.Table) -> pa.Table:
+        return _group_agg(batch, ["lang"], {"n_docs": ("lang", "count")})
 
-    # partial counts per batch, Arrow-native tree merge (see
-    # relational.tree_combine for why not Ray's sort-based aggregate)
-    partials = ds.map_batches(_lang_partials, batch_format="pyarrow",
+    partials = ds.map_batches(lang_partials, batch_format="pyarrow",
                               batch_size=8192)
-    out = tree_combine(partials, ["lang"], sums=("n",))
-    return out.map_batches(
-        lambda b: pa.table({"lang": b["lang"],
-                            "n_docs": pc.cast(b["n"], pa.int64())}),
-        batch_format="pyarrow")
+    return tree_combine(partials, ["lang"], sums=("n_docs",))
 
 
 # --------------------------------------------------------------------------
@@ -972,309 +481,172 @@ SELECT e.u, r.lbl FROM edges e JOIN reach r ON r.u = e.v
 
 
 def oracle_sql() -> dict[str, str]:
-    from dude_ray.oracle import (
-        crawl_host_counts_oracle_sql as _crawl_host_counts_sql,
-        crawl_skip_counts_oracle_sql as _crawl_skip_counts_sql)
-    from dude_ray.pipelines.flagship import (
-        extract_spans_oracle_sql as _extract_spans_sql)
-    from dude_ray.stages.multimodal import (
-        media_size_stats_oracle_sql as _media_size_stats_sql)
-    from dude_ray.pipelines.graph import (anchor_texts_oracle_sql,
-                                          adamic_adar_oracle_sql,
-                                          cocitation_oracle_sql,
-                                          coupling_oracle_sql,
-                                          graph_degree_dist_oracle_sql,
-                                          graph_hits_oracle_sql,
-                                          graph_pagerank_oracle_sql,
-                                          pagerank_oracle_sql)
-    from dude_ray.pipelines.ccnet import ccnet_oracle_sql
-    from dude_ray.pipelines.lm import LM_SCORE_ORACLE_SQL
-    from dude_ray.pipelines.ranking import tfidf_keywords_oracle_sql
-    from dude_ray.pipelines.textops import (LANG_ID_ORACLE_SQL,
-                                            contamination_overlap_oracle_sql,
-                                            hash_features_oracle_sql,
-                                            source_similarity_oracle_sql,
-                                            skipgram_counts_oracle_sql,
-                                            lang_confusion_oracle_sql,
-                                            fingerprint_oracle_sql,
-                                            ngram_counts_oracle_sql,
-                                            zipf_fit_oracle_sql,
-                                            burrows_delta_oracle_sql,
-                                            keyness_llr_oracle_sql,
-                                            phrase_search_oracle_sql,
-                                            pmi_collocations_oracle_sql,
-                                            readability_oracle_sql,
-                                            source_stats_oracle_sql,
-                                            vocab_coverage_oracle_sql,
-                                            coverage_curve_oracle_sql)
-    from dude_ray.pipelines.clustering import (embedding_project_oracle_sql,
-                                               kmeans_cluster_oracle_sql,
-                                               kmeans_silhouette_oracle_sql,
-                                               pca_oracle_sql,
-                                               semdedup_oracle_sql)
-    from dude_ray.pipelines.dedup import (dup_rate_by_source_oracle_sql,
-                                          editdist_neardup_oracle_sql,
-                                          embedding_neardup_oracle_sql,
-                                          minhash_oracle_sql,
-                                          ngram_containment_oracle_sql,
-                                          dedup_threshold_sweep_oracle_sql,
-                                          shingle_novelty_oracle_sql,
-                                          dup_source_matrix_oracle_sql,
-                                          simhash_oracle_sql,
-                                          substring_dup_oracle_sql,
-                                          dedup_recall_oracle_sql)
-    from dude_ray.pipelines.sampling import dataset_split_oracle_sql
-    from dude_ray.pipelines.relational import (cheapest_part_oracle_sql,
-                                                event_pivot_oracle_sql,
-                                                event_transitions_oracle_sql,
-                                                large_orders_oracle_sql,
-                                                qty_cube_oracle_sql,
-                                                event_trigrams_oracle_sql,
-                                                winsorize_oracle_sql,
-                                                pareto_front_oracle_sql,
-                                                rrf_fusion_oracle_sql,
-                                                asof_attribution_oracle_sql,
-                                                median_by_type_oracle_sql,
-                                                top_orders_per_cust_oracle_sql,
-                                                user_type_profile_oracle_sql,
-                                                custdist_oracle_sql,
-                                                returned_items_oracle_sql,
-                                                top_supplier_oracle_sql,
-                                                disjunctive_revenue_oracle_sql,
-                                                promo_revenue_oracle_sql,
-                                                volume_shipping_oracle_sql,
-                                                audience_overlap_oracle_sql,
-                                                spend_deciles_oracle_sql,
-                                                market_share_oracle_sql,
-                                                type_lift_oracle_sql,
-                                                rfm_segments_oracle_sql,
-                                                monthly_growth_oracle_sql,
-                                                user_burstiness_oracle_sql,
-                                                revenue_gini_oracle_sql,
-                                                interarrival_stats_oracle_sql,
-                                                weekday_index_oracle_sql,
-                                                forecast_revenue_oracle_sql,
-                                                props_field_stats_oracle_sql,
-                                                value_props_corr_oracle_sql,
-                                                anomaly_mad_oracle_sql,
-                                                waiting_suppliers_oracle_sql,
-                                                user_entropy_oracle_sql,
-                                                session_stats_oracle_sql,
-                                                value_autocorr_oracle_sql,
-                                                session_type_pairs_oracle_sql,
-                                                hour_profile_oracle_sql,
-                                                doclen_percentiles_oracle_sql,
-                                                small_qty_revenue_oracle_sql,
-                                                events_lag_diff_oracle_sql,
-                                                events_rolling_oracle_sql,
-                                                lapsed_customers_oracle_sql,
-                                                priority_semijoin_oracle_sql,
-                                                user_top_event_oracle_sql,
-                                                qty_rollup_oracle_sql,
-                                                revenue_by_nation_oracle_sql,
-                                                shipping_priority_oracle_sql)
-    from dude_ray.pipelines.graph import knn_triangles_oracle_sql
-    from dude_ray.pipelines.components import (
-        component_sizes_oracle_sql, degree_assortativity_oracle_sql,
-        host_depth_profile_oracle_sql, host_graph_oracle_sql,
-        k_core_oracle_sql, link_components_oracle_sql,
-        host_rank_oracle_sql, link_depth_oracle_sql,
-        bowtie_census_oracle_sql, host_modularity_oracle_sql,
-        seed_walks_oracle_sql, walk_visit_rank_oracle_sql,
-        crawl_budget_oracle_sql,
-        link_reciprocity_oracle_sql, link_triangles_oracle_sql,
-        seed_coverage_oracle_sql)
-    from dude_ray.pipelines.relational import (dau_wau_oracle_sql,
-                                               order_backlog_oracle_sql,
-                                               type_day_mi_oracle_sql,
-                                               stationary_types_oracle_sql,
-                                               markov_entropy_rate_oracle_sql,
-                                               funnel_latency_oracle_sql,
-                                               basket_pairs_oracle_sql,
-                                               kanon_risk_oracle_sql)
-    from dude_ray.pipelines.bpe import (bpe_encode_oracle_sql,
-                                        bpe_train_oracle_sql)
-    from dude_ray.pipelines.cleaning import (blocklist_filter_oracle_sql,
-                                             gopher_filter_oracle_sql)
-    from dude_ray.pipelines.similarity import (ann_ivf_oracle_sql,
-                                               ann_lsh_oracle_sql,
-                                               ann_pq_oracle_sql,
-                                               knn_graph_oracle_sql,
-                                               knn_accuracy_oracle_sql,
-                                               ann_recall_oracle_sql)
-    from dude_ray.pipelines.sketches import (
-        bloom_registers_oracle_sql, cms_registers_oracle_sql,
-        distinct_users_approx_oracle_sql, hll_registers_oracle_sql,
-        kmv_registers_oracle_sql, distinct_users_kmv_oracle_sql,
-        hll_intersect_oracle_sql)
-    from dude_ray.pipelines.dsir import (dsir_select_oracle_sql,
-                                         dsir_weights_oracle_sql)
-
-    from dude_ray.pipelines.clustering import (EMBEDDING_COV_ORACLE_SQL,
-                                               LABEL_CENTROIDS_ORACLE_SQL)
-    from dude_ray.pipelines.lr import (lr_quality_oracle_sql,
-                                       training_mix_oracle_sql)
-    from dude_ray.pipelines.ranking import TERM_POSTINGS_ORACLE_SQL
+    from dude_ray import oracle
+    from dude_ray.pipelines import (bpe, ccnet, cleaning, clustering,
+                                    components, dedup, dsir, flagship, graph,
+                                    lm, lr, ranking, relational, sampling,
+                                    similarity, sketches, textops)
+    from dude_ray.stages import multimodal
 
     return {
-        "simhash_dedup": simhash_oracle_sql(),
-        "minhash_dedup": minhash_oracle_sql(threshold=0.8),
-        "ngram_jaccard": minhash_oracle_sql(threshold=None),
-        "ngram_containment": ngram_containment_oracle_sql(),
-        "dedup_threshold_sweep": dedup_threshold_sweep_oracle_sql(),
-        "shingle_novelty": shingle_novelty_oracle_sql(),
-        "dup_source_matrix": dup_source_matrix_oracle_sql(),
-        "embedding_cov": EMBEDDING_COV_ORACLE_SQL,
-        "label_centroids": LABEL_CENTROIDS_ORACLE_SQL,
-        "graph_pagerank": graph_pagerank_oracle_sql(),
-        "graph_hits": graph_hits_oracle_sql(),
-        "graph_degree_dist": graph_degree_dist_oracle_sql(),
-        "cocitation": cocitation_oracle_sql(),
-        "adamic_adar": adamic_adar_oracle_sql(),
-        "coupling": coupling_oracle_sql(),
+        "simhash_dedup": dedup.simhash_oracle_sql(),
+        "minhash_dedup": dedup.minhash_oracle_sql(threshold=0.8),
+        "ngram_jaccard": dedup.minhash_oracle_sql(threshold=None),
+        "ngram_containment": dedup.ngram_containment_oracle_sql(),
+        "dedup_threshold_sweep": dedup.dedup_threshold_sweep_oracle_sql(),
+        "shingle_novelty": dedup.shingle_novelty_oracle_sql(),
+        "dup_source_matrix": dedup.dup_source_matrix_oracle_sql(),
+        "embedding_cov": clustering.EMBEDDING_COV_ORACLE_SQL,
+        "label_centroids": clustering.LABEL_CENTROIDS_ORACLE_SQL,
+        "graph_pagerank": graph.graph_pagerank_oracle_sql(),
+        "graph_hits": graph.graph_hits_oracle_sql(),
+        "graph_degree_dist": graph.graph_degree_dist_oracle_sql(),
+        "cocitation": graph.cocitation_oracle_sql(),
+        "adamic_adar": graph.adamic_adar_oracle_sql(),
+        "coupling": graph.coupling_oracle_sql(),
         # recursive-CTE reachability closure / bounded BFS over the
         # inlined generator-determined edge list (components.py)
-        "link_components": link_components_oracle_sql(),
-        "link_depth": link_depth_oracle_sql(),
-        "host_graph": host_graph_oracle_sql(),
-        "link_reciprocity": link_reciprocity_oracle_sql(),
-        "component_sizes": component_sizes_oracle_sql(),
-        "k_core": k_core_oracle_sql(),
-        "degree_assortativity": degree_assortativity_oracle_sql(),
-        "host_depth_profile": host_depth_profile_oracle_sql(),
-        "seed_coverage": seed_coverage_oracle_sql(),
-        "dau_wau": dau_wau_oracle_sql(),
-        "order_backlog": order_backlog_oracle_sql(),
-        "link_triangles": link_triangles_oracle_sql(),
-        "host_rank": host_rank_oracle_sql(),
-        "bowtie_census": bowtie_census_oracle_sql(),
-        "host_modularity": host_modularity_oracle_sql(),
-        "seed_walks": seed_walks_oracle_sql(),
-        "walk_visit_rank": walk_visit_rank_oracle_sql(),
-        "crawl_budget": crawl_budget_oracle_sql(),
-        "type_day_mi": type_day_mi_oracle_sql(),
-        "stationary_types": stationary_types_oracle_sql(),
-        "kanon_risk": kanon_risk_oracle_sql(),
-        "markov_entropy_rate": markov_entropy_rate_oracle_sql(),
-        "funnel_latency": funnel_latency_oracle_sql(),
-        "basket_pairs": basket_pairs_oracle_sql(),
-        "zipf_fit": zipf_fit_oracle_sql(),
-        "burrows_delta": burrows_delta_oracle_sql(),
-        "keyness_llr": keyness_llr_oracle_sql(),
+        "link_components": components.link_components_oracle_sql(),
+        "link_depth": components.link_depth_oracle_sql(),
+        "host_graph": components.host_graph_oracle_sql(),
+        "link_reciprocity": components.link_reciprocity_oracle_sql(),
+        "component_sizes": components.component_sizes_oracle_sql(),
+        "k_core": components.k_core_oracle_sql(),
+        "degree_assortativity": components.degree_assortativity_oracle_sql(),
+        "host_depth_profile": components.host_depth_profile_oracle_sql(),
+        "seed_coverage": components.seed_coverage_oracle_sql(),
+        "dau_wau": relational.dau_wau_oracle_sql(),
+        "order_backlog": relational.order_backlog_oracle_sql(),
+        "link_triangles": components.link_triangles_oracle_sql(),
+        "host_rank": components.host_rank_oracle_sql(),
+        "bowtie_census": components.bowtie_census_oracle_sql(),
+        "host_modularity": components.host_modularity_oracle_sql(),
+        "seed_walks": components.seed_walks_oracle_sql(),
+        "walk_visit_rank": components.walk_visit_rank_oracle_sql(),
+        "crawl_budget": components.crawl_budget_oracle_sql(),
+        "type_day_mi": relational.type_day_mi_oracle_sql(),
+        "stationary_types": relational.stationary_types_oracle_sql(),
+        "kanon_risk": relational.kanon_risk_oracle_sql(),
+        "markov_entropy_rate": relational.markov_entropy_rate_oracle_sql(),
+        "funnel_latency": relational.funnel_latency_oracle_sql(),
+        "basket_pairs": relational.basket_pairs_oracle_sql(),
+        "zipf_fit": textops.zipf_fit_oracle_sql(),
+        "burrows_delta": textops.burrows_delta_oracle_sql(),
+        "keyness_llr": textops.keyness_llr_oracle_sql(),
         # upgraded round 5 from rows-only: the generator-determined
         # (target, anchor) list is inlined, aggregation recomputed in SQL
-        "anchor_texts": anchor_texts_oracle_sql(),
+        "anchor_texts": graph.anchor_texts_oracle_sql(),
         # upgraded round 5 from rows-only: the sequential-replay visit
         # list is inlined, per-host aggregation recomputed in SQL
-        "crawl_host_counts": _crawl_host_counts_sql(),
+        "crawl_host_counts": oracle.crawl_host_counts_oracle_sql(),
         # replay skip/release accounting, re-aggregated in SQL
-        "crawl_skip_counts": _crawl_skip_counts_sql(),
+        "crawl_skip_counts": oracle.crawl_skip_counts_oracle_sql(),
         # media payload-size contract enforced against the real bytes
-        "media_size_stats": _media_size_stats_sql(),
+        "media_size_stats": multimodal.media_size_stats_oracle_sql(),
         # upgraded round 5 from rows-only: rng-determined span skeleton
         # inlined; text-derived spans rebuilt in SQL from documents.text
-        "extract_spans": _extract_spans_sql(),
-        "pagerank": pagerank_oracle_sql(),
-        "doc_fingerprint": fingerprint_oracle_sql(),
-        "ngram_counts": ngram_counts_oracle_sql(),
-        "gopher_filter": gopher_filter_oracle_sql(),
-        "bpe_train": bpe_train_oracle_sql(),
-        "knn_graph": knn_graph_oracle_sql(),
-        "knn_accuracy": knn_accuracy_oracle_sql(),
-        "bpe_encode": bpe_encode_oracle_sql(),
-        "pmi_collocations": pmi_collocations_oracle_sql(),
-        "blocklist_filter": blocklist_filter_oracle_sql(),
-        "source_stats": source_stats_oracle_sql(),
-        "readability": readability_oracle_sql(),
-        "phrase_search": phrase_search_oracle_sql(),
-        "contamination_overlap": contamination_overlap_oracle_sql(),
-        "dataset_split": dataset_split_oracle_sql(),
-        "dup_rate_by_source": dup_rate_by_source_oracle_sql(),
-        "editdist_neardup": editdist_neardup_oracle_sql(),
-        "shipping_priority": shipping_priority_oracle_sql(),
-        "knn_triangles": knn_triangles_oracle_sql(),
-        "events_lag_diff": events_lag_diff_oracle_sql(),
-        "events_rolling": events_rolling_oracle_sql(),
-        "revenue_by_nation": revenue_by_nation_oracle_sql(),
-        "qty_rollup": qty_rollup_oracle_sql(),
-        "cheapest_part": cheapest_part_oracle_sql(),
-        "small_qty_revenue": small_qty_revenue_oracle_sql(),
-        "large_orders": large_orders_oracle_sql(),
-        "qty_cube": qty_cube_oracle_sql(),
-        "event_trigrams": event_trigrams_oracle_sql(),
-        "winsorize": winsorize_oracle_sql(),
-        "pareto_front": pareto_front_oracle_sql(),
-        "rrf_fusion": rrf_fusion_oracle_sql(),
-        "asof_attribution": asof_attribution_oracle_sql(),
-        "median_by_type": median_by_type_oracle_sql(),
-        "top_orders_per_cust": top_orders_per_cust_oracle_sql(),
-        "user_type_profile": user_type_profile_oracle_sql(),
-        "custdist": custdist_oracle_sql(),
-        "returned_items": returned_items_oracle_sql(),
-        "top_supplier": top_supplier_oracle_sql(),
-        "disjunctive_revenue": disjunctive_revenue_oracle_sql(),
-        "promo_revenue": promo_revenue_oracle_sql(),
-        "volume_shipping": volume_shipping_oracle_sql(),
-        "audience_overlap": audience_overlap_oracle_sql(),
-        "spend_deciles": spend_deciles_oracle_sql(),
-        "market_share": market_share_oracle_sql(),
-        "type_lift": type_lift_oracle_sql(),
-        "rfm_segments": rfm_segments_oracle_sql(),
-        "monthly_growth": monthly_growth_oracle_sql(),
-        "vocab_coverage": vocab_coverage_oracle_sql(),
-        "ann_recall": ann_recall_oracle_sql(),
-        "dedup_recall": dedup_recall_oracle_sql(),
-        "coverage_curve": coverage_curve_oracle_sql(),
-        "user_burstiness": user_burstiness_oracle_sql(),
-        "revenue_gini": revenue_gini_oracle_sql(),
-        "interarrival_stats": interarrival_stats_oracle_sql(),
-        "weekday_index": weekday_index_oracle_sql(),
-        "forecast_revenue": forecast_revenue_oracle_sql(),
-        "props_field_stats": props_field_stats_oracle_sql(),
-        "value_props_corr": value_props_corr_oracle_sql(),
-        "anomaly_mad": anomaly_mad_oracle_sql(),
-        "waiting_suppliers": waiting_suppliers_oracle_sql(),
-        "source_similarity": source_similarity_oracle_sql(),
-        "user_entropy": user_entropy_oracle_sql(),
-        "skipgram_counts": skipgram_counts_oracle_sql(),
-        "session_stats": session_stats_oracle_sql(),
-        "value_autocorr": value_autocorr_oracle_sql(),
-        "lang_confusion": lang_confusion_oracle_sql(),
-        "session_type_pairs": session_type_pairs_oracle_sql(),
-        "hour_profile": hour_profile_oracle_sql(),
-        "doclen_percentiles": doclen_percentiles_oracle_sql(),
-        "hash_features": hash_features_oracle_sql(),
-        "priority_semijoin": priority_semijoin_oracle_sql(),
-        "lapsed_customers": lapsed_customers_oracle_sql(),
-        "user_top_event": user_top_event_oracle_sql(),
-        "event_pivot": event_pivot_oracle_sql(),
-        "event_transitions": event_transitions_oracle_sql(),
-        "kmeans_cluster": kmeans_cluster_oracle_sql(),
-        "semdedup": semdedup_oracle_sql(threshold=0.35),
-        "kmeans_silhouette": kmeans_silhouette_oracle_sql(),
-        "dsir_weights": dsir_weights_oracle_sql(),
-        "dsir_select": dsir_select_oracle_sql(),
-        "embedding_neardup": embedding_neardup_oracle_sql(threshold=0.35,
+        "extract_spans": flagship.extract_spans_oracle_sql(),
+        "pagerank": graph.pagerank_oracle_sql(),
+        "doc_fingerprint": textops.fingerprint_oracle_sql(),
+        "ngram_counts": textops.ngram_counts_oracle_sql(),
+        "gopher_filter": cleaning.gopher_filter_oracle_sql(),
+        "bpe_train": bpe.bpe_train_oracle_sql(),
+        "knn_graph": similarity.knn_graph_oracle_sql(),
+        "knn_accuracy": similarity.knn_accuracy_oracle_sql(),
+        "bpe_encode": bpe.bpe_encode_oracle_sql(),
+        "pmi_collocations": textops.pmi_collocations_oracle_sql(),
+        "blocklist_filter": cleaning.blocklist_filter_oracle_sql(),
+        "source_stats": textops.source_stats_oracle_sql(),
+        "readability": textops.readability_oracle_sql(),
+        "phrase_search": textops.phrase_search_oracle_sql(),
+        "contamination_overlap": textops.contamination_overlap_oracle_sql(),
+        "dataset_split": sampling.dataset_split_oracle_sql(),
+        "dup_rate_by_source": dedup.dup_rate_by_source_oracle_sql(),
+        "editdist_neardup": dedup.editdist_neardup_oracle_sql(),
+        "shipping_priority": relational.shipping_priority_oracle_sql(),
+        "knn_triangles": graph.knn_triangles_oracle_sql(),
+        "events_lag_diff": relational.events_lag_diff_oracle_sql(),
+        "events_rolling": relational.events_rolling_oracle_sql(),
+        "revenue_by_nation": relational.revenue_by_nation_oracle_sql(),
+        "qty_rollup": relational.qty_rollup_oracle_sql(),
+        "cheapest_part": relational.cheapest_part_oracle_sql(),
+        "small_qty_revenue": relational.small_qty_revenue_oracle_sql(),
+        "large_orders": relational.large_orders_oracle_sql(),
+        "qty_cube": relational.qty_cube_oracle_sql(),
+        "event_trigrams": relational.event_trigrams_oracle_sql(),
+        "winsorize": relational.winsorize_oracle_sql(),
+        "pareto_front": relational.pareto_front_oracle_sql(),
+        "rrf_fusion": relational.rrf_fusion_oracle_sql(),
+        "asof_attribution": relational.asof_attribution_oracle_sql(),
+        "median_by_type": relational.median_by_type_oracle_sql(),
+        "top_orders_per_cust": relational.top_orders_per_cust_oracle_sql(),
+        "user_type_profile": relational.user_type_profile_oracle_sql(),
+        "custdist": relational.custdist_oracle_sql(),
+        "returned_items": relational.returned_items_oracle_sql(),
+        "top_supplier": relational.top_supplier_oracle_sql(),
+        "disjunctive_revenue": relational.disjunctive_revenue_oracle_sql(),
+        "promo_revenue": relational.promo_revenue_oracle_sql(),
+        "volume_shipping": relational.volume_shipping_oracle_sql(),
+        "audience_overlap": relational.audience_overlap_oracle_sql(),
+        "spend_deciles": relational.spend_deciles_oracle_sql(),
+        "market_share": relational.market_share_oracle_sql(),
+        "type_lift": relational.type_lift_oracle_sql(),
+        "rfm_segments": relational.rfm_segments_oracle_sql(),
+        "monthly_growth": relational.monthly_growth_oracle_sql(),
+        "vocab_coverage": textops.vocab_coverage_oracle_sql(),
+        "ann_recall": similarity.ann_recall_oracle_sql(),
+        "dedup_recall": dedup.dedup_recall_oracle_sql(),
+        "coverage_curve": textops.coverage_curve_oracle_sql(),
+        "user_burstiness": relational.user_burstiness_oracle_sql(),
+        "revenue_gini": relational.revenue_gini_oracle_sql(),
+        "interarrival_stats": relational.interarrival_stats_oracle_sql(),
+        "weekday_index": relational.weekday_index_oracle_sql(),
+        "forecast_revenue": relational.forecast_revenue_oracle_sql(),
+        "props_field_stats": relational.props_field_stats_oracle_sql(),
+        "value_props_corr": relational.value_props_corr_oracle_sql(),
+        "anomaly_mad": relational.anomaly_mad_oracle_sql(),
+        "waiting_suppliers": relational.waiting_suppliers_oracle_sql(),
+        "source_similarity": textops.source_similarity_oracle_sql(),
+        "user_entropy": relational.user_entropy_oracle_sql(),
+        "skipgram_counts": textops.skipgram_counts_oracle_sql(),
+        "session_stats": relational.session_stats_oracle_sql(),
+        "value_autocorr": relational.value_autocorr_oracle_sql(),
+        "lang_confusion": textops.lang_confusion_oracle_sql(),
+        "session_type_pairs": relational.session_type_pairs_oracle_sql(),
+        "hour_profile": relational.hour_profile_oracle_sql(),
+        "doclen_percentiles": relational.doclen_percentiles_oracle_sql(),
+        "hash_features": textops.hash_features_oracle_sql(),
+        "priority_semijoin": relational.priority_semijoin_oracle_sql(),
+        "lapsed_customers": relational.lapsed_customers_oracle_sql(),
+        "user_top_event": relational.user_top_event_oracle_sql(),
+        "event_pivot": relational.event_pivot_oracle_sql(),
+        "event_transitions": relational.event_transitions_oracle_sql(),
+        "kmeans_cluster": clustering.kmeans_cluster_oracle_sql(),
+        "semdedup": clustering.semdedup_oracle_sql(threshold=0.35),
+        "kmeans_silhouette": clustering.kmeans_silhouette_oracle_sql(),
+        "dsir_weights": dsir.dsir_weights_oracle_sql(),
+        "dsir_select": dsir.dsir_select_oracle_sql(),
+        "embedding_neardup": dedup.embedding_neardup_oracle_sql(threshold=0.35,
                                                           n_bits=4),
-        "ann_lsh": ann_lsh_oracle_sql(),
-        "ann_ivf": ann_ivf_oracle_sql(),
-        "ann_pq": ann_pq_oracle_sql(),
-        "ccnet_buckets": ccnet_oracle_sql(),
-        "hll_registers": hll_registers_oracle_sql(),
-        "hll_intersect": hll_intersect_oracle_sql(),
-        "kmv_registers": kmv_registers_oracle_sql(),
-        "distinct_users_kmv": distinct_users_kmv_oracle_sql(),
-        "cms_registers": cms_registers_oracle_sql(),
-        "distinct_users_approx": distinct_users_approx_oracle_sql(),
-        "embedding_project": embedding_project_oracle_sql(),
-        "bloom_registers": bloom_registers_oracle_sql(),
-        "embedding_pca": pca_oracle_sql(),
-        "substring_dup": substring_dup_oracle_sql(),
-        "lm_score": LM_SCORE_ORACLE_SQL,
-        "lr_quality": lr_quality_oracle_sql(),
-        "training_mix": training_mix_oracle_sql(),
-        "term_postings": TERM_POSTINGS_ORACLE_SQL,
-        "tfidf_keywords": tfidf_keywords_oracle_sql(),
+        "ann_lsh": similarity.ann_lsh_oracle_sql(),
+        "ann_ivf": similarity.ann_ivf_oracle_sql(),
+        "ann_pq": similarity.ann_pq_oracle_sql(),
+        "ccnet_buckets": ccnet.ccnet_oracle_sql(),
+        "hll_registers": sketches.hll_registers_oracle_sql(),
+        "hll_intersect": sketches.hll_intersect_oracle_sql(),
+        "kmv_registers": sketches.kmv_registers_oracle_sql(),
+        "distinct_users_kmv": sketches.distinct_users_kmv_oracle_sql(),
+        "cms_registers": sketches.cms_registers_oracle_sql(),
+        "distinct_users_approx": sketches.distinct_users_approx_oracle_sql(),
+        "embedding_project": clustering.embedding_project_oracle_sql(),
+        "bloom_registers": sketches.bloom_registers_oracle_sql(),
+        "embedding_pca": clustering.pca_oracle_sql(),
+        "substring_dup": dedup.substring_dup_oracle_sql(),
+        "lm_score": lm.LM_SCORE_ORACLE_SQL,
+        "lr_quality": lr.lr_quality_oracle_sql(),
+        "training_mix": lr.training_mix_oracle_sql(),
+        "term_postings": ranking.TERM_POSTINGS_ORACLE_SQL,
+        "tfidf_keywords": ranking.tfidf_keywords_oracle_sql(),
         "text_chunk": f"""
             WITH tok AS (
                 SELECT doc_id,
@@ -1452,7 +824,7 @@ def oracle_sql() -> dict[str, str]:
                          / greatest(length(text), 1), 6) AS punct_ratio
             FROM documents
         """,
-        "lang_id": LANG_ID_ORACLE_SQL,
+        "lang_id": textops.LANG_ID_ORACLE_SQL,
         "lang_dist": """
             SELECT lang, count(*) AS n_docs FROM documents GROUP BY lang
         """,

@@ -7,7 +7,8 @@ BEST-OF-N (default 3, BENCH_CRAWL_REPEATS) in fresh processes — the
 shared sandbox host shows ±30-40% tenancy swings between identical
 runs, and best-of with every attempt reported ("crawl_attempts")
 makes the file of record reflect the engine, not the tenancy lottery.
-Additional per-pipeline timings land in "queries".
+Additional per-pipeline timings land in "queries": "extract",
+"extract_full" and one key per ``__ray_entry__.queries()`` entry.
 
     GRAFT_SF_DIR=/root/testdata/sf0.1 RAY_GRAFT_CPUS=32 python bench.py
     python bench.py --scaling    # same job at 8 and 32 CPUs in fresh
@@ -35,8 +36,6 @@ def _crawl_once() -> dict:
     """One fresh-session crawl over the bench corpus; returns the
     headline numbers.  Used in-process by BENCH_CRAWL_ONLY subprocesses
     and by run_bench directly."""
-    import ray
-
     from dude_ray.crawl import crawl_metrics, run_crawl
 
     out_dir = f"/tmp/dude_ray_bench/crawl_{NUM_CPUS}_{os.getpid()}"
@@ -105,7 +104,7 @@ def run_bench() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    from dude_ray.pipelines import dedup, relational, similarity, textops
+    from __ray_entry__ import queries
     from dude_ray.pipelines.flagship import run_extract
     from dude_ray.sources.corpus import ensure_corpus
 
@@ -160,7 +159,7 @@ def run_bench() -> dict:
 
     # ---- secondary pipelines ------------------------------------------
     t0 = time.time()
-    n_spans = run_extract(SF_DIR).map_batches(
+    run_extract(SF_DIR).map_batches(
         lambda t: t.select(["doc_id"]), batch_format="pyarrow").count()
     timings["extract"] = round(time.time() - t0, 3)
 
@@ -172,610 +171,14 @@ def run_bench() -> dict:
         lambda t: t.select(["doc_id"]), batch_format="pyarrow").count()
     timings["extract_full"] = round(time.time() - t0, 3)
 
-    t0 = time.time()
-    textops.run_token_count(SF_DIR).count()
-    timings["token_count"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_quality(SF_DIR).count()
-    timings["quality_score"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_exact_dedup(SF_DIR).count()
-    timings["exact_dedup"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_minhash_dedup(SF_DIR).count()
-    timings["minhash_dedup"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    similarity.run_ann_topk(SF_DIR).count()
-    timings["ann_topk"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_events_window(SF_DIR).count()
-    timings["events_window"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_pricing_summary(SF_DIR).count()
-    timings["pricing_summary"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import clustering, ranking
-
-    t0 = time.time()
-    ranking.run_bm25(SF_DIR)
-    timings["bm25_topk"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    clustering.run_kmeans_cluster(SF_DIR).count()
-    timings["kmeans_cluster"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_dup_clusters(SF_DIR).count()
-    timings["dup_clusters"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import sampling
-
-    t0 = time.time()
-    dedup.run_substring_dup(SF_DIR).count()
-    timings["substring_dup"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    sampling.run_mix_interleave(SF_DIR).count()
-    timings["mix_interleave"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_value_buckets(SF_DIR).count()
-    timings["value_buckets"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_events_zscore(SF_DIR).count()
-    timings["events_zscore"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    clustering.run_embedding_pca(SF_DIR).count()
-    timings["embedding_pca"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import graph, lm
-
-    t0 = time.time()
-    lm.run_lm_score(SF_DIR).count()
-    timings["lm_score"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    graph.run_graph_pagerank(SF_DIR).count()
-    timings["graph_pagerank"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import lr
-
-    t0 = time.time()
-    dedup.run_jaccard_join(SF_DIR).count()
-    timings["jaccard_join"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    lr.run_lr_quality(SF_DIR).count()
-    timings["lr_quality"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_fingerprint(SF_DIR).count()
-    timings["doc_fingerprint"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    ranking.run_term_postings(SF_DIR).count()
-    timings["term_postings"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    lr.run_training_mix(SF_DIR).count()
-    timings["training_mix"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_substring_redact(SF_DIR).count()
-    timings["substring_redact"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    sampling.run_text_chunk(SF_DIR).count()
-    timings["text_chunk"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    clustering.run_quantize_embeddings(SF_DIR).count()
-    timings["quantize_embeddings"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_event_funnel(SF_DIR).count()
-    timings["event_funnel"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_chunk_dedup(SF_DIR).count()
-    timings["chunk_dedup"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import dsir
-
-    t0 = time.time()
-    clustering.run_semdedup(SF_DIR).count()
-    timings["semdedup"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dsir.run_dsir_select(SF_DIR)
-    timings["dsir_select"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import bpe
-
-    t0 = time.time()
-    bpe.run_bpe_train(SF_DIR)
-    timings["bpe_train"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    similarity.run_knn_graph(SF_DIR).materialize()
-    timings["knn_graph"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    bpe.run_bpe_encode(SF_DIR).materialize()
-    timings["bpe_encode"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_pmi_collocations(SF_DIR)
-    timings["pmi_collocations"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import cleaning
-
-    t0 = time.time()
-    cleaning.run_blocklist_filter(SF_DIR).materialize()
-    timings["blocklist_filter"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import sketches
-
-    t0 = time.time()
-    sketches.run_cms_registers(SF_DIR).materialize()
-    timings["cms_registers"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    similarity.run_ann_pq(SF_DIR).materialize()
-    timings["ann_pq"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import ccnet
-
-    t0 = time.time()
-    ccnet.run_ccnet_buckets(SF_DIR).materialize()
-    timings["ccnet_buckets"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    graph.run_graph_hits(SF_DIR).materialize()
-    timings["graph_hits"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    clustering.run_embedding_project(SF_DIR).materialize()
-    timings["embedding_project"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    sketches.run_bloom_registers(SF_DIR).materialize()
-    timings["bloom_registers"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_source_stats(SF_DIR).materialize()
-    timings["source_stats"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_readability(SF_DIR).materialize()
-    timings["readability"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_phrase_search(SF_DIR).materialize()
-    timings["phrase_search"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_contamination_overlap(SF_DIR).materialize()
-    timings["contamination_overlap"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    sampling.run_dataset_split(SF_DIR).materialize()
-    timings["dataset_split"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_dup_rate_by_source(SF_DIR).materialize()
-    timings["dup_rate_by_source"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_editdist_neardup(SF_DIR).materialize()
-    timings["editdist_neardup"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_shipping_priority(SF_DIR).materialize()
-    timings["shipping_priority"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    graph.run_knn_triangles(SF_DIR).materialize()
-    timings["knn_triangles"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_events_lag_diff(SF_DIR).materialize()
-    timings["events_lag_diff"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_events_rolling(SF_DIR).materialize()
-    timings["events_rolling"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_revenue_by_nation(SF_DIR).materialize()
-    timings["revenue_by_nation"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_qty_rollup(SF_DIR).materialize()
-    timings["qty_rollup"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_cheapest_part(SF_DIR).materialize()
-    timings["cheapest_part"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_priority_semijoin(SF_DIR).materialize()
-    timings["priority_semijoin"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_lapsed_customers(SF_DIR).materialize()
-    timings["lapsed_customers"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_user_top_event(SF_DIR).materialize()
-    timings["user_top_event"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_event_pivot(SF_DIR).materialize()
-    timings["event_pivot"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_event_transitions(SF_DIR).materialize()
-    timings["event_transitions"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_small_qty_revenue(SF_DIR).materialize()
-    timings["small_qty_revenue"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_large_orders(SF_DIR).materialize()
-    timings["large_orders"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_qty_cube(SF_DIR).materialize()
-    timings["qty_cube"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_event_trigrams(SF_DIR).materialize()
-    timings["event_trigrams"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_winsorize(SF_DIR).materialize()
-    timings["winsorize"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_pareto_front(SF_DIR).materialize()
-    timings["pareto_front"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_rrf_fusion(SF_DIR).materialize()
-    timings["rrf_fusion"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_hash_features(SF_DIR).materialize()
-    timings["hash_features"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_asof_attribution(SF_DIR).materialize()
-    timings["asof_attribution"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_median_by_type(SF_DIR).materialize()
-    timings["median_by_type"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_top_orders_per_cust(SF_DIR).materialize()
-    timings["top_orders_per_cust"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_user_type_profile(SF_DIR).materialize()
-    timings["user_type_profile"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_custdist(SF_DIR).materialize()
-    timings["custdist"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_returned_items(SF_DIR)
-    timings["returned_items"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_top_supplier(SF_DIR)
-    timings["top_supplier"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_disjunctive_revenue(SF_DIR).materialize()
-    timings["disjunctive_revenue"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_promo_revenue(SF_DIR).materialize()
-    timings["promo_revenue"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_volume_shipping(SF_DIR).materialize()
-    timings["volume_shipping"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_audience_overlap(SF_DIR).materialize()
-    timings["audience_overlap"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_spend_deciles(SF_DIR).materialize()
-    timings["spend_deciles"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_market_share(SF_DIR).materialize()
-    timings["market_share"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_type_lift(SF_DIR).materialize()
-    timings["type_lift"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_rfm_segments(SF_DIR).materialize()
-    timings["rfm_segments"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_monthly_growth(SF_DIR).materialize()
-    timings["monthly_growth"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_weekday_index(SF_DIR).materialize()
-    timings["weekday_index"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_forecast_revenue(SF_DIR).materialize()
-    timings["forecast_revenue"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_user_burstiness(SF_DIR).materialize()
-    timings["user_burstiness"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_interarrival_stats(SF_DIR).materialize()
-    timings["interarrival_stats"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_revenue_gini(SF_DIR).materialize()
-    timings["revenue_gini"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_vocab_coverage(SF_DIR).materialize()
-    timings["vocab_coverage"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_coverage_curve(SF_DIR)
-    timings["coverage_curve"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    similarity.run_ann_recall(SF_DIR)
-    timings["ann_recall"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_dedup_recall(SF_DIR).materialize()
-    timings["dedup_recall"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_props_field_stats(SF_DIR).materialize()
-    timings["props_field_stats"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_value_props_corr(SF_DIR).materialize()
-    timings["value_props_corr"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_anomaly_mad(SF_DIR).materialize()
-    timings["anomaly_mad"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    sketches.run_distinct_users_kmv(SF_DIR).materialize()
-    timings["distinct_users_kmv"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_waiting_suppliers(SF_DIR).materialize()
-    timings["waiting_suppliers"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_source_similarity(SF_DIR).materialize()
-    timings["source_similarity"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    graph.run_graph_degree_dist(SF_DIR).materialize()
-    timings["graph_degree_dist"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_user_entropy(SF_DIR).materialize()
-    timings["user_entropy"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_skipgram_counts(SF_DIR).materialize()
-    timings["skipgram_counts"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_session_stats(SF_DIR).materialize()
-    timings["session_stats"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    graph.run_cocitation(SF_DIR).materialize()
-    timings["cocitation"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_value_autocorr(SF_DIR).materialize()
-    timings["value_autocorr"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_lang_confusion(SF_DIR).materialize()
-    timings["lang_confusion"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_session_type_pairs(SF_DIR).materialize()
-    timings["session_type_pairs"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    graph.run_coupling(SF_DIR).materialize()
-    timings["coupling"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_hour_profile(SF_DIR).materialize()
-    timings["hour_profile"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_doclen_percentiles(SF_DIR).materialize()
-    timings["doclen_percentiles"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    from dude_ray.stages.multimodal import run_media_size_stats
-    run_media_size_stats(SF_DIR).materialize()
-    timings["media_size_stats"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_dup_cluster_sizes(SF_DIR).materialize()
-    timings["dup_cluster_sizes"] = round(time.time() - t0, 3)
-
-    from dude_ray.pipelines import components
-
-    t0 = time.time()
-    components.run_link_components(SF_DIR).materialize()
-    timings["link_components"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_link_depth(SF_DIR).materialize()
-    timings["link_depth"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_host_graph(SF_DIR).materialize()
-    timings["host_graph"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_link_reciprocity(SF_DIR).materialize()
-    timings["link_reciprocity"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_component_sizes(SF_DIR).materialize()
-    timings["component_sizes"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_k_core(SF_DIR).materialize()
-    timings["k_core"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_degree_assortativity(SF_DIR).materialize()
-    timings["degree_assortativity"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_host_depth_profile(SF_DIR).materialize()
-    timings["host_depth_profile"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_seed_coverage(SF_DIR).materialize()
-    timings["seed_coverage"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_dau_wau(SF_DIR).materialize()
-    timings["dau_wau"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_order_backlog(SF_DIR).materialize()
-    timings["order_backlog"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_link_triangles(SF_DIR).materialize()
-    timings["link_triangles"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_host_rank(SF_DIR).materialize()
-    timings["host_rank"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_type_day_mi(SF_DIR).materialize()
-    timings["type_day_mi"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_zipf_fit(SF_DIR).materialize()
-    timings["zipf_fit"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_ngram_containment(SF_DIR).materialize()
-    timings["ngram_containment"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    graph.run_adamic_adar(SF_DIR).materialize()
-    timings["adamic_adar"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    sketches.run_hll_intersect(SF_DIR).materialize()
-    timings["hll_intersect"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_burrows_delta(SF_DIR).materialize()
-    timings["burrows_delta"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    textops.run_keyness_llr(SF_DIR).materialize()
-    timings["keyness_llr"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    clustering.run_kmeans_silhouette(SF_DIR).materialize()
-    timings["kmeans_silhouette"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_bowtie_census(SF_DIR).materialize()
-    timings["bowtie_census"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_dedup_threshold_sweep(SF_DIR).materialize()
-    timings["dedup_threshold_sweep"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_stationary_types(SF_DIR).materialize()
-    timings["stationary_types"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_shingle_novelty(SF_DIR).materialize()
-    timings["shingle_novelty"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_kanon_risk(SF_DIR).materialize()
-    timings["kanon_risk"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    similarity.run_knn_accuracy(SF_DIR).materialize()
-    timings["knn_accuracy"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_host_modularity(SF_DIR).materialize()
-    timings["host_modularity"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_seed_walks(SF_DIR).materialize()
-    timings["seed_walks"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    dedup.run_dup_source_matrix(SF_DIR).materialize()
-    timings["dup_source_matrix"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_markov_entropy_rate(SF_DIR).materialize()
-    timings["markov_entropy_rate"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_walk_visit_rank(SF_DIR).materialize()
-    timings["walk_visit_rank"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_funnel_latency(SF_DIR).materialize()
-    timings["funnel_latency"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    relational.run_basket_pairs(SF_DIR).materialize()
-    timings["basket_pairs"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    components.run_crawl_budget(SF_DIR).materialize()
-    timings["crawl_budget"] = round(time.time() - t0, 3)
+    # every registry entry, in registry order: a returned Dataset is
+    # materialized, a returned frame or table is already computed
+    for name, fn in queries().items():
+        t0 = time.time()
+        res = fn(SF_DIR)
+        if isinstance(res, ray.data.Dataset):
+            res.materialize()
+        timings[name] = round(time.time() - t0, 3)
 
     # extract_full re-extracts the same pages the crawl already measured
     # (an informational whole-corpus number) — excluded from the total

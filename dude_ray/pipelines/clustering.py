@@ -30,6 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from dude_ray.pipelines.relational import tree_sum
 from dude_ray.pipelines.similarity import _load_queries, _normalize
 
 
@@ -269,28 +270,6 @@ def _batch_mat_raw(batch: pa.Table):
     return vids, emb
 
 
-def _reduce_moments(ds, blocks: int = 8):
-    """Two-level merge of moment rows (the tree_combine shape, list
-    columns): per-block numpy sums → one final sum; the driver only
-    ever holds d² + d + 1 doubles."""
-
-    def merge(t: pa.Table) -> pa.Table:
-        if not len(t):
-            return t
-        return pa.table({
-            "n": pa.array([int(np.sum(t["n"].to_numpy(
-                zero_copy_only=False)))], type=pa.int64()),
-            "s1": pa.array([np.stack(t["s1"].to_pylist()).sum(axis=0)]),
-            "s2": pa.array([np.stack(t["s2"].to_pylist()).sum(axis=0)]),
-        })
-
-    lvl1 = ds.repartition(blocks).map_batches(merge, batch_format="pyarrow",
-                                              batch_size=None)
-    row = lvl1.repartition(1).map_batches(merge, batch_format="pyarrow",
-                                          batch_size=None).take_all()[0]
-    return int(row["n"]), np.asarray(row["s1"]), np.asarray(row["s2"])
-
-
 def run_embedding_pca(sf_dir: str, n_components: int = 8,
                       batch_size: int = 4096):
     """Distributed PCA over the embedding column: one streaming pass
@@ -309,14 +288,15 @@ def run_embedding_pca(sf_dir: str, n_components: int = 8,
     Output: UNNESTED (vec_id, i: 1-based component, proj: 9-dp rounded)
     scalar rows — SQL-hash-matchable (pca_oracle_sql inlines the
     deterministic eigenbasis and recomputes the mean-centered
-    projection independently); also verified against a single-process
-    numpy reference in tests."""
+    projection independently; the moment pass is also matched on its
+    own as :func:`run_embedding_cov`); also verified against a
+    single-process numpy reference in tests."""
     import ray
 
     ds = _emb(sf_dir)
-    n, s1, s2 = _reduce_moments(
-        ds.map_batches(_moment_partial, batch_format="pyarrow",
-                       batch_size=batch_size))
+    m = tree_sum(ds.map_batches(_moment_partial, batch_format="pyarrow",
+                                batch_size=batch_size))
+    n, s1, s2 = int(m["n"]), np.asarray(m["s1"]), np.asarray(m["s2"])
     d = len(s1)
     mean, comps, _evals = _pca_basis(n, s1, s2.reshape(d, d), n_components)
     ref = ray.put((mean, comps))
@@ -507,9 +487,9 @@ def run_embedding_cov(sf_dir: str, batch_size: int = 4096):
     import ray
 
     ds = _emb(sf_dir)
-    n, s1, s2 = _reduce_moments(
-        ds.map_batches(_moment_partial, batch_format="pyarrow",
-                       batch_size=batch_size))
+    m = tree_sum(ds.map_batches(_moment_partial, batch_format="pyarrow",
+                                batch_size=batch_size))
+    n, s1, s2 = int(m["n"]), np.asarray(m["s1"]), np.asarray(m["s2"])
     d = len(s1)
     mean = s1 / n
     cov = np.round(s2.reshape(d, d) / n - np.outer(mean, mean), 10)

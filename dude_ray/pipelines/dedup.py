@@ -1881,7 +1881,11 @@ def run_substring_redact(sf_dir: str, min_shared: int = 2,
       join — enter the interval join.  No unbounded driver state (the
       pre-r4 unconditional ``take_all`` broadcast grew with the
       duplicated-content volume) and the documents table itself never
-      enters a full shuffle."""
+      enters a full shuffle.
+
+    No SQL oracle (character-level run expansion), so the registry
+    checks rows only; test_substring_redact_removes_planted_paragraph
+    asserts the removal, keeper and untouched-doc semantics."""
     import ray
 
     from dude_ray.partitioning import hash_grouped_reduce

@@ -39,6 +39,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.pipelines.relational import tree_sum
+
 NUM_BUCKETS = 1024
 ALPHA = 1.0  # Laplace smoothing
 TARGET_LANG = "en"
@@ -96,8 +98,8 @@ def _featurizer(n_buckets: int) -> "_Featurizer":
 
 def _bucket_counts(ds, n_buckets: int, batch_size: int):
     """Pass 1: (target_counts, raw_counts) over the whole corpus —
-    fixed-size per-batch partials, two-level tree merge (the
-    clustering._reduce_moments shape)."""
+    fixed-size per-batch partials summed by
+    :func:`~dude_ray.pipelines.relational.tree_sum`."""
 
     def partial(batch: pa.Table) -> pa.Table:
         f = _featurizer(n_buckets)
@@ -114,20 +116,8 @@ def _bucket_counts(ds, n_buckets: int, batch_size: int):
                 tc += cnt
         return pa.table({"tc": pa.array([tc]), "rc": pa.array([rc])})
 
-    def merge(t: pa.Table) -> pa.Table:
-        if not len(t):
-            return t
-        return pa.table({
-            "tc": pa.array([np.stack(t["tc"].to_pylist()).sum(axis=0)]),
-            "rc": pa.array([np.stack(t["rc"].to_pylist()).sum(axis=0)]),
-        })
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=batch_size)
-    lvl1 = partials.repartition(8).map_batches(merge, batch_format="pyarrow",
-                                               batch_size=None)
-    row = lvl1.repartition(1).map_batches(merge, batch_format="pyarrow",
-                                          batch_size=None).take_all()[0]
+    row = tree_sum(ds.map_batches(partial, batch_format="pyarrow",
+                                  batch_size=batch_size))
     return (np.asarray(row["tc"], dtype=np.int64),
             np.asarray(row["rc"], dtype=np.int64))
 

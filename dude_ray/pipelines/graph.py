@@ -394,8 +394,8 @@ def run_graph_pagerank(sf_dir: str, damping: float = 0.85,
     dangling-mass path is exercised on every iteration.
 
     Exists to give the distributed power-iteration kernel a DuckDB
-    hash-match (the link-graph variant's input is HTML extraction,
-    which SQL can't reach): the oracle unrolls the same fixed
+    hash-match (the link-graph variant, :func:`run_pagerank`, takes
+    its input from HTML extraction, which SQL can't reach): the oracle unrolls the same fixed
     iteration count as chained CTEs.  Ranks round to 10 decimals on
     both sides — float64 association drift across 4 iterations is
     ~1e-14, two orders below the rounding quantum."""

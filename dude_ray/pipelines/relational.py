@@ -86,6 +86,23 @@ def tree_combine(partials, keys, sums=(), mins=(), maxs=()):
         combine, batch_format="pyarrow", batch_size=None)
 
 
+def tree_sum(partials) -> dict:
+    """The one row summing ``partials`` column-wise (numbers or
+    equal-length number lists): :func:`tree_combine` without keys, its
+    first level likewise per partial block as it comes."""
+
+    def merge(t: pa.Table) -> pa.Table:
+        if not len(t):
+            return t
+        return pa.table({c: pa.array([np.stack(t[c].to_pylist()).sum(axis=0)])
+                         for c in t.column_names})
+
+    lvl1 = partials.map_batches(merge, batch_format="pyarrow",
+                                batch_size=None)
+    return lvl1.repartition(1).map_batches(
+        merge, batch_format="pyarrow", batch_size=None).take_all()[0]
+
+
 def _group_agg(t: pa.Table, keys, aggs: dict) -> pa.Table:
     """Arrow hash group-by of ``t`` on ``keys``: the key columns, then
     one column ``name`` per ``aggs`` entry ``name: (column, op)``."""

@@ -124,7 +124,8 @@ def run_distinct_users_approx(sf_dir: str):
     ``run_distinct_users``.  Per-batch: one register blob per
     event_type present (constant 4 KiB each); merge: groupby over the
     handful of event types, element-wise max of blobs.  At any corpus
-    size the shuffle moves (#blocks × #types) 4 KiB rows."""
+    size the shuffle moves (#blocks × #types) 4 KiB rows.  Accuracy
+    vs the exact count: test_hll_accuracy_and_merge_invariance."""
     from dude_ray.io import read_parquet_clean
 
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
@@ -279,7 +280,9 @@ def run_top_terms_sketch(sf_dir: str, k_counters: int = MG_COUNTERS,
     standard mergeable-summaries bound), so the only shuffle moves
     ≤ k rows per block no matter how large the vocabulary grows.  Any
     term with true count > N/(k+1) above the m-th count is guaranteed
-    present."""
+    present.  The sf corpora's 31-term vocabulary never prunes, so the
+    sketch is exact there and its SQL oracle is a plain top-m; the
+    pruning path is tested by test_top_terms_sketch_heavy_hitters."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
@@ -616,7 +619,8 @@ def run_distinct_users_kmv(sf_dir: str, k: int = KMV_K):
     is the shared exact literal ``_KMV_NUM``; ``double(h_k)`` is the
     single IEEE rounding of the same uint64 in both engines (the SQL
     side reconstructs it as ``double(h_hi)·2^32 + double(h_lo)``,
-    which is the identical rounding because ``h_hi·2^32`` is exact)."""
+    which is the identical rounding because ``h_hi·2^32`` is exact).
+    Accuracy vs the exact count: test_kmv_accuracy_and_merge."""
     regs = run_kmv_registers(sf_dir, k=k)
 
     def _estimate(g: pd.DataFrame) -> pd.DataFrame:

@@ -700,6 +700,38 @@ def test_tree_combine_short_stream_logs_no_schema_warning(ray_session):
     assert not [r for r in records if "different schema" in r.getMessage()]
 
 
+def test_tree_sum_short_stream_logs_no_schema_warning(ray_session):
+    """``tree_sum`` adds scalar and list columns element-wise, and the
+    moment and bucket-count passes built on it (embedding_cov,
+    dsir_weights) log no "different schema" warning at sf0.001: the
+    first level sums the partial blocks as they come, so no empty,
+    schema-less block is made."""
+    import logging
+
+    import ray.data as rd
+
+    from dude_ray.pipelines.clustering import run_embedding_cov
+    from dude_ray.pipelines.dsir import run_dsir_weights
+    from dude_ray.pipelines.relational import tree_sum
+
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        row = tree_sum(rd.from_arrow(pa.table({"n": [2, 3],
+                                               "v": [[1.0, 2.0],
+                                                     [0.5, 4.0]]})))
+        assert run_embedding_cov(SF).count() == 64 * 64
+        assert run_dsir_weights(SF).count() > 0
+    finally:
+        logger.removeHandler(handler)
+    assert int(row["n"]) == 5 and list(row["v"]) == [1.5, 6.0]
+    assert records  # the handler sees Ray Data's execution log
+    assert not [r for r in records if "different schema" in r.getMessage()]
+
+
 def test_band_join_block_boundary(ray_session, tmp_path):
     """A pair straddling a coarse partition block boundary must still be
     found exactly once (ghost-row handling)."""

@@ -1,6 +1,7 @@
 """Mimics the driver's correctness gate: run each queries() entry and
 its oracle_sql() side-by-side at sf0.01 via DuckDB; compare row count,
-schema (column names) and an order-insensitive value hash.
+schema (column names) and an order-insensitive value hash.  The last
+line tallies Ray Data's schema warnings logged during the run.
 
 Usage:
     python tools/check_oracle.py            # all queries
@@ -11,8 +12,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
+import logging
 import os
+import re
 import sys
 import time
 
@@ -43,6 +47,46 @@ def value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()
 
 
+SCHEMA_WARNINGS = {"different schema": "different schema",
+                   "failed to hash": "Failed to hash the schemas"}
+REPEATED = re.compile(r"\[repeated (\d+)x across cluster\]")
+
+
+class WarningTally(logging.Handler):
+    """Counts Ray Data's schema warnings: records of this process's
+    ``ray.data`` loggers, and the worker log lines Ray prints on its
+    stderr (a line Ray folded as ``[repeated Nx across cluster]``
+    counts N)."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.counts = collections.Counter()
+
+    def count(self, text: str) -> None:
+        for line in text.splitlines():
+            m = REPEATED.search(line)
+            for key, needle in SCHEMA_WARNINGS.items():
+                if needle in line:
+                    self.counts[key] += int(m.group(1)) if m else 1
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.count(record.getMessage())
+
+
+class _CountingStream:
+    """``sys.stderr`` stand-in that shows each write to the tally."""
+
+    def __init__(self, stream, tally: WarningTally):
+        self.stream, self.tally = stream, tally
+
+    def write(self, text: str) -> int:
+        self.tally.count(text)
+        return self.stream.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("-q", "--query", default=None)
@@ -60,6 +104,9 @@ def main() -> int:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    tally = WarningTally()
+    logging.getLogger("ray.data").addHandler(tally)
+    sys.stderr = _CountingStream(sys.stderr, tally)
 
     import __ray_entry__ as entrymod
 
@@ -103,6 +150,9 @@ def main() -> int:
             print("  first diffs:")
             print(pd.concat([g[diff].head(3).add_suffix("_ray"),
                              w[diff].head(3).add_suffix("_sql")], axis=1).to_string())
+    ray.shutdown()  # prints the worker log lines Ray still holds back
+    print("schema warnings: " + ", ".join(
+        f"{tally.counts[k]} {k}" for k in SCHEMA_WARNINGS))
     return 1 if failures else 0
 
 

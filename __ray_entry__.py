@@ -78,7 +78,28 @@ def queries() -> dict[str, Callable[[str], Any]]:
     interarrival_stats, session_type_pairs) lead slots 22-50, and
     seven unchanged, already-hash-matched entries (source_similarity,
     skipgram_counts, cocitation, media_size_stats, dup_cluster_sizes,
-    ann_recall, coverage_curve) moved to the tail.  The rotation tail
+    ann_recall, coverage_curve) moved to the tail.  Since every
+    ``hash_grouped_reduce`` reducer takes an Arrow table and the keyed
+    aggregates among them became
+    :func:`~dude_ray.partitioning.group_agg` calls, slots 22-50 hold
+    23 entries from past slot 50 that run a rewritten reducer at
+    sf0.001 (graph_pagerank, ccnet_buckets, bpe_train, bm25_topk,
+    tfidf_keywords, exact_dedup, substring_dup, chunk_dedup,
+    jaccard_join, shingle_novelty, k_core, component_sizes,
+    bowtie_census, custdist, top_orders_per_cust, user_burstiness,
+    dau_wau, order_backlog, ngram_counts, zipf_fit, burrows_delta,
+    source_stats, corpus_prep), then the six already there
+    (graph_degree_dist, returned_items, top_supplier, spend_deciles,
+    rfm_segments, dedup_recall).  The 23 entries they displaced run no
+    rewritten reducer and open the tail (user_sessions ...
+    funnel_latency).  Left past slot 50 with a rewritten reducer, as
+    the same shape as a moved entry: degree_assortativity,
+    link_triangles, adamic_adar, host_modularity (k_core's),
+    graph_hits (graph_pagerank's), lm_score (ccnet_buckets'),
+    bpe_encode (bpe_train's), substring_redact (substring_dup's),
+    skipgram_counts, pmi_collocations, vocab_coverage, coverage_curve
+    (ngram_counts' and burrows_delta's), cms_registers and
+    top_terms_per_source (a two-key sum).  The rotation tail
     (51+) — all previously hash-matched by the gate — stays verified
     by tools/check_oracle.py (the same rows+schema+hash protocol over
     ALL entries) and by pytest."""
@@ -112,13 +133,40 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "value_percent_rank": relational.run_value_percent_rank,
         "bloom_registers": sketches.run_bloom_registers,
         "anchor_texts": flagship.run_anchor_texts,
-        # -- slots 22-50: the queries on relational.user_timelines
-        # (the other four sit in slots 1-50 already), then the
-        # round-5 operators and every query whose dimension
-        # broadcast is a dim_lookup task stage (see the docstring).
-        # Evicted near-siblings (small_qty_revenue~large_orders,
-        # qty_cube~qty_rollup, ...) open the 51+ tail and stay
-        # green in check_oracle -----------------------------------
+        # -- slots 22-50: the entries whose hash_grouped_reduce
+        # reducers moved onto partitioning.group_agg or Arrow
+        # (see the docstring) --------------------------------
+        "graph_pagerank": graph.run_graph_pagerank,
+        "ccnet_buckets": ccnet.run_ccnet_buckets,
+        "bpe_train": bpe.run_bpe_train,
+        "bm25_topk": ranking.run_bm25,
+        "tfidf_keywords": ranking.run_tfidf_keywords,
+        "exact_dedup": dedup.run_exact_dedup,
+        "substring_dup": dedup.run_substring_dup,
+        "chunk_dedup": dedup.run_chunk_dedup,
+        "jaccard_join": dedup.run_jaccard_join,
+        "shingle_novelty": dedup.run_shingle_novelty,
+        "k_core": components.run_k_core,
+        "component_sizes": components.run_component_sizes,
+        "bowtie_census": components.run_bowtie_census,
+        "custdist": relational.run_custdist,
+        "top_orders_per_cust": relational.run_top_orders_per_cust,
+        "user_burstiness": relational.run_user_burstiness,
+        "dau_wau": relational.run_dau_wau,
+        "order_backlog": relational.run_order_backlog,
+        "ngram_counts": textops.run_ngram_counts,
+        "zipf_fit": textops.run_zipf_fit,
+        "burrows_delta": textops.run_burrows_delta,
+        "source_stats": textops.run_source_stats,
+        "corpus_prep": textops.run_corpus_prep,
+        "graph_degree_dist": graph.run_graph_degree_dist,
+        "returned_items": relational.run_returned_items,
+        "top_supplier": relational.run_top_supplier,
+        "spend_deciles": relational.run_spend_deciles,
+        "rfm_segments": relational.run_rfm_segments,
+        "dedup_recall": dedup.run_dedup_recall,
+        # -- 51+: displaced by the grouped-reduce rotation
+        # (unchanged here; hash-matched in the gate before) --
         "user_sessions": relational.run_user_sessions,
         "event_funnel": relational.run_event_funnel,
         "retention_cohorts": relational.run_retention_cohorts,
@@ -126,31 +174,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "asof_attribution": relational.run_asof_attribution,
         "interarrival_stats": relational.run_interarrival_stats,
         "session_type_pairs": relational.run_session_type_pairs,
-        "graph_degree_dist": graph.run_graph_degree_dist,
         "user_entropy": relational.run_user_entropy,
         "session_stats": relational.run_session_stats,
         "extract_spans": _q_extract_spans,
         "crawl_host_counts": _q_crawl_host_counts,
         "crawl_skip_counts": _q_crawl_skip_counts,
-        # iterative graph ops new in r5: union-find/label-prop CC and
-        # BFS depth, recursive-CTE oracled (pipelines/components.py)
         "link_components": components.run_link_components,
         "link_depth": components.run_link_depth,
         "large_orders": relational.run_large_orders,
         "segment_revenue": relational.run_segment_revenue,
         "top_orders_per_segment": relational.run_top_orders_per_segment,
-        "returned_items": relational.run_returned_items,
-        "top_supplier": relational.run_top_supplier,
         "disjunctive_revenue": relational.run_disjunctive_revenue,
         "promo_revenue": relational.run_promo_revenue,
         "volume_shipping": relational.run_volume_shipping,
         "audience_overlap": relational.run_audience_overlap,
-        "spend_deciles": relational.run_spend_deciles,
         "market_share": relational.run_market_share,
         "funnel_latency": relational.run_funnel_latency,
-        "rfm_segments": relational.run_rfm_segments,
-        "dedup_recall": dedup.run_dedup_recall,
-        "user_burstiness": relational.run_user_burstiness,
         "revenue_gini": relational.run_revenue_gini,
         "weekday_index": relational.run_weekday_index,
         "forecast_revenue": relational.run_forecast_revenue,
@@ -169,27 +208,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # link_depth (hash-matched; green in check_oracle) ------------
         "host_graph": components.run_host_graph,
         "link_reciprocity": components.run_link_reciprocity,
-        "component_sizes": components.run_component_sizes,
-        "k_core": components.run_k_core,
         "degree_assortativity": components.run_degree_assortativity,
         "host_depth_profile": components.run_host_depth_profile,
         "seed_coverage": components.run_seed_coverage,
-        "dau_wau": relational.run_dau_wau,
-        "order_backlog": relational.run_order_backlog,
         "link_triangles": components.run_link_triangles,
         "host_rank": components.run_host_rank,
         "type_day_mi": relational.run_type_day_mi,
-        "zipf_fit": textops.run_zipf_fit,
         "ngram_containment": dedup.run_ngram_containment,
         "adamic_adar": graph.run_adamic_adar,
         "hll_intersect": sketches.run_hll_intersect,
-        "burrows_delta": textops.run_burrows_delta,
         "keyness_llr": textops.run_keyness_llr,
         "kmeans_silhouette": clustering.run_kmeans_silhouette,
-        "bowtie_census": components.run_bowtie_census,
         "dedup_threshold_sweep": dedup.run_dedup_threshold_sweep,
         "stationary_types": relational.run_stationary_types,
-        "shingle_novelty": dedup.run_shingle_novelty,
         "kanon_risk": relational.run_kanon_risk,
         "knn_accuracy": similarity.run_knn_accuracy,
         "host_modularity": components.run_host_modularity,
@@ -214,15 +245,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "small_qty_revenue": relational.run_small_qty_revenue,
         "qty_cube": relational.run_qty_cube,
         "median_by_type": relational.run_median_by_type,
-        "top_orders_per_cust": relational.run_top_orders_per_cust,
-        "custdist": relational.run_custdist,
         "monthly_growth": relational.run_monthly_growth,
         "vocab_coverage": textops.run_vocab_coverage,
         "hash_features": textops.run_hash_features,
         "minhash_dedup": dedup.run_minhash_dedup,
         "ngram_jaccard": dedup.run_ngram_jaccard,
         "ngram_jaccard_pairs": dedup.run_ngram_jaccard_pairs,
-        "jaccard_join": dedup.run_jaccard_join,
         "dup_clusters": dedup.run_dup_clusters,
         "hll_registers": sketches.run_hll_registers,
         "kmv_registers": sketches.run_kmv_registers,
@@ -231,7 +259,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "mix_interleave": sampling.run_mix_interleave,
         "crawl_visits": _q_crawl_visits,
         "semdedup": _q_semdedup,
-        "chunk_dedup": dedup.run_chunk_dedup,
         "ann_lsh": similarity.run_ann_lsh,
         # -- 51+: rotation tail (hash-matched; green in check_oracle) --
         "cms_registers": sketches.run_cms_registers,
@@ -246,38 +273,29 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "shard_assign": sampling.run_shard_assign,
         "streaming_window": streaming.run_streaming_window,
         "training_mix": lr.run_training_mix,
-        "substring_dup": dedup.run_substring_dup,
         "substring_redact": dedup.run_substring_redact,
         "curate_keep_best": cleaning.run_curate_keep_best,
-        "exact_dedup": dedup.run_exact_dedup,
         "simhash_dedup": dedup.run_simhash_dedup,
         "embedding_neardup": _q_embedding_neardup,
-        "tfidf_keywords": ranking.run_tfidf_keywords,
         "kmeans_cluster": clustering.run_kmeans_cluster,
         "term_postings": ranking.run_term_postings,
-        "bm25_topk": ranking.run_bm25,
         "value_buckets": relational.run_value_buckets,
         "events_zscore": relational.run_events_zscore,
         "embedding_pca": clustering.run_embedding_pca,
         "embedding_cov": clustering.run_embedding_cov,
         "pagerank": _q_pagerank,
-        "graph_pagerank": graph.run_graph_pagerank,
         "quantize_embeddings": clustering.run_quantize_embeddings,
         "bpe_pair_counts": textops.run_bpe_pair_counts,
         "char_entropy": textops.run_char_entropy,
         "ann_ivf": similarity.run_ann_ivf,
-        "ngram_counts": textops.run_ngram_counts,
         "gopher_filter": cleaning.run_gopher_filter,
-        "bpe_train": bpe.run_bpe_train,
         "knn_graph": similarity.run_knn_graph,
         "bpe_encode": bpe.run_bpe_encode,
         "pmi_collocations": textops.run_pmi_collocations,
         "blocklist_filter": cleaning.run_blocklist_filter,
         "ann_pq": similarity.run_ann_pq,
-        "ccnet_buckets": ccnet.run_ccnet_buckets,
         "graph_hits": graph.run_graph_hits,
         "embedding_project": clustering.run_embedding_project,
-        "source_stats": textops.run_source_stats,
         "readability": textops.run_readability,
         "phrase_search": textops.run_phrase_search,
         "contamination_overlap": textops.run_contamination_overlap,
@@ -286,7 +304,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_fingerprint": textops.run_fingerprint,
         "lm_score": lm.run_lm_score,
         "lr_quality": lr.run_lr_quality,
-        "corpus_prep": textops.run_corpus_prep,
         "token_count": textops.run_token_count,
         "quality_score": textops.run_quality,
         "lang_id": textops.run_lang_id,
@@ -306,8 +323,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_stats": relational.run_events_stats,
         "top_orders": relational.run_top_orders,
         # -- rows-only: media decode stubs (non-SQL; pytest-oracled
-        # seam contracts).  extract_spans/crawl_host_counts moved into
-        # the gate window above with their new SQL oracles ------------
+        # seam contracts) ----------------------------------------------
         "media_decode": multimodal.run_media_decode,
         "media_frames": multimodal.run_media_frames,
         "media_thumbs": multimodal.run_media_thumbs,
@@ -370,12 +386,13 @@ def _q_crawl_skip_counts(sf_dir: str):
 def _q_crawl_host_counts(sf_dir: str):
     """Politeness accounting (SURVEY A3): visited pages per host."""
     from dude_ray.crawl import read_crawl_output
-    from dude_ray.pipelines.relational import _group_agg, tree_combine
+    from dude_ray.partitioning import group_agg
+    from dude_ray.pipelines.relational import tree_combine
 
     ds = read_crawl_output(_crawl(sf_dir, "qh_"), columns=["host", "n_links"])
 
     def host_partials(batch: pa.Table) -> pa.Table:
-        return _group_agg(batch, ["host"], {"n_pages": ("host", "count"),
+        return group_agg(batch, ["host"], {"n_pages": ("host", "count"),
                                             "n_links": ("n_links", "sum")})
 
     partials = ds.map_batches(host_partials, batch_format="pyarrow")
@@ -438,12 +455,13 @@ def _q_lang_dist(sf_dir: str):
     Arrow-native tree merge (see relational.tree_combine for why not
     Ray's sort-based aggregate)."""
     from dude_ray.io import read_parquet_clean
-    from dude_ray.pipelines.relational import _group_agg, tree_combine
+    from dude_ray.partitioning import group_agg
+    from dude_ray.pipelines.relational import tree_combine
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["lang"])
 
     def lang_partials(batch: pa.Table) -> pa.Table:
-        return _group_agg(batch, ["lang"], {"n_docs": ("lang", "count")})
+        return group_agg(batch, ["lang"], {"n_docs": ("lang", "count")})
 
     partials = ds.map_batches(lang_partials, batch_format="pyarrow",
                               batch_size=8192)

@@ -87,8 +87,8 @@ def scaled_group_count(n_rows: int, target_rows_per_group: int,
     parallelism on small inputs: ``map_groups`` calls its function once
     per group inside the tasks that hold the sorted blocks, and a small
     sort output is one block, hence one task, so extra groups only add
-    reducer calls (a pandas reducer costs milliseconds per call however
-    few rows it gets).  ``hi`` bounds groupby key cardinality (and must
+    reducer calls (each call pays a fixed per-call cost however few rows
+    it gets).  ``hi`` bounds groupby key cardinality (and must
     not exceed the key's own bit width when the group id is a bitmask
     of a hash/LSH key).
     """
@@ -210,9 +210,23 @@ def _group_ids(t, keys, n_groups: int) -> np.ndarray:
     return (h & np.uint64(n_groups - 1)).astype(np.int64)
 
 
+def group_agg(t, keys, aggs=None):
+    """Arrow hash group-by of ``t`` on ``keys`` (a name or a list): the
+    key columns, then one column ``name`` per ``aggs`` entry
+    ``name: (column, op)``, where ``op`` is a pyarrow hash aggregate
+    (``"sum"``, ``"min"``, ``"max"``, ``"count"``, ``"first"`` …; for
+    ``"count_all"`` the column is ``[]``).  No ``aggs`` gives the
+    distinct keys.  One thread: the calling Ray task holds one CPU."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    aggs = aggs or {}
+    g = t.group_by(keys, use_threads=False).aggregate(list(aggs.values()))
+    names = ["count_all" if op == "count_all" else f"{c}_{op}"
+             for c, op in aggs.values()]
+    return g.select([*keys, *names]).rename_columns([*keys, *aggs])
+
+
 def hash_grouped_reduce(ds, key_cols, reduce_fn, n_rows: int,
-                        target_rows_per_group: int = 65536,
-                        out_cols=None):
+                        target_rows_per_group: int = 65536, *, out_cols):
     """Vectorized substitute for ``Dataset.groupby().aggregate()``.
 
     Ray's sort-based aggregate runs its combine in Python per row
@@ -221,37 +235,36 @@ def hash_grouped_reduce(ds, key_cols, reduce_fn, n_rows: int,
     unbounded-key reduce here goes through this shape instead: a
     :func:`_group_ids` hash of the key column(s), masked to a
     data-scaled group count (`scaled_group_count`, never a fixed
-    width), ONE sort shuffle on that int key, then ``reduce_fn`` (a
-    pandas frame → frame that groups by the real keys) vectorized per
-    group.  A group holds many keys at every size, and an input of ≤
+    width), ONE sort shuffle on that int key, then ``reduce_fn`` per
+    group.  ``reduce_fn`` takes the group as a ``pa.Table`` (without
+    the ``__g`` column) holding many keys, and returns a ``pa.Table``
+    that reduces it by the real keys — :func:`group_agg` when the
+    reduce is a keyed aggregate.  An input of ≤
     ``target_rows_per_group`` rows is one group: one ``reduce_fn``
     call.
 
     ``n_rows`` sizes the group count — pass a metadata-derived or
-    already-known count, not an extra counting pass.  ``out_cols``
-    optionally projects + converts the result back to Arrow blocks so
-    downstream unions stay homogeneous."""
-    import pandas as pd
+    already-known count, not an extra counting pass.  Every output
+    block is ``reduce_fn``'s result projected to ``out_cols``, without
+    schema metadata, so downstream unions stay homogeneous."""
     import pyarrow as pa
 
     n_groups = scaled_group_count(max(n_rows, 1), target_rows_per_group)
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
+    out_cols = list(out_cols)
 
     def add_g(t: pa.Table) -> pa.Table:
         return t.append_column(
             "__g", pa.array(_group_ids(t, keys, n_groups), type=pa.int64()))
 
-    def reduce_g(df: pd.DataFrame) -> pd.DataFrame:
-        return reduce_fn(df.drop(columns="__g"))
+    def reduce_g(t: pa.Table) -> pa.Table:
+        out = reduce_fn(t.drop_columns("__g"))
+        return out.select(out_cols).replace_schema_metadata(None)
 
-    out = (ds.map_batches(add_g, batch_format="pyarrow",
-                          batch_size=65536)
-           .groupby("__g")
-           .map_groups(reduce_g, batch_format="pandas"))
-    if out_cols is not None:
-        out = out.map_batches(lambda t: t.select(list(out_cols)),
-                              batch_format="pyarrow")
-    return out
+    return (ds.map_batches(add_g, batch_format="pyarrow",
+                           batch_size=65536)
+            .groupby("__g")
+            .map_groups(reduce_g, batch_format="pyarrow"))
 
 
 def shuffle_join(left, right, key, n_rows: int, post, how: str = "inner",

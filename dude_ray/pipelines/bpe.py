@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import re
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
 from dude_ray.pipelines.textops import TOKEN_RE, _docs
 
 N_MERGES = 8
@@ -101,15 +101,14 @@ def _pair_partial(batch: pa.Table) -> pa.Table:
     })
 
 
-def _best_per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+def _best_per_bucket(t: pa.Table) -> pa.Table:
     """Sum pair partials within the hash bucket, keep only the
     bucket-local best (c DESC, l ASC, r ASC) — every (l, r) key lives
     entirely in one bucket, so the global best is among the bucket
     bests."""
-    g = df.groupby(["l", "r"], sort=False)["c"].sum().reset_index()
-    g = g.sort_values(["c", "l", "r"], ascending=[False, True, True],
-                      kind="mergesort")
-    return g.head(1)
+    g = group_agg(t, ["l", "r"], {"c": ("c", "sum")})
+    return g.sort_by([("c", "descending"), ("l", "ascending"),
+                      ("r", "ascending")]).slice(0, 1)
 
 
 def run_bpe_train(sf_dir: str, n_merges: int = N_MERGES,
@@ -121,17 +120,14 @@ def run_bpe_train(sf_dir: str, n_merges: int = N_MERGES,
     (step, left_sym, right_sym, pair_count) — step 1..n_merges in
     training order.
     """
-    from dude_ray.partitioning import hash_grouped_reduce
 
     docs = _docs(sf_dir, ["text"])
     partials = docs.map_batches(_word_partial, batch_format="pyarrow",
                                 batch_size=batch_size)
 
-    def _sum_words(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("word", sort=False)["c"].sum()
-                  .reset_index().rename(columns={"c": "cnt"}))
-
-    vocab = hash_grouped_reduce(partials, "word", _sum_words,
+    vocab = hash_grouped_reduce(partials, "word",
+                                lambda t: group_agg(t, "word",
+                                                    {"cnt": ("c", "sum")}),
                                 partials.count(),
                                 out_cols=("word", "cnt"))
     vocab = vocab.map_batches(_to_spaced,

@@ -38,10 +38,13 @@ gate hash-match covers the join, the selection and the tie-breaks.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
 COARSE_SHIFT = 12  # histogram bucket = 4096 qk units = 4.096e-3 score
+OUT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("pred_lang", pa.string()),
+                        ("lm_score", pa.float64()), ("bucket", pa.string())])
 
 
 def _qk(scores: np.ndarray) -> np.ndarray:
@@ -65,8 +68,7 @@ def run_ccnet_buckets(sf_dir: str, target_rows_per_group: int = 65536,
     perplexity tercile (see module docstring).  The output is
     invariant to ``coarse_shift`` / ``target_rows_per_group`` (tested)
     — they tune task granularity, never semantics."""
-    from dude_ray.partitioning import (estimate_rows, hash_grouped_reduce,
-                                       shuffle_join)
+    from dude_ray.partitioning import estimate_rows, shuffle_join
     from dude_ray.pipelines.lm import run_lm_score
     from dude_ray.pipelines.textops import run_lang_id
 
@@ -88,14 +90,12 @@ def run_ccnet_buckets(sf_dir: str, target_rows_per_group: int = 65536,
     ds = joined.map_batches(_with_ck, batch_format="pyarrow")
 
     # (lang, ck) histogram — bounded by score range, not corpus size
-    def _count(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(["pred_lang", "ck"], sort=False)
-                .size().reset_index(name="n"))
-
     hist_rows = hash_grouped_reduce(
         ds.map_batches(lambda t: t.select(["pred_lang", "ck"]),
                        batch_format="pyarrow"),
-        ["pred_lang", "ck"], _count, max(n_docs, 1)).take_all()
+        ["pred_lang", "ck"],
+        lambda t: group_agg(t, ["pred_lang", "ck"], {"n": ([], "count_all")}),
+        max(n_docs, 1), out_cols=("pred_lang", "ck", "n")).take_all()
 
     hist: dict[str, dict[int, int]] = {}
     for r in hist_rows:
@@ -124,38 +124,43 @@ def run_ccnet_buckets(sf_dir: str, target_rows_per_group: int = 65536,
             cum = hi
 
     # broadcastable bounded label tables — per-batch assignment is one
-    # vectorized pandas merge, never a per-row Python loop
-    direct_df = pd.DataFrame(
-        [(lang, ck, lab) for (lang, ck), lab in direct.items()],
-        columns=["pred_lang", "ck", "bucket"])
-    refine_df = pd.DataFrame(
-        [(lang, ck) for (lang, ck) in refine],
-        columns=["pred_lang", "ck"])
+    # Arrow hash join, never a per-row Python loop; a batch that
+    # matches nothing still yields OUT_SCHEMA's columns
+    keys = ["pred_lang", "ck"]
+    direct_t = pa.table({
+        "pred_lang": pa.array([k[0] for k in direct], pa.string()),
+        "ck": pa.array([k[1] for k in direct], pa.int64()),
+        "bucket": pa.array(list(direct.values()), pa.string())})
+    refine_t = pa.table({
+        "pred_lang": pa.array([k[0] for k in refine], pa.string()),
+        "ck": pa.array([k[1] for k in refine], pa.int64())})
 
-    def _label_direct(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.merge(direct_df, on=["pred_lang", "ck"], how="inner")
-        return out[["doc_id", "pred_lang", "lm_score", "bucket"]]
+    def _label_direct(t: pa.Table) -> pa.Table:
+        return t.join(direct_t, keys, join_type="inner",
+                      use_threads=False).select(
+            OUT_SCHEMA.names).cast(OUT_SCHEMA)
 
-    def _needs_refine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.merge(refine_df, on=["pred_lang", "ck"], how="inner")
+    def _needs_refine(t: pa.Table) -> pa.Table:
+        return t.join(refine_t, keys, join_type="left semi",
+                      use_threads=False)
 
-    labeled = ds.map_batches(_label_direct, batch_format="pandas")
+    labeled = ds.map_batches(_label_direct, batch_format="pyarrow")
 
-    def _refine_group(g: pd.DataFrame) -> pd.DataFrame:
-        lang = g["pred_lang"].iloc[0]
-        base = refine[(lang, int(g["ck"].iloc[0]))]
+    def _refine_group(t: pa.Table) -> pa.Table:
+        lang = t["pred_lang"][0].as_py()
+        base = refine[(lang, t["ck"][0].as_py())]
         r1, r2 = cuts[lang]
-        g = g.copy()
-        g["__qk"] = _qk(g["lm_score"].to_numpy())
-        g = g.sort_values(["__qk", "doc_id"], ascending=[False, True])
-        rank = base + np.arange(len(g))
-        g["bucket"] = np.where(rank < r1, "head",
-                               np.where(rank < r2, "middle", "tail"))
-        return g[["doc_id", "pred_lang", "lm_score", "bucket"]]
+        t = t.append_column("__qk", pa.array(_qk(t["lm_score"].to_numpy())))
+        t = t.sort_by([("__qk", "descending"), ("doc_id", "ascending")])
+        rank = base + np.arange(len(t))
+        return t.select(OUT_SCHEMA.names[:3]).append_column(
+            "bucket", pa.array(np.where(rank < r1, "head",
+                                        np.where(rank < r2, "middle",
+                                                 "tail")), pa.string()))
 
-    refined = (ds.map_batches(_needs_refine, batch_format="pandas")
-               .groupby(["pred_lang", "ck"])
-               .map_groups(_refine_group, batch_format="pandas"))
+    refined = (ds.map_batches(_needs_refine, batch_format="pyarrow")
+               .groupby(keys)
+               .map_groups(_refine_group, batch_format="pyarrow"))
 
     return labeled.union(refined)
 

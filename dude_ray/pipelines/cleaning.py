@@ -18,6 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
 from dude_ray.pipelines.textops import TOKEN_RE
 
 
@@ -244,7 +245,7 @@ def run_top_terms_per_source(sf_dir: str, k: int = 5):
     top-k.  Source cardinality is small (per-domain / per-crawl-slice),
     term cardinality is vocabulary-bounded — both orders of magnitude
     below corpus size, so every post-scan stage is cheap at 100 TB."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     partials = _docs(sf_dir, ["source", "text"]).map_batches(
         _term_partials, batch_format="pandas", batch_size=4096)
@@ -254,11 +255,9 @@ def run_top_terms_per_source(sf_dir: str, k: int = 5):
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/documents.parquet"))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(["source", "term"], sort=False)["n"].sum()
-                .reset_index())
-
-    merged = hash_grouped_reduce(partials, ["source", "term"], _merge,
+    merged = hash_grouped_reduce(partials, ["source", "term"],
+                                 lambda t: group_agg(t, ["source", "term"],
+                                                     {"n": ("n", "sum")}),
                                  n_rows, out_cols=("source", "term", "n"))
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:

@@ -47,6 +47,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
 _AGG_ARGS = {"num_cpus": 0}
 _NETLOC_RE = r"^[a-z][a-z0-9+.-]*://(?P<h>[^/]+)"
 
@@ -63,6 +65,11 @@ def _netloc(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 # --------------------------------------------------------------------------
 # kernels
 # --------------------------------------------------------------------------
+
+def _degree(t: pa.Table) -> pa.Table:
+    """(node, degree): the row count of each node in a node column."""
+    return group_agg(t, "node", {"degree": ([], "count_all")})
+
 
 def _hash_sum(labels) -> int:
     """Order-independent uint64 content hash of a (node, label)
@@ -128,15 +135,11 @@ def connected_components(pairs, nodes, max_iters: int = 64,
             "node": pa.array(uniq, type=pa.string()),
             "component": pa.array(comp, type=pa.string())}))
 
-    from dude_ray.partitioning import hash_grouped_reduce
-
-    def _min_label(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.groupby("node", sort=False)["label"].min()
-                .reset_index())
-
     def grouped_min(ds):
         return hash_grouped_reduce(
-            ds, "node", _min_label, 3 * n_edges,
+            ds, "node",
+            lambda t: group_agg(t, "node", {"label": ("label", "min")}),
+            3 * n_edges,
             target_rows_per_group=target_rows_per_group,
             out_cols=("node", "label"))
 
@@ -224,18 +227,11 @@ def bfs_depths(edges, seeds: list[str], max_depth: int = 32,
             "node": pa.array(out, type=pa.string()),
             "depth": pa.array([dist[n] for n in out], type=pa.int64())}))
 
-    from dude_ray.partitioning import hash_grouped_reduce
-
-    def _min_depth(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("node", sort=False)["depth"].min()
-               .reset_index())
-        return pd.DataFrame({
-            "node": out["node"],
-            "depth": out["depth"].to_numpy(dtype=np.int64)})
-
     def grouped_min(ds):
         return hash_grouped_reduce(
-            ds, "node", _min_depth, n_edges + len(seeds),
+            ds, "node",
+            lambda t: group_agg(t, "node", {"depth": ("depth", "min")}),
+            n_edges + len(seeds),
             target_rows_per_group=target_rows_per_group,
             out_cols=("node", "depth"))
 
@@ -359,7 +355,6 @@ def run_link_reciprocity(sf_dir: str,
     ``hash_grouped_reduce``; per-group memory is one site's edge set,
     the same bound the frontier's politeness shards already rely on);
     batch-local dedup shrinks the shuffle before the exact one."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.graph import link_edges
     from dude_ray.pipelines.relational import _py_round
 
@@ -374,9 +369,9 @@ def run_link_reciprocity(sf_dir: str,
         # batch-local dedup: multiplicity never matters again
         return kept.group_by(["host", "a", "b"]).aggregate([])
 
-    def recip(g: pd.DataFrame) -> pd.DataFrame:
+    def recip(t: pa.Table) -> pa.Table:
         rows = []
-        for host, e in g.groupby("host", sort=False):
+        for host, e in t.to_pandas().groupby("host", sort=False):
             e = e.drop_duplicates(["a", "b"])
             fwd = set(zip(e["a"], e["b"]))
             n = len(fwd)
@@ -386,11 +381,11 @@ def run_link_reciprocity(sf_dir: str,
         ratio = _py_round(pa.array(
             df["n_recip"].to_numpy(np.float64)
             / df["n_edges"].to_numpy(np.float64)), 6)
-        return pd.DataFrame({
-            "host": df["host"],
-            "n_edges": df["n_edges"].astype("int64"),
-            "n_recip": df["n_recip"].astype("int64"),
-            "reciprocity": ratio.to_numpy(zero_copy_only=False)})
+        return pa.table({
+            "host": pa.array(df["host"], pa.string()),
+            "n_edges": pa.array(df["n_edges"], pa.int64()),
+            "n_recip": pa.array(df["n_recip"], pa.int64()),
+            "reciprocity": ratio})
 
     pairs = edges.map_batches(intra, batch_format="pyarrow",
                               batch_size=8192)
@@ -410,7 +405,6 @@ def run_component_sizes(sf_dir: str, max_iters: int = 64,
     (how many isolated pages vs whole-site navigation cliques).
     Composes :func:`connected_components` with a data-scaled per-label
     count and a fixed-domain histogram combine."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.graph import link_edges
     from dude_ray.pipelines.relational import tree_combine
 
@@ -428,18 +422,14 @@ def run_component_sizes(sf_dir: str, max_iters: int = 64,
         pairs, nodes, max_iters=max_iters,
         num_partitions=num_partitions, local_threshold=local_threshold)
 
-    def count_members(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("component", sort=False)["node"].size()
-               .reset_index(name="size"))
-        return pd.DataFrame({"component": out["component"],
-                             "size": out["size"].astype("int64")})
-
     comp_sizes = hash_grouped_reduce(
         labels.map_batches(
             lambda t: pa.table({"node": t["node"],
                                 "component": t["component"]}),
             batch_format="pyarrow"),
-        "component", count_members, n_nodes,
+        "component",
+        lambda t: group_agg(t, "component", {"size": ([], "count_all")}),
+        n_nodes,
         target_rows_per_group=target_rows_per_group,
         out_cols=("component", "size"))
 
@@ -460,7 +450,6 @@ def _distinct_undirected(edges, n_edges: int,
     """DISTINCT undirected (lo, hi) pairs from directed (src, dst)
     string edges (self-links already absent upstream): batch-local
     canonicalize+dedup, then one exact hash-grouped dedup."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     def canon(t: pa.Table) -> pa.Table:
         s = t["src"].combine_chunks()
@@ -470,13 +459,10 @@ def _distinct_undirected(edges, n_edges: int,
         return pa.table({"lo": lo, "hi": hi}).group_by(
             ["lo", "hi"]).aggregate([])
 
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["lo", "hi"])[["lo", "hi"]]
-
     pairs = edges.map_batches(canon, batch_format="pyarrow",
                               batch_size=8192)
     return hash_grouped_reduce(
-        pairs, ("lo", "hi"), dedup, n_edges,
+        pairs, ("lo", "hi"), lambda t: group_agg(t, ["lo", "hi"]), n_edges,
         target_rows_per_group=target_rows_per_group,
         out_cols=("lo", "hi"))
 
@@ -500,7 +486,6 @@ def run_k_core(sf_dir: str, k: int = 2, rounds: int = 16,
     set never centralizes."""
     import ray.data  # noqa: F401
 
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.graph import link_edges
 
     edges, _nodes = link_edges(sf_dir)
@@ -514,14 +499,8 @@ def run_k_core(sf_dir: str, k: int = 2, rounds: int = 16,
                 [t["lo"].combine_chunks(), t["hi"].combine_chunks()])}),
             batch_format="pyarrow")
 
-        def cnt(g: pd.DataFrame) -> pd.DataFrame:
-            out = (g.groupby("node", sort=False).size()
-                   .reset_index(name="degree"))
-            return pd.DataFrame({"node": out["node"],
-                                 "degree": out["degree"].astype("int64")})
-
         return hash_grouped_reduce(
-            both, "node", cnt, 2 * max(n_rows, 1),
+            both, "node", _degree, 2 * max(n_rows, 1),
             target_rows_per_group=target_rows_per_group,
             out_cols=("node", "degree"))
 
@@ -649,7 +628,6 @@ def run_link_triangles(sf_dir: str,
     closing pairs then hash-join against the edge set; only (lo, hi)
     key pairs shuffle.  The oracle enumerates with min-ID orientation
     instead — a different single-count apex, same total."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.graph import link_edges
     from dude_ray.pipelines.relational import _py_round
 
@@ -666,13 +644,7 @@ def run_link_triangles(sf_dir: str,
             [t["lo"].combine_chunks(), t["hi"].combine_chunks()])}),
         batch_format="pyarrow")
 
-    def cnt(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("node", sort=False).size()
-               .reset_index(name="degree"))
-        return pd.DataFrame({"node": out["node"],
-                             "degree": out["degree"].astype("int64")})
-
-    deg = hash_grouped_reduce(both, "node", cnt, 2 * n_und,
+    deg = hash_grouped_reduce(both, "node", _degree, 2 * n_und,
                               out_cols=("node", "degree")).materialize()
 
     # wedge total from degrees alone — one scalar
@@ -709,9 +681,9 @@ def run_link_triangles(sf_dir: str,
     oriented = j.map_batches(orient, batch_format="pyarrow",
                              batch_size=65536)
 
-    def wedge_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def wedge_pairs(t: pa.Table) -> pa.Table:
         out_lo, out_hi = [], []
-        for _, grp in g.groupby("src", sort=False):
+        for _, grp in t.to_pandas().groupby("src", sort=False):
             nb = np.sort(grp["dst"].to_numpy())
             k = len(nb)
             if k < 2:
@@ -720,10 +692,10 @@ def run_link_triangles(sf_dir: str,
             out_lo.append(nb[iu[0]])
             out_hi.append(nb[iu[1]])
         if not out_lo:
-            return pd.DataFrame({"lo": pd.Series([], dtype=object),
-                                 "hi": pd.Series([], dtype=object)})
-        return pd.DataFrame({"lo": np.concatenate(out_lo),
-                             "hi": np.concatenate(out_hi)})
+            return pa.table({"lo": pa.array([], pa.string()),
+                             "hi": pa.array([], pa.string())})
+        return pa.table({"lo": np.concatenate(out_lo),
+                         "hi": np.concatenate(out_hi)})
 
     cand = hash_grouped_reduce(
         oriented, "src", wedge_pairs, n_und,
@@ -810,7 +782,6 @@ def run_degree_assortativity(sf_dir: str):
     import ray
     import ray.data  # noqa: F401
 
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.graph import link_edges
     from dude_ray.pipelines.relational import _py_round
 
@@ -823,13 +794,7 @@ def run_degree_assortativity(sf_dir: str):
             [t["lo"].combine_chunks(), t["hi"].combine_chunks()])}),
         batch_format="pyarrow")
 
-    def cnt(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("node", sort=False).size()
-               .reset_index(name="degree"))
-        return pd.DataFrame({"node": out["node"],
-                             "degree": out["degree"].astype("int64")})
-
-    deg = hash_grouped_reduce(both, "node", cnt, und.count() * 2,
+    deg = hash_grouped_reduce(both, "node", _degree, und.count() * 2,
                               out_cols=("node", "degree")).materialize()
 
     dl = deg.map_batches(lambda t: pa.table(
@@ -1277,7 +1242,6 @@ def run_bowtie_census(sf_dir: str,
     marker rows that emits per-class partial counts, tree-merged to
     ≤ 4 rows.  No stage holds the node set in one process on the
     scale path."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.graph import link_edges
     from dude_ray.pipelines.relational import tree_combine
 
@@ -1290,12 +1254,10 @@ def run_bowtie_census(sf_dir: str,
             [t["src"].combine_chunks(), t["dst"].combine_chunks()])}),
         batch_format="pyarrow")
 
-    def _cnt(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("node", sort=False).size()
-               .reset_index(name="d"))
-        return out.astype({"d": "int64"})
-
-    deg = hash_grouped_reduce(both, "node", _cnt, 2 * n_edges,
+    deg = hash_grouped_reduce(both, "node",
+                              lambda t: group_agg(
+                                  t, "node", {"d": ([], "count_all")}),
+                              2 * n_edges,
                               target_rows_per_group,
                               out_cols=("node", "d"))
 
@@ -1331,16 +1293,15 @@ def run_bowtie_census(sf_dir: str,
              .union(nodes.map_batches(_mark(0, 0),
                                       batch_format="pyarrow")))
 
-    def _classify(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("node", sort=False)[["f", "b"]].sum()
+    def _classify(t: pa.Table) -> pa.Table:
+        per = group_agg(t, "node", {"f": ("f", "sum"), "b": ("b", "sum")})
         f = per["f"].to_numpy() > 0
         b = per["b"].to_numpy() > 0
         cls = np.where(f & b, "core",
                        np.where(b, "in",
                                 np.where(f, "out", "other")))
-        out = (pd.Series(cls).value_counts().rename_axis("cls")
-               .reset_index(name="n_pages"))
-        return out.astype({"n_pages": "int64"})
+        return group_agg(pa.table({"cls": cls}), "cls",
+                         {"n_pages": ([], "count_all")})
 
     partials = hash_grouped_reduce(
         marks, "node", _classify, 2 * n_edges,
@@ -1538,7 +1499,6 @@ def run_seed_walks(sf_dir: str, length: int = 8,
 
     import ray.data as rd
 
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.graph import link_edges
     from dude_ray.pipelines.sketches import _mix64
     from dude_ray.canonical import canonicalize_url
@@ -1553,19 +1513,20 @@ def run_seed_walks(sf_dir: str, length: int = 8,
         return t.select(["src", "dst"]).group_by(
             ["src", "dst"]).aggregate([])
 
-    def _rank(df: pd.DataFrame) -> pd.DataFrame:
+    def _rank(t: pa.Table) -> pa.Table:
         outs = []
-        for src, grp in df.groupby("src", sort=False):
+        for src, grp in t.to_pandas().groupby("src", sort=False):
             nb = np.unique(grp["dst"].to_numpy())
             outs.append(pd.DataFrame({
                 "src": src, "dst": nb,
                 "rank": np.arange(len(nb), dtype=np.int64),
                 "od": np.full(len(nb), len(nb), dtype=np.int64)}))
-        return (pd.concat(outs) if outs else
-                pd.DataFrame({"src": pd.Series(dtype=object),
-                              "dst": pd.Series(dtype=object),
-                              "rank": pd.Series(dtype="int64"),
-                              "od": pd.Series(dtype="int64")}))
+        if not outs:
+            return pa.table({"src": pa.array([], pa.string()),
+                             "dst": pa.array([], pa.string()),
+                             "rank": pa.array([], pa.int64()),
+                             "od": pa.array([], pa.int64())})
+        return pa.Table.from_pandas(pd.concat(outs), preserve_index=False)
 
     ranked = hash_grouped_reduce(
         edges.map_batches(_dd, batch_format="pyarrow",

@@ -33,6 +33,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
 MERSENNE31 = (1 << 31) - 1    # minhash permutation modulus — products of
                               # two 31-bit values fit in uint64, keeping the
                               # signature kernel pure-numpy vectorized
@@ -67,30 +69,26 @@ def md5_batch(batch: pa.Table) -> pa.Table:
 def run_exact_dedup(sf_dir: str, target_rows_per_group: int = 65536):
     """hash-partition + per-group first: keeper = min doc_id per md5.
 
-    The reduce is a data-scaled hash group over the md5 key with a
-    vectorized pandas aggregate per group — key cardinality grows with
+    The reduce is a data-scaled hash group over the md5 key with one
+    Arrow hash aggregate per group — key cardinality grows with
     the corpus, and Ray's groupby().aggregate() combine is
     Python-per-row (~20k rows/s measured), which would make THE
     canonical dedup the slowest stage at scale."""
     ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         md5_batch, batch_format="pyarrow", batch_size=4096)
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     # size groups from parquet metadata (row count without a data read
     # or an extra materialize pass)
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/documents.parquet"))
 
-    def _keepers(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby("h", sort=False)["doc_id"]
-               .agg(["min", "size"]).reset_index())
-        return pd.DataFrame({
-            "h": out["h"],
-            "keeper_id": out["min"].to_numpy(dtype=np.int64),
-            "dup_count": out["size"].to_numpy(dtype=np.int64),
-        })
-
-    return hash_grouped_reduce(ds, "h", _keepers, n_rows,
+    return hash_grouped_reduce(ds, "h",
+                               lambda t: group_agg(
+                                   t, "h",
+                                   {"keeper_id": ("doc_id", "min"),
+                                    "dup_count": ([], "count_all")}),
+                               n_rows,
                                target_rows_per_group,
                                out_cols=("h", "keeper_id", "dup_count"))
 
@@ -366,7 +364,6 @@ def _distinct_pairs(pairs, target_rows_per_group: int = 65536,
       reach billions of rows — this is the path that carries there.
 
     Tier equivalence + width independence are pytest-parametrized."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     def distinct(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["a", "b"]).aggregate([])
@@ -381,10 +378,8 @@ def _distinct_pairs(pairs, target_rows_per_group: int = 65536,
         return lvl1.repartition(1).map_batches(
             distinct, batch_format="pyarrow", batch_size=None)
 
-    def _dedup(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["a", "b"])[["a", "b"]]
-
-    return hash_grouped_reduce(lvl1, ["a", "b"], _dedup, n,
+    return hash_grouped_reduce(lvl1, ["a", "b"],
+                               lambda t: group_agg(t, ["a", "b"]), n,
                                target_rows_per_group,
                                out_cols=("a", "b"))
 
@@ -1142,18 +1137,11 @@ def run_dup_clusters(sf_dir: str, threshold: float = 0.35,
     # vectorized grouped-min via the shared data-scaled hash-group
     # reduce (partitioning.hash_grouped_reduce) — Ray's groupby().min()
     # combine measures ~20k rows/s, which would dominate every round
-    from dude_ray.partitioning import hash_grouped_reduce
-
-    def _min_per_group(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("node", sort=False)["label"].min()
-               .reset_index())
-        return pd.DataFrame({
-            "node": out["node"].to_numpy(dtype=np.int64),
-            "label": out["label"].to_numpy(dtype=np.int64),
-        })
-
     def grouped_min(ds):
-        return hash_grouped_reduce(ds, "node", _min_per_group,
+        return hash_grouped_reduce(ds, "node",
+                                   lambda t: group_agg(
+                                       t, "node",
+                                       {"label": ("label", "min")}),
                                    3 * n_edges,
                                    out_cols=("node", "label"))
 
@@ -1248,13 +1236,14 @@ _SUBSTR_BUCKET_CAP = 64  # docs per winnowed hash; beyond this the hash
 # is boilerplate (stopword-like) and pairing it is O(cap²) noise
 
 
-def _hash_bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
+def _hash_bucket_pairs(t: pa.Table) -> pa.Table:
     """One coarse group of (h, doc_id) rows → candidate pairs per
     exact-hash run (the _band_pairs scan, plus the bucket cap)."""
+    g = t.to_pandas()
     h = g["h"].to_numpy(dtype=np.uint64)
     d = g["doc_id"].to_numpy(dtype=np.int64)
-    empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                          "b": pd.Series([], dtype="int64")})
+    empty = pa.table({"a": pa.array([], pa.int64()),
+                      "b": pa.array([], pa.int64())})
     if not len(h):
         return empty
     order = np.lexsort((d, h))
@@ -1275,8 +1264,7 @@ def _hash_bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
     a = np.concatenate(out_a) if out_a else np.array([], dtype=np.int64)
     b = np.concatenate(out_b) if out_b else np.array([], dtype=np.int64)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return pd.DataFrame({"a": lo.astype(np.int64),
-                         "b": hi.astype(np.int64)})
+    return pa.table({"a": lo.astype(np.int64), "b": hi.astype(np.int64)})
 
 
 def run_substring_dup(sf_dir: str, min_shared: int = 2,
@@ -1300,7 +1288,6 @@ def run_substring_dup(sf_dir: str, min_shared: int = 2,
     ~1 s).  Only fixed-width int rows ever shuffle — text never leaves
     stage 1."""
     from dude_ray.io import read_parquet_clean
-    from dude_ray.partitioning import hash_grouped_reduce
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text"])
@@ -1311,15 +1298,9 @@ def run_substring_dup(sf_dir: str, min_shared: int = 2,
         hrows, "h", _hash_bucket_pairs, hrows.count(),
         target_rows_per_group, out_cols=("a", "b")).materialize()
 
-    def count_group(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby(["a", "b"], sort=False).size()
-               .reset_index(name="n_shared"))
-        out = out[out["n_shared"] >= min_shared]
-        return pd.DataFrame({
-            "a": out["a"].to_numpy(dtype=np.int64),
-            "b": out["b"].to_numpy(dtype=np.int64),
-            "n_shared": out["n_shared"].to_numpy(dtype=np.int64),
-        })
+    def count_group(t: pa.Table) -> pa.Table:
+        return group_agg(t, ["a", "b"], {"n_shared": ([], "count_all")}
+                         ).filter(pc.field("n_shared") >= min_shared)
 
     return hash_grouped_reduce(pairs, ["a", "b"], count_group,
                                pairs.count(), target_rows_per_group,
@@ -1385,8 +1366,6 @@ def _heavy_grams(grams, counters: int = 4096, top: int = 512) -> np.ndarray:
     high-df grams out of prefixes (smaller candidate buckets)."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce
-
     def _partial(batch: pa.Table) -> pa.Table:
         blobs = [np.frombuffer(b or b"", dtype="<u8")
                  for b in batch["sh"].to_pylist()]
@@ -1404,14 +1383,11 @@ def _heavy_grams(grams, counters: int = 4096, top: int = 512) -> np.ndarray:
         return pa.table({"g": pa.array(uniq.view(np.int64)),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    def _sum_counts(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("g", sort=False)["cnt"].sum().reset_index()
-        return pd.DataFrame({"g": out["g"].to_numpy(dtype=np.int64),
-                             "cnt": out["cnt"].to_numpy(dtype=np.int64)})
-
     partials = grams.map_batches(_partial, batch_format="pyarrow",
                                  batch_size=4096).materialize()
-    merged = hash_grouped_reduce(partials, "g", _sum_counts,
+    merged = hash_grouped_reduce(partials, "g",
+                                 lambda t: group_agg(
+                                     t, "g", {"cnt": ("cnt", "sum")}),
                                  partials.count(), out_cols=("g", "cnt"))
 
     def _local_top(batch: pa.Table) -> pa.Table:
@@ -1513,7 +1489,7 @@ def run_jaccard_join(sf_dir: str, threshold: float = 0.8):
     idx = grams.map_batches(_prefix, batch_format="pyarrow",
                             batch_size=2048).materialize()
 
-    def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def _bucket_pairs(t: pa.Table) -> pa.Table:
         """One coarse hash-group of (g, doc_id, n) prefix rows →
         candidate pairs per exact-gram run (the _hash_bucket_pairs
         run-boundary scan, NO bucket cap — exactness — plus the
@@ -1522,11 +1498,12 @@ def run_jaccard_join(sf_dir: str, threshold: float = 0.8):
         bounded CHUNKS with the size-ratio filter applied per chunk —
         peak memory stays ~2M pair rows however skewed the bucket —
         and log a watermark line so a silent blowup is visible."""
+        g = t.to_pandas()
         h = g["g"].to_numpy(dtype=np.int64)
         d = g["doc_id"].to_numpy(dtype=np.int64)
         n = g["n"].to_numpy(dtype=np.int64)
-        empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                              "b": pd.Series([], dtype="int64")})
+        empty = pa.table({"a": pa.array([], pa.int64()),
+                          "b": pa.array([], pa.int64())})
         if not len(h):
             return empty
         order = np.lexsort((d, h))
@@ -1572,11 +1549,8 @@ def run_jaccard_join(sf_dir: str, threshold: float = 0.8):
                 emit(ids, ns, ii, jj)
         if not out_a:
             return empty
-        return pd.DataFrame({
-            "a": pd.Series(np.concatenate(out_a), dtype="int64"),
-            "b": pd.Series(np.concatenate(out_b), dtype="int64")})
-
-    from dude_ray.partitioning import hash_grouped_reduce
+        return pa.table({"a": pa.array(np.concatenate(out_a), pa.int64()),
+                         "b": pa.array(np.concatenate(out_b), pa.int64())})
 
     pairs = hash_grouped_reduce(idx, "g", _bucket_pairs, idx.count(),
                                 out_cols=("a", "b"))
@@ -1888,7 +1862,6 @@ def run_substring_redact(sf_dir: str, min_shared: int = 2,
     asserts the removal, keeper and untouched-doc semantics."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.textops import winnow_weights
 
     k = _WinnowHashes.K
@@ -1932,13 +1905,13 @@ def run_substring_redact(sf_dir: str, min_shared: int = 2,
             "n_redacted_chars": pa.array([], type=pa.int64()),
             "text": pa.array([], type=pa.string())}))
 
-    def merge_ivals(df: pd.DataFrame) -> pd.DataFrame:
+    def merge_ivals(t: pa.Table) -> pa.Table:
         """Hash group → ONE packed row per affected doc: (doc_id, iv)
         with iv = the merged (start, end) pairs as an int64 blob.  A
         doc's intervals always land whole in one hash group, so the
         per-group merge is globally exact."""
         docs_, blobs = [], []
-        for d, g in df.groupby("doc_id", sort=False):
+        for d, g in t.to_pandas().groupby("doc_id", sort=False):
             iv = sorted(zip(g["start"], g["end"]))
             merged = [list(iv[0])]
             for s, e in iv[1:]:
@@ -1948,8 +1921,8 @@ def run_substring_redact(sf_dir: str, min_shared: int = 2,
                     merged.append([s, e])
             docs_.append(d)
             blobs.append(np.asarray(merged, dtype=np.int64).tobytes())
-        return pd.DataFrame({"doc_id": pd.Series(docs_, dtype="int64"),
-                             "iv": pd.Series(blobs, dtype="object")})
+        return pa.table({"doc_id": pa.array(docs_, pa.int64()),
+                         "iv": pa.array(blobs, pa.binary())})
 
     merged = hash_grouped_reduce(ivals, "doc_id", merge_ivals,
                                  ivals.count(),
@@ -2073,7 +2046,7 @@ def run_chunk_dedup(sf_dir: str, target_rows_per_group: int = 65536):
     vectorized int64 min (chunk ordinals are < 2³² by construction —
     a doc would need 2⁵² tokens to overflow).  Only (h, packed) rows
     shuffle; chunk text never leaves its batch."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
     from dude_ray.pipelines.sampling import CHUNK_STRIDE, run_text_chunk
 
     chunks = run_text_chunk(sf_dir)
@@ -2097,16 +2070,12 @@ def run_chunk_dedup(sf_dir: str, target_rows_per_group: int = 65536):
     # under 1k tokens/doc, so 1024/stride bounds the multiplier
     n_chunks_est = max(n_docs, 1) * max(1024 // CHUNK_STRIDE, 1)
 
-    def _keepers(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby("h", sort=False)["packed"]
-             .agg(["min", "size"]).reset_index())
-        mn = g["min"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "h": g["h"],
-            "keeper_doc_id": mn >> 32,
-            "keeper_chunk_id": mn & 0xFFFFFFFF,
-            "dup_count": g["size"].to_numpy(dtype=np.int64),
-        })
+    def _keepers(t: pa.Table) -> pa.Table:
+        g = group_agg(t, "h", {"mn": ("packed", "min"),
+                               "dup_count": ([], "count_all")})
+        mn = g["mn"].to_numpy()
+        return g.append_column("keeper_doc_id", pa.array(mn >> 32)) \
+            .append_column("keeper_chunk_id", pa.array(mn & 0xFFFFFFFF))
 
     return hash_grouped_reduce(
         hashed, "h", _keepers, n_chunks_est, target_rows_per_group,
@@ -2130,7 +2099,7 @@ def run_dup_rate_by_source(sf_dir: str, target_rows_per_group: int = 65536):
     corpus size — and the final per-source rollup groups that already
     small table.  Corpus text never shuffles (only 32-char hashes +
     source move), and all outputs are exact BIGINTs."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     docs = _docs(sf_dir, ["source", "text"]).map_batches(
         lambda t: pa.table({
@@ -2142,14 +2111,15 @@ def run_dup_rate_by_source(sf_dir: str, target_rows_per_group: int = 65536):
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/documents.parquet"))
 
-    def _per_hash(df: pd.DataFrame) -> pd.DataFrame:
+    def _per_hash(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         tot = df.groupby("h", sort=False)["source"].transform("size")
         g = (df.assign(docs=np.int64(1),
                        dups=(tot > 1).to_numpy().astype(np.int64))
              .groupby(["h", "source"], sort=False)
              .agg(docs=("docs", "sum"), dups=("dups", "sum"))
              .reset_index())
-        return g[["source", "docs", "dups"]]
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     per_hash = hash_grouped_reduce(
         docs, "h", _per_hash, n_rows,
@@ -2241,7 +2211,7 @@ def run_editdist_neardup(sf_dir: str, prefix_chars: int = EDIT_PREFIX_CHARS,
     by the deletion-alphabet; candidate (a, b) then dedups through the
     same measured two-tier distinct as minhash.  Only ≤33 short byte
     keys per doc ever shuffle, never text."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     def _keys(t: pa.Table) -> pa.Table:
         kb, ids, pres, kinds = [], [], [], []
@@ -2268,9 +2238,9 @@ def run_editdist_neardup(sf_dir: str, prefix_chars: int = EDIT_PREFIX_CHARS,
     n_docs = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/documents.parquet"))
 
-    def _bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def _bucket(t: pa.Table) -> pa.Table:
         a_out, b_out, d_out = [], [], []
-        for _k, g in df.groupby("key", sort=False):
+        for _k, g in t.to_pandas().groupby("key", sort=False):
             if len(g) < 2:
                 continue
             ids = g["doc_id"].to_numpy()
@@ -2288,11 +2258,9 @@ def run_editdist_neardup(sf_dir: str, prefix_chars: int = EDIT_PREFIX_CHARS,
                         a_out.append(ids[i])
                         b_out.append(ids[j])
                         d_out.append(d)
-        return pd.DataFrame({
-            "a": pd.Series(a_out, dtype="int64"),
-            "b": pd.Series(b_out, dtype="int64"),
-            "dist": pd.Series(d_out, dtype="int64"),
-        })
+        return pa.table({"a": pa.array(a_out, pa.int64()),
+                         "b": pa.array(b_out, pa.int64()),
+                         "dist": pa.array(d_out, pa.int64())})
 
     cand = hash_grouped_reduce(
         keyed, "key", _bucket, n_docs * (prefix_chars + 1),
@@ -2314,7 +2282,7 @@ def run_editdist_neardup(sf_dir: str, prefix_chars: int = EDIT_PREFIX_CHARS,
             _dd, batch_format="pyarrow", batch_size=None)
     return hash_grouped_reduce(
         lvl1, ["a", "b"],
-        lambda df: df.drop_duplicates(["a", "b"])[["a", "b", "dist"]],
+        lambda t: group_agg(t, ["a", "b"], {"dist": ("dist", "first")}),
         n, target_rows_per_group, out_cols=("a", "b", "dist"))
 
 
@@ -2375,7 +2343,6 @@ def run_dedup_recall(sf_dir: str, threshold: float = 0.8,
 
     Float contract: recall/precision are single IEEE divisions of
     exact int64 counts."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.relational import tree_combine
 
     def _tag(side: int):
@@ -2392,16 +2359,13 @@ def run_dedup_recall(sf_dir: str, threshold: float = 0.8,
     approx = run_minhash_dedup(sf_dir, threshold=threshold).map_batches(
         _tag(1), batch_format="pyarrow")
 
-    def _count(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["a", "b"], sort=False)["side"].agg(["min", "max"])
-        n_both = int((g["min"] != g["max"]).sum())
-        n_exact = int((g["min"] == 0).sum())
-        n_approx = int((g["max"] == 1).sum())
-        return pd.DataFrame({"k": pd.Series([0], dtype="int64"),
-                             "n_exact": pd.Series([n_exact], dtype="int64"),
-                             "n_approx": pd.Series([n_approx],
-                                                   dtype="int64"),
-                             "n_both": pd.Series([n_both], dtype="int64")})
+    def _count(t: pa.Table) -> pa.Table:
+        g = group_agg(t, ["a", "b"], {"lo": ("side", "min"),
+                                      "hi": ("side", "max")})
+        lo, hi = g["lo"].to_numpy(), g["hi"].to_numpy()
+        return pa.table({"k": [0], "n_exact": [int((lo == 0).sum())],
+                         "n_approx": [int((hi == 1).sum())],
+                         "n_both": [int((lo != hi).sum())]})
 
     union = exact.union(approx)
     partials = hash_grouped_reduce(
@@ -2586,7 +2550,6 @@ def run_shingle_novelty(sf_dir: str, target_rows_per_group: int = 65536):
 
     Float contract: novelty is one IEEE division of exact int64
     counts, rounded 6 dp."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     sh = shingle_dataset(sf_dir)
 
@@ -2609,11 +2572,10 @@ def run_shingle_novelty(sf_dir: str, target_rows_per_group: int = 65536):
                               batch_size=2048).materialize()
     n_rows = max(exploded.count(), 1)
 
-    def _min_doc(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("h", sort=False)["doc_id"].min().reset_index()
-        return out.astype({"doc_id": "int64"})
-
-    firsts = hash_grouped_reduce(exploded, "h", _min_doc, n_rows,
+    firsts = hash_grouped_reduce(exploded, "h",
+                                 lambda t: group_agg(
+                                     t, "h", {"doc_id": ("doc_id", "min")}),
+                                 n_rows,
                                  target_rows_per_group,
                                  out_cols=("h", "doc_id"))
 
@@ -2641,13 +2603,12 @@ def run_shingle_novelty(sf_dir: str, target_rows_per_group: int = 65536):
              .union(sh.map_batches(_total_part,
                                    batch_format="pyarrow")))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby("doc_id", sort=False)[
-            ["n_shingles", "n_novel"]].sum().reset_index())
-        out["novelty"] = [round(v, 6) for v in
-                          out["n_novel"] / out["n_shingles"]]
-        return out.astype({"n_shingles": "int64",
-                           "n_novel": "int64"})
+    def _merge(t: pa.Table) -> pa.Table:
+        out = group_agg(t, "doc_id", {"n_shingles": ("n_shingles", "sum"),
+                                      "n_novel": ("n_novel", "sum")})
+        ratio = out["n_novel"].to_numpy() / out["n_shingles"].to_numpy()
+        return out.append_column("novelty",
+                                 pa.array([round(v, 6) for v in ratio.tolist()]))
 
     return hash_grouped_reduce(
         marks, "doc_id", _merge, n_rows, target_rows_per_group,

@@ -17,6 +17,7 @@ from typing import Optional
 
 import pyarrow as pa
 
+from ..partitioning import group_agg, hash_grouped_reduce
 from ..rule import Rule, Selector
 
 
@@ -125,10 +126,7 @@ def run_anchor_texts(sf_dir: str, target_rows_per_group: int = 65536,
     not by link volume.  Non-SQL-expressible end-to-end (the spans come
     from the HTML parse), so correctness is pytest: a serial recompute
     over the same extractor output (see tests/test_pipelines.py)."""
-    import pandas as pd
-
     from ..canonical import LinkCanonicalizer
-    from ..partitioning import hash_grouped_reduce
 
     spans = run_extract(sf_dir, **extract_kwargs)
 
@@ -166,25 +164,16 @@ def run_anchor_texts(sf_dir: str, target_rows_per_group: int = 65536,
         num_parts=extract_kwargs.get("num_parts") or DEFAULT_NUM_PARTS)
     n_pages = sum(n for _f, _rg, n in parquet_row_groups(corpus_dir))
 
-    def reduce_targets(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(["target", "anchor"], sort=False)["n"].sum()
-             .reset_index())
+    def reduce_targets(t: pa.Table) -> pa.Table:
+        g = group_agg(t, ["target", "anchor"], {"n": ("n", "sum")})
         # top anchor per target: max count, then lexicographically
-        # smallest anchor — one vectorized sort + head
-        g = g.sort_values(["target", "n", "anchor"],
-                          ascending=[True, False, True],
-                          kind="mergesort")
-        tot = g.groupby("target", sort=False)["n"].sum()
-        dis = g.groupby("target", sort=False)["anchor"].size()
-        top = g.drop_duplicates("target").set_index("target")
-        out = pd.DataFrame({
-            "target": top.index,
-            "n_incoming": tot.loc[top.index].to_numpy(dtype="int64"),
-            "n_distinct_anchors": dis.loc[top.index].to_numpy(
-                dtype="int64"),
-            "top_anchor": top["anchor"].to_numpy(),
-        })
-        return out.reset_index(drop=True)
+        # smallest anchor — one sort, then each target's first row
+        g = g.sort_by([("target", "ascending"), ("n", "descending"),
+                       ("anchor", "ascending")])
+        return group_agg(g, "target", {
+            "n_incoming": ("n", "sum"),
+            "n_distinct_anchors": ([], "count_all"),
+            "top_anchor": ("anchor", "first")})
 
     # key cardinality ≈ pages (every target is a page); ~8 nav/content
     # links per page in the corpus profile sizes the pre-reduce stream

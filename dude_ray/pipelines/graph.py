@@ -12,7 +12,7 @@ Distributed shape, per power iteration (same discipline as
     list → contribution rows (dst, rank·1/outdeg);
   * zero-contribution rows for every node are unioned in so sinks keep
     a row (no per-iteration left-outer join against the node set);
-  * a data-scaled hash-group + vectorized pandas sum reduces
+  * a data-scaled hash-group + Arrow hash sum (``group_agg``) reduces
     contributions (Ray's groupby().sum() Python combine measured
     ~20k rows/s — see dedup.py);
   * the DANGLING mass needs no join at all: contributions conserve
@@ -28,6 +28,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
 
 
 def _member(sorted_keys: np.ndarray, keys) -> np.ndarray:
@@ -96,13 +98,11 @@ def link_edges(sf_dir: str):
 def _grouped_sum(ds, n_rows: int):
     """Vectorized (node, value) sum via the shared data-scaled
     hash-group reduce (partitioning.hash_grouped_reduce)."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
-    def sum_g(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("node", sort=False)["value"].sum().reset_index()
-        return out[["node", "value"]]
-
-    return hash_grouped_reduce(ds, "node", sum_g, n_rows,
+    return hash_grouped_reduce(ds, "node",
+                               lambda t: group_agg(
+                                   t, "node", {"value": ("value", "sum")}),
+                               n_rows,
                                out_cols=("node", "value"))
 
 
@@ -314,9 +314,10 @@ def _cust_supp_graph(sf_dir: str, num_partitions: int = 4):
 
     import ray
 
-    from dude_ray.partitioning import estimate_rows, hash_grouped_reduce
+    from dude_ray.io import read_parquet_clean
+    from dude_ray.partitioning import estimate_rows
 
-    lineitem = ray.data.read_parquet(
+    lineitem = read_parquet_clean(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_suppkey"])
     n_li = max(estimate_rows(os.path.join(sf_dir, "lineitem.parquet")), 1)
@@ -351,7 +352,7 @@ def _cust_supp_graph(sf_dir: str, num_partitions: int = 4):
         pairs = lineitem.map_batches(lookup, batch_format="pyarrow",
                                      batch_size=65536)
     else:
-        orders = ray.data.read_parquet(
+        orders = read_parquet_clean(
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_custkey"])
         pairs = lineitem.join(orders, "inner", num_partitions,
@@ -365,10 +366,8 @@ def _cust_supp_graph(sf_dir: str, num_partitions: int = 4):
                     "s", pc.cast(t["l_suppkey"], pa.string()), ""),
             }), batch_format="pyarrow")
 
-    def distinct_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(ignore_index=True)
-
-    edges = hash_grouped_reduce(pairs, ["src", "dst"], distinct_pairs,
+    edges = hash_grouped_reduce(pairs, ["src", "dst"],
+                                lambda t: group_agg(t, ["src", "dst"]),
                                 n_li, out_cols=("src", "dst")).materialize()
 
     def prefix(col: str, tag: str):
@@ -377,10 +376,10 @@ def _cust_supp_graph(sf_dir: str, num_partitions: int = 4):
                 tag, pc.cast(t[col], pa.string()), "")})
         return fn
 
-    cust = ray.data.read_parquet(
+    cust = read_parquet_clean(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
     ).map_batches(prefix("c_custkey", "c"), batch_format="pyarrow")
-    supp = ray.data.read_parquet(
+    supp = read_parquet_clean(
         os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey"]
     ).map_batches(prefix("s_suppkey", "s"), batch_format="pyarrow")
     nodes = cust.union(supp).materialize()
@@ -834,8 +833,7 @@ def run_knn_triangles(sf_dir: str, k: int = 5,
     Output: (node, n_triangles) for every node in ≥1 triangle — exact
     BIGINTs, so the DuckDB oracle (three-way self-join over the same
     kNN edge CTE) hash-matches with no rounding contract."""
-    from dude_ray.partitioning import (hash_grouped_reduce,
-                                       parquet_row_groups, shuffle_join)
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
     from dude_ray.pipelines.similarity import run_knn_graph
 
     n_vecs = sum(n for _f, _rg, n in
@@ -851,14 +849,13 @@ def run_knn_triangles(sf_dir: str, k: int = 5,
     edges = hash_grouped_reduce(
         run_knn_graph(sf_dir, k=k)
         .map_batches(_und, batch_format="pyarrow", batch_size=65536),
-        ["a", "b"],
-        lambda df: df.drop_duplicates(["a", "b"])[["a", "b"]],
+        ["a", "b"], lambda t: group_agg(t, ["a", "b"]),
         n_vecs * k, target_rows_per_group,
         out_cols=("a", "b")).materialize()
 
-    def _wedges(df: pd.DataFrame) -> pd.DataFrame:
+    def _wedges(t: pa.Table) -> pa.Table:
         xs, ys, ws = [], [], []
-        for a, g in df.groupby("a", sort=False):
+        for a, g in t.to_pandas().groupby("a", sort=False):
             nb = np.sort(g["b"].to_numpy())
             if len(nb) < 2:
                 continue
@@ -867,12 +864,10 @@ def run_knn_triangles(sf_dir: str, k: int = 5,
             ys.append(nb[j])
             ws.append(np.full(len(i), a, dtype=np.int64))
         if not xs:
-            return pd.DataFrame({"x": pd.Series(dtype="int64"),
-                                 "y": pd.Series(dtype="int64"),
-                                 "w": pd.Series(dtype="int64")})
-        return pd.DataFrame({"x": np.concatenate(xs),
-                             "y": np.concatenate(ys),
-                             "w": np.concatenate(ws)})
+            return pa.table({c: pa.array([], pa.int64()) for c in "xyw"})
+        return pa.table({"x": np.concatenate(xs),
+                         "y": np.concatenate(ys),
+                         "w": np.concatenate(ws)})
 
     # wedge stream: adjacency grouped by the LOW endpoint (kNN degree
     # is bounded, so one hash group per low node is bounded work)
@@ -896,13 +891,10 @@ def run_knn_triangles(sf_dir: str, k: int = 5,
         ["x", "y"], n_vecs * k * (2 * k), _close, how="left semi",
         target_rows_per_group=target_rows_per_group)
 
-    def _sum(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", sort=False)["cnt"].sum()
-        return pd.DataFrame({
-            "node": g.index.to_numpy(dtype=np.int64),
-            "n_triangles": g.to_numpy(dtype=np.int64)})
-
-    return hash_grouped_reduce(partials, "node", _sum, n_vecs,
+    return hash_grouped_reduce(partials, "node",
+                               lambda t: group_agg(
+                                   t, "node", {"n_triangles": ("cnt", "sum")}),
+                               n_vecs,
                                target_rows_per_group,
                                out_cols=("node", "n_triangles"))
 
@@ -1078,7 +1070,6 @@ def run_cocitation(sf_dir: str, top_k: int = 100,
     handful per page — so pair fan-out is O(d²)·|src| with tiny d,
     never |dst|²), and a second reduce keyed on the pair makes the
     count exact before the bounded top-k.  All counts int64."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.relational import tree_combine
 
     edges, _nodes = link_edges(sf_dir)
@@ -1088,14 +1079,15 @@ def run_cocitation(sf_dir: str, top_k: int = 100,
         return batch.select(["src", "dst"]).group_by(
             ["src", "dst"]).aggregate([])
 
-    def _pairs(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[["src", "dst"]].drop_duplicates()
+    def _pairs(t: pa.Table) -> pa.Table:
+        d = t.to_pandas()[["src", "dst"]].drop_duplicates()
         m = d.merge(d, on="src")
         m = m[m["dst_x"] < m["dst_y"]]
         out = (m.groupby(["dst_x", "dst_y"], sort=False)
                .size().rename("c").reset_index()
                .rename(columns={"dst_x": "page_a", "dst_y": "page_b"}))
-        return out.astype({"c": "int64"})
+        return pa.Table.from_pandas(out.astype({"c": "int64"}),
+                                    preserve_index=False)
 
     dd = edges.map_batches(_dedup, batch_format="pyarrow",
                            batch_size=65536)
@@ -1266,7 +1258,6 @@ def run_coupling(sf_dir: str, top_k: int = 100,
     reduce is data-scaled on dst and a hub's pair expansion stays
     inside one vectorized task (documented bound: Σ d_in² over the
     distinct edge set)."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.relational import tree_combine
 
     edges, _nodes = link_edges(sf_dir)
@@ -1276,14 +1267,15 @@ def run_coupling(sf_dir: str, top_k: int = 100,
         return batch.select(["src", "dst"]).group_by(
             ["src", "dst"]).aggregate([])
 
-    def _pairs(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[["src", "dst"]].drop_duplicates()
+    def _pairs(t: pa.Table) -> pa.Table:
+        d = t.to_pandas()[["src", "dst"]].drop_duplicates()
         m = d.merge(d, on="dst")
         m = m[m["src_x"] < m["src_y"]]
         out = (m.groupby(["src_x", "src_y"], sort=False)
                .size().rename("c").reset_index()
                .rename(columns={"src_x": "page_a", "src_y": "page_b"}))
-        return out.astype({"c": "int64"})
+        return pa.Table.from_pandas(out.astype({"c": "int64"}),
+                                    preserve_index=False)
 
     dd = edges.map_batches(_dedup, batch_format="pyarrow",
                            batch_size=65536)
@@ -1384,7 +1376,6 @@ def run_adamic_adar(sf_dir: str, top_k: int = 100,
     argument of ``components.run_host_rank``) so rank order is
     drift-proof; only the bounded top-k ever reaches one task.
     """
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.components import _distinct_undirected
     from dude_ray.pipelines.relational import tree_combine
 
@@ -1403,9 +1394,9 @@ def run_adamic_adar(sf_dir: str, top_k: int = 100,
     both = und.map_batches(_both, batch_format="pyarrow",
                            batch_size=65536)
 
-    def _wedges(df: pd.DataFrame) -> pd.DataFrame:
+    def _wedges(t: pa.Table) -> pa.Table:
         xs, ys, ws = [], [], []
-        for _z, grp in df.groupby("z", sort=False):
+        for _z, grp in t.to_pandas().groupby("z", sort=False):
             nb = np.unique(grp["n"].to_numpy())
             d = len(nb)
             if d < 2:
@@ -1416,14 +1407,14 @@ def run_adamic_adar(sf_dir: str, top_k: int = 100,
             ys.append(nb[iv])
             ws.append(np.full(len(iu), w, dtype=np.float64))
         if not xs:
-            return pd.DataFrame({
-                "x": pd.Series(dtype=object),
-                "y": pd.Series(dtype=object),
-                "n_common": pd.Series(dtype="int64"),
-                "aa": pd.Series(dtype="float64"),
-                "is_edge": pd.Series(dtype="int64")})
+            return pa.table({
+                "x": pa.array([], pa.string()),
+                "y": pa.array([], pa.string()),
+                "n_common": pa.array([], pa.int64()),
+                "aa": pa.array([], pa.float64()),
+                "is_edge": pa.array([], pa.int64())})
         x = np.concatenate(xs)
-        return pd.DataFrame({
+        return pa.table({
             "x": x, "y": np.concatenate(ys),
             "n_common": np.ones(len(x), dtype=np.int64),
             "aa": np.concatenate(ws),

@@ -32,6 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
 
 def _doc_bigrams(df: pd.DataFrame) -> pd.DataFrame:
     """Per-doc unique bigram rows (doc_id, w1, w2, n), vectorized:
@@ -64,7 +66,6 @@ def run_lm_score(sf_dir: str, num_partitions: int = 4,
     import pyarrow.compute as pc
 
     from dude_ray.io import read_parquet_clean
-    from dude_ray.partitioning import hash_grouped_reduce
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text"])
@@ -73,22 +74,13 @@ def run_lm_score(sf_dir: str, num_partitions: int = 4,
     n_rows = doc_big.count()
     agg_args = {"num_cpus": 0}
 
-    def _sum_big(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(["w1", "w2"], sort=False)["n"].sum()
-               .reset_index(name="cb"))
-        return out
-
-    def _sum_uni(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby("bw1", sort=False)["cb"].sum()
-               .reset_index(name="cu"))
-        out.rename(columns={"bw1": "uw"}, inplace=True)
-        return out
-
     cb = hash_grouped_reduce(
         doc_big.map_batches(
             lambda t: t.select(["w1", "w2", "n"]),
             batch_format="pyarrow"),
-        ["w1", "w2"], _sum_big, n_rows, out_cols=("w1", "w2", "cb"))
+        ["w1", "w2"],
+        lambda t: group_agg(t, ["w1", "w2"], {"cb": ("n", "sum")}),
+        n_rows, out_cols=("w1", "w2", "cb"))
     cb = cb.map_batches(
         lambda t: pa.table({"bw1": t["w1"], "bw2": t["w2"],
                             "cb": pc.cast(t["cb"], pa.float64())}),
@@ -100,7 +92,10 @@ def run_lm_score(sf_dir: str, num_partitions: int = 4,
     cu = hash_grouped_reduce(
         cb.map_batches(lambda t: t.select(["bw1", "cb"]),
                        batch_format="pyarrow"),
-        "bw1", _sum_uni, n_cb, out_cols=("uw", "cu")).materialize()
+        "bw1",
+        lambda t: group_agg(t, "bw1", {"cu": ("cb", "sum")}).rename_columns(
+            ["uw", "cu"]),
+        n_cb, out_cols=("uw", "cu")).materialize()
     if n_cb <= 2_000_000:
         # broadcast-join tier: the count tables fit in every worker
         # (ray.put once, pandas merge per batch) — skips two
@@ -136,12 +131,11 @@ def run_lm_score(sf_dir: str, num_partitions: int = 4,
                          "nlp": pa.array(n * lp, type=pa.float64()),
                          "n": t["n"]})
 
-    def _doc_score(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("doc_id", sort=False).agg(
-            s=("nlp", "sum"), n_bigrams=("n", "sum")).reset_index()
-        g["lm_score"] = np.round(g["s"] / g["n_bigrams"], 6)
-        g["n_bigrams"] = g["n_bigrams"].astype(np.int64)
-        return g[["doc_id", "lm_score", "n_bigrams"]]
+    def _doc_score(t: pa.Table) -> pa.Table:
+        g = group_agg(t, "doc_id", {"s": ("nlp", "sum"),
+                                    "n_bigrams": ("n", "sum")})
+        return g.append_column("lm_score", pa.array(np.round(
+            g["s"].to_numpy() / g["n_bigrams"].to_numpy(), 6)))
 
     return hash_grouped_reduce(
         j.map_batches(to_lp, batch_format="pyarrow", batch_size=8192),

@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import hash_grouped_reduce
+
 LR_ITERS = 8
 LR_RATE = 0.5
 
@@ -224,7 +226,6 @@ def run_training_mix(sf_dir: str, budget: int | None = None,
     import hashlib
 
     from dude_ray.io import read_parquet_clean
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.sampling import PACK_BUDGET
     from dude_ray.pipelines.textops import TOKEN_RE
 
@@ -247,9 +248,10 @@ def run_training_mix(sf_dir: str, budget: int | None = None,
                              batch_size=4096).materialize()
     w = train_lr(feats, iters=iters, lr=lr)
 
-    def _keeper_rows(df: pd.DataFrame) -> pd.DataFrame:
+    def _keeper_rows(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         idx = df.groupby("h", sort=False)["doc_id"].idxmin()
-        return df.loc[idx].reset_index(drop=True)
+        return pa.Table.from_pandas(df.loc[idx], preserve_index=False)
 
     keep_cols = ("doc_id", "f1", "f2", "f3", "f4", "y", "h", "n_tokens")
     keepers = hash_grouped_reduce(feats, "h", _keeper_rows, feats.count(),

@@ -29,6 +29,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
 from dude_ray.pipelines.textops import TOKEN_RE
 
 # the benchmark query: terms from the synthetic corpus vocabulary with
@@ -111,16 +112,12 @@ def run_bm25(sf_dir: str, terms=QUERY_TERMS, top_n: int = TOP_N,
     n_docs, total_tokens = stats["sum(tf)"], stats["sum(dl)"]
     avgdl = total_tokens / n_docs
 
-    from dude_ray.partitioning import hash_grouped_reduce
-
     matched = _kind(scan, 1).materialize()
     n_matched = matched.count()
 
-    def _df_counts(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("term", sort=False).size()
-                .reset_index(name="df"))
-
-    df_rows = hash_grouped_reduce(matched, "term", _df_counts,
+    df_rows = hash_grouped_reduce(matched, "term",
+                                  lambda t: group_agg(
+                                      t, "term", {"df": ([], "count_all")}),
                                   n_matched,
                                   out_cols=("term", "df")).take_all()
     idf = {r["term"]: math.log(1.0 + (n_docs - r["df"] + 0.5)
@@ -136,15 +133,13 @@ def run_bm25(sf_dir: str, terms=QUERY_TERMS, top_n: int = TOP_N,
         return pa.table({"doc_id": batch["doc_id"],
                          "contrib": pa.array(score, type=pa.float64())})
 
-    def _doc_sums(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby("doc_id", sort=False)["contrib"].sum()
-               .reset_index(name="sum(contrib)"))
-        return out
-
     scores = hash_grouped_reduce(
         matched.map_batches(contrib, batch_format="pyarrow",
                             batch_size=8192),
-        "doc_id", _doc_sums, n_matched,
+        "doc_id",
+        lambda t: group_agg(t, "doc_id",
+                            {"sum(contrib)": ("contrib", "sum")}),
+        n_matched,
         out_cols=("doc_id", "sum(contrib)"))
 
     def local_top(batch: pa.Table) -> pa.Table:
@@ -199,7 +194,7 @@ def run_tfidf_keywords(sf_dir: str, top_k: int = 5,
     per-doc top-k is one more hash-grouped reduce (pandas sort+head
     per group)."""
     from dude_ray.io import read_parquet_clean
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text"])
@@ -213,17 +208,13 @@ def run_tfidf_keywords(sf_dir: str, top_k: int = 5,
                              batch_size=batch_size).materialize()
     n_rows = terms.count()
 
-    def _df_count(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby("term", sort=False).size()
-               .reset_index(name="df"))
-        out.rename(columns={"term": "dterm"}, inplace=True)
-        out["df"] = out["df"].astype(np.int64)
-        return out
-
     dftab = hash_grouped_reduce(
         terms.map_batches(lambda t: t.select(["term"]),
                           batch_format="pyarrow"),
-        "term", _df_count, n_rows,
+        "term",
+        lambda t: group_agg(t, "term", {"df": ([], "count_all")})
+        .rename_columns(["dterm", "df"]),
+        n_rows,
         out_cols=("dterm", "df")).materialize()
 
     if dftab.count() <= 2_000_000:
@@ -252,14 +243,14 @@ def run_tfidf_keywords(sf_dir: str, top_k: int = 5,
         return pa.table({"doc_id": t["doc_id"], "term": t["term"],
                          "score": pa.array(s, type=pa.float64())})
 
-    def _top_k(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["doc_id", "score", "term"],
+    def _top_k(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values(["doc_id", "score", "term"],
                             ascending=[True, False, True],
                             kind="mergesort")
         df["rank"] = df.groupby("doc_id", sort=False).cumcount() + 1
         out = df[df["rank"] <= top_k].reset_index(drop=True)
         out["rank"] = out["rank"].astype(np.int64)
-        return out[["doc_id", "term", "score", "rank"]]
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     return hash_grouped_reduce(
         j.map_batches(score, batch_format="pyarrow", batch_size=8192),
@@ -320,7 +311,6 @@ def run_term_postings(sf_dir: str, min_df: int = 2,
     import re
 
     from dude_ray.io import read_parquet_clean
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.textops import TOKEN_RE
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
@@ -343,9 +333,9 @@ def run_term_postings(sf_dir: str, min_df: int = 2,
     rows = docs.map_batches(term_doc_counts, batch_format="pandas",
                             batch_size=2048).materialize()
 
-    def build_postings(g: pd.DataFrame) -> pd.DataFrame:
+    def build_postings(t: pa.Table) -> pa.Table:
         terms, dfs, cfs, posts = [], [], [], []
-        for term, sub in g.groupby("term", sort=False):
+        for term, sub in t.to_pandas().groupby("term", sort=False):
             if len(sub) < min_df:
                 continue
             ids = np.sort(sub["doc_id"].to_numpy(dtype=np.int64))
@@ -353,12 +343,10 @@ def run_term_postings(sf_dir: str, min_df: int = 2,
             dfs.append(len(ids))
             cfs.append(int(sub["c"].sum()))
             posts.append(",".join(map(str, ids)))
-        return pd.DataFrame({
-            "term": pd.Series(terms, dtype="object"),
-            "df": pd.Series(dfs, dtype="int64"),
-            "cf": pd.Series(cfs, dtype="int64"),
-            "postings": pd.Series(posts, dtype="object"),
-        })
+        return pa.table({"term": pa.array(terms, pa.string()),
+                         "df": pa.array(dfs, pa.int64()),
+                         "cf": pa.array(cfs, pa.int64()),
+                         "postings": pa.array(posts, pa.string())})
 
     return hash_grouped_reduce(rows, "term", build_postings, rows.count(),
                                target_rows_per_group,

@@ -29,6 +29,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
 
 def _read(sf_dir: str, table: str, columns=None):
     from dude_ray.io import read_parquet_clean
@@ -78,7 +80,7 @@ def tree_combine(partials, keys, sums=(), mins=(), maxs=()):
                                         (maxs, "max")) for c in cols}
 
     def combine(batch: pa.Table) -> pa.Table:
-        return _group_agg(batch, keys, aggs)
+        return group_agg(batch, keys, aggs)
 
     lvl1 = partials.map_batches(combine, batch_format="pyarrow",
                                 batch_size=None)
@@ -101,14 +103,6 @@ def tree_sum(partials) -> dict:
                                 batch_size=None)
     return lvl1.repartition(1).map_batches(
         merge, batch_format="pyarrow", batch_size=None).take_all()[0]
-
-
-def _group_agg(t: pa.Table, keys, aggs: dict) -> pa.Table:
-    """Arrow hash group-by of ``t`` on ``keys``: the key columns, then
-    one column ``name`` per ``aggs`` entry ``name: (column, op)``."""
-    g = t.group_by(list(keys)).aggregate(list(aggs.values()))
-    return pa.table({**{k: g[k] for k in keys},
-                     **{n: g[f"{c}_{op}"] for n, (c, op) in aggs.items()}})
 
 
 def dim_table(keys, *cols):
@@ -1108,7 +1102,7 @@ def run_retention_cohorts(sf_dir: str, users_per_group: int | None = None):
         new = np.ones(len(week), dtype=bool)
         new[1:] = week[1:] != week[:-1]
         new[starts] = True
-        return _group_agg(
+        return group_agg(
             pa.table({"cohort_week_us": cohort[new] * WEEK_US,
                       "week_offset": week[new] - cohort[new]}),
             ["cohort_week_us", "week_offset"],
@@ -1183,7 +1177,7 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
         kept = batch.filter(pa.array(sd > cut_us))
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        return _group_agg(
+        return group_agg(
             pa.table({"l_orderkey": kept["l_orderkey"], "rev": rev}),
             ["l_orderkey"], {"revenue": ("rev", "sum")})
 
@@ -1200,7 +1194,7 @@ def run_shipping_priority(sf_dir: str, k: int = 10, cutoff: str = Q3_CUTOFF,
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
     def _revenue(t: pa.Table) -> pa.Table:
-        return _group_agg(
+        return group_agg(
             t, ["l_orderkey", "o_orderdate", "o_orderpriority"],
             {"revenue": ("revenue", "sum")}).select(
             ["l_orderkey", "revenue", "o_orderdate", "o_orderpriority"])
@@ -1431,7 +1425,7 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
         kept = batch.filter(pa.array(found))
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        return _group_agg(
+        return group_agg(
             pa.table({"okey": kept["l_orderkey"],
                       "nat": pa.array(snat[found], type=pa.int64()),
                       "rev": rev}),
@@ -1453,7 +1447,7 @@ def run_revenue_by_nation(sf_dir: str, region: str = Q5_REGION,
         (lines, pa.schema([("okey", pa.int64()), ("nat", pa.int64()),
                            ("rev", pa.float64())])),
         ["okey", "nat"], n_rows,
-        lambda t: _group_agg(t, ["nat"], {"rev": ("rev", "sum")}),
+        lambda t: group_agg(t, ["nat"], {"rev": ("rev", "sum")}),
         target_rows_per_group=target_rows_per_group)
 
     out = tree_combine(partials, ["nat"], sums=("rev",))
@@ -1581,7 +1575,7 @@ def run_cheapest_part(sf_dir: str, target_rows_per_group: int = 65536):
     hash-grouped reduce on l_partkey applies the same kernel per
     bucket.  No arithmetic touches the price — the winning float
     passes through bit-identical to the oracle's."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     cols = ["l_partkey", "l_orderkey", "l_linenumber", "l_extendedprice"]
 
@@ -1607,13 +1601,10 @@ def run_cheapest_part(sf_dir: str, target_rows_per_group: int = 65536):
             "min_price": kept["l_extendedprice"],
         })
 
-    def reduce_fn(df: pd.DataFrame) -> pd.DataFrame:
-        sel = _first_per_part(
-            df["l_partkey"].to_numpy(dtype=np.int64),
-            df["min_price"].to_numpy(dtype=np.float64),
-            df["l_orderkey"].to_numpy(dtype=np.int64),
-            df["l_linenumber"].to_numpy(dtype=np.int64))
-        return df.iloc[sel]
+    def reduce_fn(t: pa.Table) -> pa.Table:
+        return t.take(pa.array(_first_per_part(
+            *(t[c].to_numpy() for c in ("l_partkey", "min_price",
+                                        "l_orderkey", "l_linenumber")))))
 
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/lineitem.parquet"))
@@ -1700,7 +1691,7 @@ def run_priority_semijoin(sf_dir: str, start: str = Q4_START,
         (orders, pa.schema([("okey", pa.int64()), ("pri", pa.string())])),
         (lines, pa.schema([("okey", pa.int64())])),
         "okey", n_rows,
-        lambda t: _group_agg(t, ["pri"], {"n": ("okey", "count")}),
+        lambda t: group_agg(t, ["pri"], {"n": ("okey", "count")}),
         how="left semi", target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["pri"], sums=("n",))
 
@@ -1784,8 +1775,8 @@ def run_lapsed_customers(sf_dir: str, cutoff: str = Q22_CUTOFF,
                           ("cents", pa.int64())])),
         (orders, pa.schema([("ckey", pa.int64())])),
         "ckey", n_rows,
-        lambda t: _group_agg(t, ["seg"], {"n": ("ckey", "count"),
-                                          "cents": ("cents", "sum")}),
+        lambda t: group_agg(t, ["seg"], {"n": ("ckey", "count"),
+                                         "cents": ("cents", "sum")}),
         how="left anti", target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["seg"], sums=("n", "cents"))
 
@@ -1829,7 +1820,7 @@ def run_user_top_event(sf_dir: str, target_rows_per_group: int = 65536):
     hash-grouped reduce on user_id sums partials and takes the
     argmax inside each bucket.  Counts are integers — exact under any
     merge order."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["user_id", "event_type"]).aggregate(
@@ -1840,14 +1831,15 @@ def run_user_top_event(sf_dir: str, target_rows_per_group: int = 65536):
             "n_events": pc.cast(g["event_type_count"], pa.int64()),
         })
 
-    def reduce_fn(df: pd.DataFrame) -> pd.DataFrame:
-        full = (df.groupby(["user_id", "event_type"], sort=False)
-                ["n_events"].sum().reset_index())
-        top = (full.sort_values(["user_id", "n_events", "event_type"],
-                                ascending=[True, False, True], kind="stable")
-               .drop_duplicates("user_id"))
-        top["n_events"] = top["n_events"].astype("int64")
-        return top
+    def reduce_fn(t: pa.Table) -> pa.Table:
+        full = group_agg(t, ["user_id", "event_type"],
+                         {"n_events": ("n_events", "sum")})
+        top = full.sort_by([("user_id", "ascending"),
+                            ("n_events", "descending"),
+                            ("event_type", "ascending")])
+        return group_agg(top, "user_id",
+                         {c: (c, "first") for c in ("event_type",
+                                                    "n_events")})
 
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/events.parquet"))
@@ -1893,7 +1885,7 @@ def run_event_pivot(sf_dir: str, target_rows_per_group: int = 65536):
     are integers — exact under any merge order.  The oracle inlines
     the same domain as FILTER columns (the inlined-codebook pattern
     ann_ivf/hll use)."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     types = list(_event_type_domain(sf_dir))
     cols = _pivot_labels(types)
@@ -1907,17 +1899,18 @@ def run_event_pivot(sf_dir: str, target_rows_per_group: int = 65536):
             "n": pc.cast(g["event_type_count"], pa.int64()),
         })
 
-    def reduce_fn(df: pd.DataFrame) -> pd.DataFrame:
-        wide = (df.groupby(["user_id", "event_type"], sort=False)["n"]
+    def reduce_fn(t: pa.Table) -> pa.Table:
+        wide = (t.to_pandas().groupby(["user_id", "event_type"],
+                                      sort=False)["n"]
                 .sum().unstack(fill_value=0))
-        for t in types:
-            if t not in wide.columns:
-                wide[t] = 0
+        for ty in types:
+            if ty not in wide.columns:
+                wide[ty] = 0
         wide = wide[types].astype("int64")
         out = wide.reset_index()
         out.columns = ["user_id"] + cols
         out["n_total"] = wide.sum(axis=1).to_numpy()
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/events.parquet"))
@@ -2011,7 +2004,7 @@ def run_event_transitions(sf_dir: str, users_per_group: int | None = None):
     def _pairs(c, starts):
         typ = c["event_type"]
         k = np.flatnonzero(_rank(starts, len(typ)) >= 1)
-        return _group_agg(
+        return group_agg(
             pa.table({"prev_type": typ[k - 1], "event_type": typ[k]}),
             ["prev_type", "event_type"],
             {"n_transitions": ("event_type", "count")})
@@ -2085,15 +2078,15 @@ def run_small_qty_revenue(sf_dir: str, frac: float = 0.2,
     parts = _read(sf_dir, "part", ["p_partkey", "p_brand"])
 
     def _per_part(t: pa.Table) -> pa.Table:
-        t = t.join(_group_agg(t, ["p_partkey"], {"sq": ("qty", "sum"),
-                                                 "nq": ("qty", "count")}),
+        t = t.join(group_agg(t, ["p_partkey"], {"sq": ("qty", "sum"),
+                                                "nq": ("qty", "count")}),
                    "p_partkey", use_threads=False)
         # same op order as the SQL's 0.2 * avg(qty)
         thr = pc.multiply(pa.scalar(frac), pc.divide(
             t["sq"], pc.cast(t["nq"], pa.float64())))
-        return _group_agg(t.filter(pc.less(t["qty"], thr)), ["p_brand"],
-                          {"revenue_cents": ("cents", "sum"),
-                           "n_small": ("cents", "count")})
+        return group_agg(t.filter(pc.less(t["qty"], thr)), ["p_brand"],
+                         {"revenue_cents": ("cents", "sum"),
+                          "n_small": ("cents", "count")})
 
     n_rows = sum(n for t in ("lineitem", "part") for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
@@ -2163,9 +2156,9 @@ def run_large_orders(sf_dir: str, min_qty: float = Q18_MIN_QTY,
     from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     def line_partial(batch: pa.Table) -> pa.Table:
-        return _group_agg(pa.table({"o_orderkey": batch["l_orderkey"],
-                                    "qty": batch["l_quantity"]}),
-                          ["o_orderkey"], {"sqty": ("qty", "sum")})
+        return group_agg(pa.table({"o_orderkey": batch["l_orderkey"],
+                                   "qty": batch["l_quantity"]}),
+                         ["o_orderkey"], {"sqty": ("qty", "sum")})
 
     def order_side(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -2188,7 +2181,7 @@ def run_large_orders(sf_dir: str, min_qty: float = Q18_MIN_QTY,
                             ("o_totalprice", pa.float64())])
 
     def _having(t: pa.Table) -> pa.Table:
-        g = _group_agg(t, order_cols.names, {"total_qty": ("sqty", "sum")})
+        g = group_agg(t, order_cols.names, {"total_qty": ("sqty", "sum")})
         return g.filter(pc.greater(g["total_qty"], min_qty))
 
     n1 = sum(n for t in ("lineitem", "orders") for _f, _rg, n in
@@ -2334,7 +2327,7 @@ def run_event_trigrams(sf_dir: str, users_per_group: int | None = None):
     def _trigrams(c, starts):
         typ = c["event_type"]
         k = np.flatnonzero(_rank(starts, len(typ)) >= 2)
-        return _group_agg(
+        return group_agg(
             pa.table({"type_1": typ[k - 2], "type_2": typ[k - 1],
                       "type_3": typ[k]}),
             ["type_1", "type_2", "type_3"], {"n_paths": ("type_3", "count")})
@@ -2864,12 +2857,11 @@ def run_top_orders_per_cust(sf_dir: str, n: int = 3,
     the per-group kernel is a vectorized lexsort + per-key cumcount,
     emitting ≤N rows per customer.  No global sort — the only wide
     step is the single key-hash shuffle of the projected columns."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
-    def _topn(df: pd.DataFrame) -> pd.DataFrame:
-        ck = df["o_custkey"].to_numpy(dtype=np.int64)
-        ok = df["o_orderkey"].to_numpy(dtype=np.int64)
-        tp = df["o_totalprice"].to_numpy(dtype=np.float64)
+    def _topn(t: pa.Table) -> pa.Table:
+        ck, ok, tp = (t[c].to_numpy() for c in ("o_custkey", "o_orderkey",
+                                                "o_totalprice"))
         order = np.lexsort((ok, -tp, ck))
         ck, ok, tp = ck[order], ok[order], tp[order]
         new = np.concatenate(([True], ck[1:] != ck[:-1]))
@@ -2878,7 +2870,7 @@ def run_top_orders_per_cust(sf_dir: str, n: int = 3,
         start = idx[new][np.cumsum(new) - 1]
         rank = idx - start + 1
         keep = rank <= n
-        return pd.DataFrame({
+        return pa.table({
             "o_custkey": ck[keep], "rank": rank[keep],
             "o_orderkey": ok[keep], "o_totalprice": tp[keep]})
 
@@ -2996,7 +2988,7 @@ def run_custdist(sf_dir: str, target_rows_per_group: int = 65536):
     count) − Σ custdist — valid under the TPC-H FK contract
     (o_custkey ⊆ c_custkey), stated here and enforced by the oracle's
     LEFT JOIN."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     n_cust = sum(nr for _f, _rg, nr in parquet_row_groups(
         f"{sf_dir}/customer.parquet"))
@@ -3008,11 +3000,10 @@ def run_custdist(sf_dir: str, target_rows_per_group: int = 65536):
         return pa.table({"ckey": g["o_custkey"],
                          "n": pc.cast(g["o_custkey_count"], pa.int64())})
 
-    def _hist(df: pd.DataFrame) -> pd.DataFrame:
-        per_cust = df.groupby("ckey", sort=False)["n"].sum()
-        h = per_cust.value_counts()
-        return pd.DataFrame({"c_count": h.index.to_numpy(dtype=np.int64),
-                             "custdist": h.to_numpy(dtype=np.int64)})
+    def _hist(t: pa.Table) -> pa.Table:
+        per_cust = group_agg(t, "ckey", {"c_count": ("n", "sum")})
+        return group_agg(per_cust, "c_count",
+                         {"custdist": ([], "count_all")})
 
     partials = _read(sf_dir, "orders", ["o_custkey"]).map_batches(
         _partial, batch_format="pyarrow", batch_size=65536)
@@ -3087,8 +3078,7 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
     shipping_priority precedent)."""
     import ray
 
-    from dude_ray.partitioning import (hash_grouped_reduce,
-                                       parquet_row_groups, shuffle_join)
+    from dude_ray.partitioning import parquet_row_groups, shuffle_join
 
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
@@ -3104,8 +3094,8 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
         kept = batch.filter(pc.equal(batch["l_returnflag"], "R"))
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        return _group_agg(pa.table({"okey": kept["l_orderkey"], "rev": rev}),
-                          ["okey"], {"rev": ("rev", "sum")})
+        return group_agg(pa.table({"okey": kept["l_orderkey"], "rev": rev}),
+                         ["okey"], {"rev": ("rev", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
@@ -3122,14 +3112,15 @@ def run_returned_items(sf_dir: str, k: int = 20, start: str = Q10_START,
         (orders, pa.schema([("okey", pa.int64()), ("ckey", pa.int64())])),
         (lines, pa.schema([("okey", pa.int64()), ("rev", pa.float64())])),
         "okey", n_rows,
-        lambda t: _group_agg(t, ["ckey"], {"rev": ("rev", "sum")}),
+        lambda t: group_agg(t, ["ckey"], {"rev": ("rev", "sum")}),
         target_rows_per_group=target_rows_per_group)
 
-    def _cust_topk(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("ckey", sort=False)["rev"].sum().reset_index()
-        g["rev"] = _vec_round(g["rev"].to_numpy(dtype=np.float64), 2)
-        g = g.sort_values(["rev", "ckey"], ascending=[False, True])
-        return g.head(k)
+    def _cust_topk(t: pa.Table) -> pa.Table:
+        g = group_agg(t, "ckey", {"rev": ("rev", "sum")})
+        g = g.set_column(1, "rev", pa.array(
+            _vec_round(g["rev"].to_numpy(), 2)))
+        return g.sort_by([("rev", "descending"),
+                          ("ckey", "ascending")]).slice(0, k)
 
     winners = hash_grouped_reduce(
         by_cust, "ckey", _cust_topk, n_rows,
@@ -3214,7 +3205,7 @@ def run_top_supplier(sf_dir: str, start: str = Q15_START,
     consistent per engine; the reported total rounds to 2 dp."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     start_us = np.int64(pd.Timestamp(start).value // 1000)
     end_us = np.int64(pd.Timestamp(end).value // 1000)
@@ -3236,13 +3227,9 @@ def run_top_supplier(sf_dir: str, start: str = Q15_START,
                       "l_discount"]).map_batches(
         _partial, batch_format="pyarrow", batch_size=65536)
 
-    def _sum(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("skey", sort=False)["rev"].sum().reset_index()
-        return pd.DataFrame({"skey": g["skey"].astype("int64"),
-                             "rev": g["rev"].to_numpy(dtype=np.float64)})
-
     agg = hash_grouped_reduce(
-        partials, "skey", _sum, n_rows,
+        partials, "skey",
+        lambda t: group_agg(t, "skey", {"rev": ("rev", "sum")}), n_rows,
         target_rows_per_group=target_rows_per_group,
         out_cols=("skey", "rev")).materialize()
 
@@ -3542,7 +3529,7 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
         year = pc.cast(pc.year(kept["l_shipdate"]), pa.int64())
         rev = pc.multiply(kept["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), kept["l_discount"]))
-        return _group_agg(
+        return group_agg(
             pa.table({"okey": kept["l_orderkey"],
                       "snat": pa.array(snat[found], type=pa.int64()),
                       "year": year, "rev": rev}),
@@ -3561,7 +3548,7 @@ def run_volume_shipping(sf_dir: str, nation_a: str = Q7_NATION_A,
 
     def _cross(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["snat"], t["cnat"]))
-        return _group_agg(t, ["snat", "cnat", "year"], {"rev": ("rev", "sum")})
+        return group_agg(t, ["snat", "cnat", "year"], {"rev": ("rev", "sum")})
 
     partials = shuffle_join(
         (orders, pa.schema([("okey", pa.int64()), ("cnat", pa.int64())])),
@@ -3739,7 +3726,7 @@ def run_spend_deciles(sf_dir: str, tiles: int = 10,
     assumption (same as :func:`run_value_percentiles`): the distinct
     spend-value histogram fits one final block; an unbounded domain
     swaps in a mergeable KLL/t-digest with approximate tiles."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     def _cents(batch: pa.Table) -> pa.Table:
         y = batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
@@ -3749,11 +3736,9 @@ def run_spend_deciles(sf_dir: str, tiles: int = 10,
         g = t.group_by(["ckey"]).aggregate([("cents", "sum")])
         return pa.table({"ckey": g["ckey"], "cents": g["cents_sum"]})
 
-    def _hist(df: pd.DataFrame) -> pd.DataFrame:
-        spend = df.groupby("ckey", sort=False)["cents"].sum()
-        c = spend.value_counts()
-        return pd.DataFrame({"spend_cents": c.index.astype("int64"),
-                             "n": c.to_numpy().astype("int64")})
+    def _hist(t: pa.Table) -> pa.Table:
+        spend = group_agg(t, "ckey", {"spend_cents": ("cents", "sum")})
+        return group_agg(spend, "spend_cents", {"n": ([], "count_all")})
 
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/orders.parquet"))
@@ -3922,7 +3907,7 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
                           pc.subtract(pa.scalar(1.0),
                                       kept["l_discount"])).to_numpy(
             zero_copy_only=False)
-        return _group_agg(pa.table({
+        return group_agg(pa.table({
             "okey": kept["l_orderkey"],
             "tvol": pa.array(np.where(found & target, vol, 0.0),
                              type=pa.float64()),
@@ -3945,8 +3930,8 @@ def run_market_share(sf_dir: str, region: str = Q8_REGION,
         (lines, pa.schema([("okey", pa.int64()), ("tvol", pa.float64()),
                            ("vol", pa.float64())])),
         "okey", n_rows,
-        lambda t: _group_agg(t, ["year"], {"tvol": ("tvol", "sum"),
-                                           "vol": ("vol", "sum")}),
+        lambda t: group_agg(t, ["year"], {"tvol": ("tvol", "sum"),
+                                          "vol": ("vol", "sum")}),
         target_rows_per_group=target_rows_per_group)
     out = tree_combine(partials, ["year"], sums=("tvol", "vol"))
 
@@ -4101,7 +4086,7 @@ def run_rfm_segments(sf_dir: str, target_rows_per_group: int = 65536):
     rounds from exact cents at the very end."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     def _partial(batch: pa.Table) -> pa.Table:
         y = batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
@@ -4117,12 +4102,10 @@ def run_rfm_segments(sf_dir: str, target_rows_per_group: int = 65536):
         return pa.table({"ckey": g["ckey"], "last_us": g["last_us_max"],
                          "n": g["n_sum"], "cents": g["cents_sum"]})
 
-    def _per_cust(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("ckey", sort=False).agg(
-            last_us=("last_us", "max"), n=("n", "sum"),
-            cents=("cents", "sum")).reset_index()
-        return g.astype({"ckey": "int64", "last_us": "int64",
-                         "n": "int64", "cents": "int64"})
+    def _per_cust(t: pa.Table) -> pa.Table:
+        return group_agg(t, "ckey", {"last_us": ("last_us", "max"),
+                                     "n": ("n", "sum"),
+                                     "cents": ("cents", "sum")})
 
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/orders.parquet"))
@@ -4331,7 +4314,6 @@ def run_user_burstiness(sf_dir: str, target_rows_per_group: int = 65536):
     ``mean = Σc/n``, ``var = (Σc² − (Σc·1.0)·Σc/n)/(n−1)``,
     ``fano = var/mean`` — so the doubles are bit-identical with no
     rounding contract (the PMI precedent)."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     def _partial(batch: pa.Table) -> pa.Table:
         g = batch.select(["event_type", "user_id"]).group_by(
@@ -4342,15 +4324,13 @@ def run_user_burstiness(sf_dir: str, target_rows_per_group: int = 65536):
             "c": pc.cast(g["count_all"], pa.int64()),
         })
 
-    def _moments(df: pd.DataFrame) -> pd.DataFrame:
-        uc = (df.groupby(["event_type", "user_id"], sort=False)["c"]
-              .sum())
-        per = uc.reset_index().groupby("event_type", sort=False)["c"]
-        out = per.agg(n_users="size", sum_c="sum",
-                      sum_c2=lambda s: int((s.to_numpy(dtype=np.int64)
-                                            ** 2).sum())).reset_index()
-        return out.astype({"n_users": "int64", "sum_c": "int64",
-                           "sum_c2": "int64"})
+    def _moments(t: pa.Table) -> pa.Table:
+        uc = group_agg(t, ["event_type", "user_id"], {"c": ("c", "sum")})
+        c = uc["c"].to_numpy()
+        return group_agg(uc.append_column("c2", pa.array(c * c)),
+                         "event_type", {"n_users": ([], "count_all"),
+                                        "sum_c": ("c", "sum"),
+                                        "sum_c2": ("c2", "sum")})
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     partials = ds.map_batches(_partial, batch_format="pyarrow",
@@ -4434,10 +4414,10 @@ def run_revenue_gini(sf_dir: str, target_rows_per_group: int = 65536):
     def order_side(batch: pa.Table) -> pa.Table:
         y = batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
         cents = (np.sign(y) * np.floor(np.abs(y) + 0.5)).astype(np.int64)
-        return _group_agg(pa.table({"c_custkey": batch["o_custkey"],
-                                    "cents": pa.array(cents,
-                                                      type=pa.int64())}),
-                          ["c_custkey"], {"cents": ("cents", "sum")})
+        return group_agg(pa.table({"c_custkey": batch["o_custkey"],
+                                   "cents": pa.array(cents,
+                                                     type=pa.int64())}),
+                         ["c_custkey"], {"cents": ("cents", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_totalprice"]).map_batches(
@@ -4448,10 +4428,10 @@ def run_revenue_gini(sf_dir: str, target_rows_per_group: int = 65536):
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
     def _hist(t: pa.Table) -> pa.Table:
-        spend = _group_agg(t, ["c_custkey", "c_mktsegment"],
-                           {"cents": ("cents", "sum")})
-        return _group_agg(spend, ["c_mktsegment", "cents"],
-                          {"n": ("c_custkey", "count")})
+        spend = group_agg(t, ["c_custkey", "c_mktsegment"],
+                          {"cents": ("cents", "sum")})
+        return group_agg(spend, ["c_mktsegment", "cents"],
+                         {"n": ("c_custkey", "count")})
 
     partials = shuffle_join(
         (orders, pa.schema([("c_custkey", pa.int64()),
@@ -4542,7 +4522,7 @@ def run_interarrival_stats(sf_dir: str, users_per_group: int | None = None):
         ts_s = c["ts_us"] // 1_000_000
         k = np.flatnonzero(_rank(starts, len(ts_s)) >= 1)
         g = ts_s[k] - ts_s[k - 1]
-        return _group_agg(
+        return group_agg(
             pa.table({"event_type": c["event_type"][k], "g": g, "g2": g * g}),
             ["event_type"],
             {"n": ("g", "count"), "sum_g": ("g", "sum"),
@@ -4998,9 +4978,9 @@ def run_waiting_suppliers(sf_dir: str, k: int = 20,
 
     def line_side(batch: pa.Table) -> pa.Table:
         r = pc.cast(pc.equal(batch["l_returnflag"], "R"), pa.int64())
-        return _group_agg(pa.table({"okey": batch["l_orderkey"],
-                                    "skey": batch["l_suppkey"], "r": r}),
-                          ["okey", "skey"], {"nr": ("r", "sum")})
+        return group_agg(pa.table({"okey": batch["l_orderkey"],
+                                   "skey": batch["l_suppkey"], "r": r}),
+                         ["okey", "skey"], {"nr": ("r", "sum")})
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderstatus"]).map_batches(
@@ -5014,9 +4994,9 @@ def run_waiting_suppliers(sf_dir: str, k: int = 20,
                  parquet_row_groups(f"{sf_dir}/{t}.parquet"))
 
     def _lone_fault(t: pa.Table) -> pa.Table:
-        pair = _group_agg(t, ["okey", "skey"], {"nr": ("nr", "sum")})
+        pair = group_agg(t, ["okey", "skey"], {"nr": ("nr", "sum")})
         has_r = pc.greater(pair["nr"], 0)
-        per_order = _group_agg(
+        per_order = group_agg(
             pa.table({"okey": pair["okey"],
                       "r": pc.cast(has_r, pa.int64())}),
             ["okey"], {"n_sups": ("r", "count"), "r_sups": ("r", "sum")})
@@ -5024,7 +5004,7 @@ def run_waiting_suppliers(sf_dir: str, k: int = 20,
             pc.greater_equal(per_order["n_sups"], 2),
             pc.equal(per_order["r_sups"], 1)))["okey"]
         qual = pair.filter(pc.and_(has_r, pc.is_in(pair["okey"], ok)))
-        return _group_agg(qual, ["skey"], {"numwait": ("nr", "sum")})
+        return group_agg(qual, ["skey"], {"numwait": ("nr", "sum")})
 
     partials = shuffle_join(
         (lines, pa.schema([("okey", pa.int64()), ("skey", pa.int64()),
@@ -5097,7 +5077,6 @@ def run_user_entropy(sf_dir: str, target_rows_per_group: int = 65536):
     (correctly-rounded decimal == DuckDB ``round``) — the same
     cross-engine float summation-order contract as
     :func:`dude_ray.pipelines.textops.run_char_entropy`."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     def _partial(batch: pa.Table) -> pa.Table:
         g = batch.select(["user_id", "event_type"]).group_by(
@@ -5108,9 +5087,9 @@ def run_user_entropy(sf_dir: str, target_rows_per_group: int = 65536):
             "c": pc.cast(g["count_all"], pa.int64()),
         })
 
-    def _ent(df: pd.DataFrame) -> pd.DataFrame:
-        uc = (df.groupby(["user_id", "event_type"], sort=False)["c"]
-              .sum().reset_index())
+    def _ent(t: pa.Table) -> pa.Table:
+        uc = group_agg(t, ["user_id", "event_type"],
+                       {"c": ("c", "sum")}).to_pandas()
         cf = uc["c"].to_numpy(dtype=np.float64)
         uc["s"] = cf * np.log(cf)
         g = (uc.groupby("user_id", sort=False)
@@ -5119,8 +5098,8 @@ def run_user_entropy(sf_dir: str, target_rows_per_group: int = 65536):
         n = g["n_events"].to_numpy(dtype=np.float64)
         ent = np.log(n) - g["s"].to_numpy(dtype=np.float64) / n
         g["entropy"] = [round(v, 6) for v in ent]
-        return g[["user_id", "n_events", "n_types", "entropy"]].astype(
-            {"n_events": "int64", "n_types": "int64"})
+        return pa.Table.from_pandas(g.astype(
+            {"n_events": "int64", "n_types": "int64"}), preserve_index=False)
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
     partials = ds.map_batches(_partial, batch_format="pyarrow",
@@ -5174,7 +5153,7 @@ def run_session_stats(sf_dir: str, users_per_group: int | None = None):
         ts = c["ts_us"]
         s = _session_starts(ts, starts)
         lens = np.diff(np.r_[s, len(ts)])
-        return _group_agg(
+        return group_agg(
             pa.table({"n_events": lens, "dur": ts[s + lens - 1] - ts[s]}),
             ["n_events"],
             {"n_sessions": ("dur", "count"), "sum_dur": ("dur", "sum")})
@@ -5372,9 +5351,9 @@ def run_session_type_pairs(sf_dir: str,
              .group_by(["sid", "type"]).aggregate([]))
         m = d.join(d, "sid", left_suffix="_a", right_suffix="_b",
                    use_threads=False)
-        return _group_agg(m.filter(pc.less(m["type_a"], m["type_b"])),
-                          ["type_a", "type_b"],
-                          {"n_sessions": ("sid", "count")})
+        return group_agg(m.filter(pc.less(m["type_a"], m["type_b"])),
+                         ["type_a", "type_b"],
+                         {"n_sessions": ("sid", "count")})
 
     partials = user_timelines(
         sf_dir, ["event_type"], _pairs,
@@ -5591,7 +5570,6 @@ def run_dau_wau(sf_dir: str, window_days: int = 7,
 
     Float-free output; ``day`` is a '%Y-%m-%d' string on both engines.
     """
-    from dude_ray.partitioning import hash_grouped_reduce
 
     ds = _read(sf_dir, "events", ["ts", "user_id"])
     n_events = ds.count()
@@ -5602,8 +5580,8 @@ def run_dau_wau(sf_dir: str, window_days: int = 7,
                        "user_id": t["user_id"]})
         return tt.group_by(["d", "user_id"]).aggregate([])
 
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["d", "user_id"])[["d", "user_id"]]
+    def dedup(t: pa.Table) -> pa.Table:
+        return group_agg(t, ["d", "user_id"])
 
     du = hash_grouped_reduce(
         ds.map_batches(to_pairs, batch_format="pyarrow",
@@ -5698,7 +5676,6 @@ def run_order_backlog(sf_dir: str, target_rows_per_group: int = 65536):
     are the change days only (delta ≠ 0).  Orders with no lineitem
     rows are excluded (no ship horizon — same inner-join contract as
     the oracle)."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
@@ -5713,15 +5690,10 @@ def run_order_backlog(sf_dir: str, target_rows_per_group: int = 65536):
         return pa.table({"k": g["k"],
                          "e": pc.cast(g["e_max"], pa.int64())})
 
-    def last_ship(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("k", sort=False)["e"].max().reset_index()
-        return pd.DataFrame({"k": out["k"],
-                             "e": out["e"].astype("int64")})
-
     last = hash_grouped_reduce(
         li.map_batches(li_partial, batch_format="pyarrow",
                        batch_size=65536),
-        "k", last_ship, n_li,
+        "k", lambda t: group_agg(t, "k", {"e": ("e", "max")}), n_li,
         target_rows_per_group=target_rows_per_group,
         out_cols=("k", "e"))
 
@@ -6242,7 +6214,6 @@ def run_basket_pairs(sf_dir: str, top_k: int = 100,
     so the d² fan-out is a constant per order, the run_cocitation
     argument); pair counts tree-merge before the bounded top-k.
     All integer counts; ties break on (part_a, part_b)."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     n_rows = ds.count()
@@ -6250,9 +6221,9 @@ def run_basket_pairs(sf_dir: str, top_k: int = 100,
     def _dd(t: pa.Table) -> pa.Table:
         return t.group_by(["l_orderkey", "l_partkey"]).aggregate([])
 
-    def _pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def _pairs(t: pa.Table) -> pa.Table:
         outs = []
-        for _ok, grp in df.groupby("l_orderkey", sort=False):
+        for _ok, grp in t.to_pandas().groupby("l_orderkey", sort=False):
             parts = np.unique(grp["l_partkey"].to_numpy())
             if len(parts) < 2:
                 continue
@@ -6261,12 +6232,11 @@ def run_basket_pairs(sf_dir: str, top_k: int = 100,
                 "part_a": parts[iu], "part_b": parts[iv],
                 "n": np.ones(len(iu), dtype=np.int64)}))
         if not outs:
-            return pd.DataFrame({"part_a": pd.Series(dtype="int64"),
-                                 "part_b": pd.Series(dtype="int64"),
-                                 "n": pd.Series(dtype="int64")})
-        out = pd.concat(outs)
-        return (out.groupby(["part_a", "part_b"], sort=False)["n"]
-                .sum().reset_index())
+            return pa.table({c: pa.array([], pa.int64())
+                             for c in ("part_a", "part_b", "n")})
+        return group_agg(pa.Table.from_pandas(pd.concat(outs),
+                                              preserve_index=False),
+                         ["part_a", "part_b"], {"n": ("n", "sum")})
 
     pair_partials = hash_grouped_reduce(
         ds.map_batches(_dd, batch_format="pyarrow", batch_size=65536),

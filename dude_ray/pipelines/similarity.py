@@ -17,6 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from dude_ray.partitioning import hash_grouped_reduce
 from dude_ray.pipelines.dedup import _popcount64
 
 
@@ -701,24 +702,22 @@ def run_knn_graph(sf_dir: str, k: int = 5):
     partials = rd.from_items(items).map_batches(
         _BlockKnnJoin(k), batch_format="pyarrow", batch_size=4)
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
+    def final(t: pa.Table) -> pa.Table:
         """Per-src top-k inside the hash bucket — a per-vector Ray
         group would mean millions of tiny groups at scale (the
         substring_dup lesson); here one vectorized pandas groupby
         handles the whole bucket."""
-        df = df.sort_values(["src", "raw_sim", "dst"],
+        df = t.to_pandas().sort_values(["src", "raw_sim", "dst"],
                             ascending=[True, False, True],
                             kind="mergesort")
         df["rank"] = df.groupby("src", sort=False).cumcount() + 1
         df = df[df["rank"] <= k]
-        return pd.DataFrame({
+        return pa.table({
             "src": df["src"].to_numpy(dtype=np.int64),
             "dst": df["dst"].to_numpy(dtype=np.int64),
             "sim": np.round(df["raw_sim"].to_numpy(dtype=np.float64), 4),
             "rank": df["rank"].to_numpy(dtype=np.int64),
         })
-
-    from dude_ray.partitioning import hash_grouped_reduce
 
     n_blocks = len(blocks)
     n_rows_est = sum(nb for _f, _rg, nb in blocks) * k * max(n_blocks, 1)

@@ -17,6 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
 HLL_P = 12                      # 4096 registers → ~1.6% standard error
 _M = 1 << HLL_P
 _ALPHA = 0.7213 / (1 + 1.079 / _M)
@@ -376,7 +378,6 @@ def run_cms_registers(sf_dir: str, batch_size: int = 4096):
     space — shuffle volume is blocks × 4096 rows at any corpus size."""
     import re
 
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.textops import TOKEN_RE, _docs
 
     tok = re.compile(TOKEN_RE)
@@ -401,13 +402,9 @@ def run_cms_registers(sf_dir: str, batch_size: int = 4096):
     partials = _docs(sf_dir, ["text"]).map_batches(
         _partial, batch_format="pyarrow", batch_size=batch_size)
 
-    def _sum(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(["d", "idx"], sort=False)["c"].sum()
-                 .reset_index())
-        out["c"] = out["c"].astype("int64")
-        return out
-
-    return hash_grouped_reduce(partials, ["d", "idx"], _sum,
+    return hash_grouped_reduce(partials, ["d", "idx"],
+                               lambda t: group_agg(t, ["d", "idx"],
+                                                   {"c": ("c", "sum")}),
                                CMS_D * CMS_W, out_cols=("d", "idx", "c"))
 
 
@@ -500,7 +497,6 @@ def run_bloom_registers(sf_dir: str, batch_size: int = 4096):
     at any corpus size); merge: one data-scaled hash-grouped distinct.
     Nothing row-count-sized ever aggregates anywhere."""
     from dude_ray.io import read_parquet_clean
-    from dude_ray.partitioning import hash_grouped_reduce
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet",
                             columns=["text"])
@@ -509,12 +505,10 @@ def run_bloom_registers(sf_dir: str, batch_size: int = 4096):
         bits = bloom_bits(batch["text"].to_pylist())
         return pa.table({"bit": pa.array(bits, type=pa.int64())})
 
-    def _distinct(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(ignore_index=True)
-
     parts = ds.map_batches(_partial, batch_format="pyarrow",
                            batch_size=batch_size)
-    return hash_grouped_reduce(parts, "bit", _distinct, BLOOM_M,
+    return hash_grouped_reduce(parts, "bit", lambda t: group_agg(t, "bit"),
+                               BLOOM_M,
                                out_cols=("bit",))
 
 

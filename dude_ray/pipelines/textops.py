@@ -19,6 +19,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
 TOKEN_RE = r"[A-Za-z0-9_]+"
 STOPWORDS = ("the", "and", "of", "a", "to", "in", "is", "it", "that")
 STOP_RE = r"\b(?:" + "|".join(STOPWORDS) + r")\b"
@@ -434,8 +436,7 @@ def run_corpus_prep(sf_dir: str, min_tokens: int = 30,
     grouping by ``h`` while carrying the stats columns for free.  The
     per-language rollup is a bounded-key partial combine (≤5 languages),
     Arrow tree merge — no second all-to-all."""
-    from dude_ray.partitioning import (hash_grouped_reduce,
-                                       parquet_row_groups)
+    from dude_ray.partitioning import parquet_row_groups
     from dude_ray.pipelines.relational import tree_combine
 
     ds = _docs(sf_dir, ["text"]).map_batches(
@@ -449,11 +450,9 @@ def run_corpus_prep(sf_dir: str, min_tokens: int = 30,
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/documents.parquet"))
 
-    def _distinct(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates("h")[["h", "pred_lang", "n_tokens"]]
-
     distinct = hash_grouped_reduce(
-        ds, "h", _distinct, n_rows,
+        ds, "h", lambda t: group_agg(t, ["h", "pred_lang", "n_tokens"]),
+        n_rows,
         out_cols=("h", "pred_lang", "n_tokens"))
 
     def _lang_partials(batch: pa.Table) -> pa.Table:
@@ -584,8 +583,6 @@ def run_ngram_counts(sf_dir: str, n_max: int = 3, min_count: int = 5,
     only grams that survived ``min_count``."""
     import pandas as pd
 
-    from dude_ray.partitioning import hash_grouped_reduce
-
     tok_re = re.compile(TOKEN_RE)
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -614,10 +611,9 @@ def run_ngram_counts(sf_dir: str, n_max: int = 3, min_count: int = 5,
             "c": pa.array(cs, type=pa.int64()),
         })
 
-    def _reduce(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(["n", "gram"], sort=False)["c"].sum()
-                 .reset_index())
-        return out[out["c"] >= min_count]
+    def _reduce(t: pa.Table) -> pa.Table:
+        return group_agg(t, ["n", "gram"], {"c": ("c", "sum")}).filter(
+            pc.field("c") >= min_count)
 
     ds = _docs(sf_dir, ["text"])
     partials = ds.map_batches(_partial, batch_format="pyarrow",
@@ -700,8 +696,6 @@ def run_pmi_collocations(sf_dir: str, min_count: int = 5,
     only ever sees ≤ top_k · blocks candidate rows."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce
-
     tok_re = re.compile(TOKEN_RE)
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -729,12 +723,11 @@ def run_pmi_collocations(sf_dir: str, min_count: int = 5,
     n_uni = float(totals.get(1, 0))
     n_bi = float(totals.get(2, 0))
 
-    def _reduce(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(["n", "gram"], sort=False)["c"].sum()
-                 .reset_index())
+    def _reduce(t: pa.Table) -> pa.Table:
         # safe for the marginals too: c_x >= c_xy, so no surviving
         # bigram ever loses a word marginal to this filter
-        return out[out["c"] >= min_count]
+        return group_agg(t, ["n", "gram"], {"c": ("c", "sum")}).filter(
+            pc.field("c") >= min_count)
 
     merged = hash_grouped_reduce(partials, ["n", "gram"], _reduce,
                                  partials.count(),
@@ -857,7 +850,7 @@ def run_source_stats(sf_dir: str, batch_size: int = 4096):
     final per-source rollup groups the tiny merged table.  Corpus
     text never shuffles, and every output is an exact int64, so the
     SQL oracle hash-matches with no rounding contract."""
-    from dude_ray.partitioning import hash_grouped_reduce, parquet_row_groups
+    from dude_ray.partitioning import parquet_row_groups
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = (df["text"].fillna("").str.findall(TOKEN_RE)
@@ -875,12 +868,12 @@ def run_source_stats(sf_dir: str, batch_size: int = 4096):
     n_rows = sum(n for _f, _rg, n in
                  parquet_row_groups(f"{sf_dir}/documents.parquet"))
 
-    def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(["source", "lang"], sort=False)
-                .sum().reset_index())
-
     merged = hash_grouped_reduce(
-        partials, ["source", "lang"], _merge, n_rows,
+        partials, ["source", "lang"],
+        lambda t: group_agg(t, ["source", "lang"],
+                            {c: (c, "sum") for c in ("docs", "toks",
+                                                     "chars")}),
+        n_rows,
         out_cols=("source", "lang", "docs", "toks", "chars"))
 
     def _rollup(g: pd.DataFrame) -> pd.DataFrame:
@@ -1301,8 +1294,6 @@ def run_vocab_coverage(sf_dir: str, min_count: int = 5,
     division of exact int64 counts — bit-identical, no rounding."""
     import ray
 
-    from dude_ray.partitioning import hash_grouped_reduce
-
     tok_re = re.compile(TOKEN_RE)
 
     def _counts(batch: pa.Table) -> pa.Table:
@@ -1315,9 +1306,9 @@ def run_vocab_coverage(sf_dir: str, min_count: int = 5,
             "c": pa.array(list(cnt.values()), type=pa.int64()),
         })
 
-    def _reduce(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("t", sort=False)["c"].sum().reset_index()
-        return out[out["c"] >= min_count]
+    def _reduce(t: pa.Table) -> pa.Table:
+        return group_agg(t, "t", {"c": ("c", "sum")}).filter(
+            pc.field("c") >= min_count)
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     partials = ds.map_batches(_counts, batch_format="pyarrow",
@@ -1407,7 +1398,6 @@ def run_coverage_curve(sf_dir: str, ks=(100, 1000, 10000),
 
     Float contract: ``share = covered / total`` is one IEEE division
     of exact int64 sums."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     tok_re = re.compile(TOKEN_RE)
 
@@ -1421,13 +1411,12 @@ def run_coverage_curve(sf_dir: str, ks=(100, 1000, 10000),
             "c": pa.array(list(cnt.values()), type=pa.int64()),
         })
 
-    def _reduce(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("t", sort=False)["c"].sum().reset_index()
-
     ds = _docs(sf_dir, ["text"])
     partials = ds.map_batches(_counts, batch_format="pyarrow",
                               batch_size=batch_size)
-    vocab = hash_grouped_reduce(partials, "t", _reduce,
+    vocab = hash_grouped_reduce(partials, "t",
+                                lambda t: group_agg(t, "t",
+                                                    {"c": ("c", "sum")}),
                                 partials.count(),
                                 out_cols=("t", "c")).materialize()
     total = int(vocab.map_batches(
@@ -1503,7 +1492,6 @@ def run_source_similarity(sf_dir: str,
     cosine derives via the SAME float64 expression tree on both
     engines — ``(dot * 1.0) / sqrt((n2_a * 1.0) * n2_b)`` — so the
     doubles are bit-identical with no rounding contract."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.relational import tree_combine
 
     tok_re = re.compile(TOKEN_RE)
@@ -1526,9 +1514,9 @@ def run_source_similarity(sf_dir: str,
             "c": pa.array(cs, type=pa.int64()),
         })
 
-    def _cross(df: pd.DataFrame) -> pd.DataFrame:
-        cnt = (df.groupby(["term", "source"], sort=False)["c"].sum()
-               .reset_index())
+    def _cross(t: pa.Table) -> pa.Table:
+        cnt = group_agg(t, ["term", "source"],
+                        {"c": ("c", "sum")}).to_pandas()
         # norm partials ride along as diagonal (src, src) rows
         norm = (cnt.assign(v=cnt["c"].to_numpy() ** 2)
                 .groupby("source", sort=False)["v"].sum().reset_index())
@@ -1544,7 +1532,8 @@ def run_source_similarity(sf_dir: str,
         out = pd.concat([dots[["src_a", "src_b", "v"]],
                          norm[["src_a", "src_b", "v"]]],
                         ignore_index=True)
-        return out.astype({"v": "int64"})
+        return pa.Table.from_pandas(out.astype({"v": "int64"}),
+                                    preserve_index=False)
 
     ds = _docs(sf_dir, ["source", "text"])
     partials = ds.map_batches(_partial, batch_format="pyarrow",
@@ -1626,7 +1615,6 @@ def run_skipgram_counts(sf_dir: str, window: int = 3,
     batch, the data-scaled hash reduce co-locates a pair's partials
     (so the min_count gate is exact), and the final per-d top-k sorts
     only survivors.  All counts int64 — no float contract."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     tok_re = re.compile(TOKEN_RE)
 
@@ -1649,10 +1637,9 @@ def run_skipgram_counts(sf_dir: str, window: int = 3,
             "c": pa.array(cs, type=pa.int64()),
         })
 
-    def _reduce(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(["d", "pair"], sort=False)["c"].sum()
-               .reset_index())
-        return out[out["c"] >= min_count]
+    def _reduce(t: pa.Table) -> pa.Table:
+        return group_agg(t, ["d", "pair"], {"c": ("c", "sum")}).filter(
+            pc.field("c") >= min_count)
 
     ds = _docs(sf_dir, ["text"])
     partials = ds.map_batches(_partial, batch_format="pyarrow",
@@ -1783,7 +1770,6 @@ def run_zipf_fit(sf_dir: str, top_k: int = 500, min_count: int = 2,
     below the 6-dp rounding quantum (the same drift argument as
     ``components.run_host_rank``); slope/intercept/r² share one IEEE
     expression tree with the oracle."""
-    from dude_ray.partitioning import hash_grouped_reduce
 
     tok_re = re.compile(TOKEN_RE)
 
@@ -1797,9 +1783,9 @@ def run_zipf_fit(sf_dir: str, top_k: int = 500, min_count: int = 2,
             "c": pa.array(list(cnt.values()), type=pa.int64()),
         })
 
-    def _reduce(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("t", sort=False)["c"].sum().reset_index()
-        return out[out["c"] >= min_count]
+    def _reduce(t: pa.Table) -> pa.Table:
+        return group_agg(t, "t", {"c": ("c", "sum")}).filter(
+            pc.field("c") >= min_count)
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     partials = ds.map_batches(_counts, batch_format="pyarrow",
@@ -1910,7 +1896,6 @@ def run_burrows_delta(sf_dir: str, top_f: int = 50,
     absorbed by the 6-dp round (the ``run_zipf_fit`` argument); the
     ``sd == 0`` guard compares a bit-identical quantity on both
     engines."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.relational import tree_combine
 
     tok_re = re.compile(TOKEN_RE)
@@ -1934,10 +1919,10 @@ def run_burrows_delta(sf_dir: str, top_f: int = 50,
                               batch_size=batch_size).materialize()
     n_partial = partials.count()
 
-    def _sum_t(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("t", sort=False)["c"].sum().reset_index()
-
-    glob = hash_grouped_reduce(partials, "t", _sum_t, n_partial,
+    glob = hash_grouped_reduce(partials, "t",
+                               lambda t: group_agg(t, "t",
+                                                   {"c": ("c", "sum")}),
+                               n_partial,
                                out_cols=("t", "c"))
 
     def _local_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -2080,7 +2065,6 @@ def run_keyness_llr(sf_dir: str, top_k: int = 10, min_count: int = 5,
     ``run_type_day_mi`` argument), the two-term sum is fixed-length,
     and ranking sorts the 6-dp-ROUNDED G² so rank order is
     drift-proof."""
-    from dude_ray.partitioning import hash_grouped_reduce
     from dude_ray.pipelines.relational import tree_combine
 
     tok_re = re.compile(TOKEN_RE)
@@ -2111,10 +2095,9 @@ def run_keyness_llr(sf_dir: str, top_k: int = 10, min_count: int = 5,
         ["source"], sums=("c",)).to_pandas().itertuples(index=False))
     big_n = int(sum(totals.values()))
 
-    def _g2(df: pd.DataFrame) -> pd.DataFrame:
+    def _g2(t: pa.Table) -> pa.Table:
         out = []
-        agg = (df.groupby(["t", "source"], sort=False)["c"].sum()
-               .reset_index())
+        agg = group_agg(t, ["t", "source"], {"c": ("c", "sum")}).to_pandas()
         for t, grp in agg.groupby("t", sort=False):
             g = int(grp["c"].sum())
             for src, a in zip(grp["source"], grp["c"]):
@@ -2128,15 +2111,17 @@ def run_keyness_llr(sf_dir: str, top_k: int = 10, min_count: int = 5,
                 if b > 0:
                     s += b * np.log((b * 1.0 * big_n) / (nb * 1.0 * g))
                 out.append((src, t, a, round(2.0 * float(s), 6)))
-        return pd.DataFrame(out, columns=["source", "term", "n_occ",
-                                          "keyness"])
+        return pa.Table.from_pandas(
+            pd.DataFrame(out, columns=["source", "term", "n_occ",
+                                       "keyness"]), preserve_index=False)
 
     scored = hash_grouped_reduce(
         partials, "t", _g2, n_partial,
         target_rows_per_group=target_rows_per_group,
         out_cols=("source", "term", "n_occ", "keyness"))
 
-    def _topk(df: pd.DataFrame) -> pd.DataFrame:
+    def _topk(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         outs = []
         for src, grp in df.groupby("source", sort=False):
             grp = (grp.sort_values(["keyness", "term"],
@@ -2144,8 +2129,8 @@ def run_keyness_llr(sf_dir: str, top_k: int = 10, min_count: int = 5,
                    .head(top_k).reset_index(drop=True))
             grp["rank"] = np.arange(1, len(grp) + 1, dtype=np.int64)
             outs.append(grp)
-        return pd.concat(outs) if outs else df.assign(
-            rank=pd.Series(dtype="int64"))
+        return pa.Table.from_pandas(pd.concat(outs) if outs else df.assign(
+            rank=pd.Series(dtype="int64")), preserve_index=False)
 
     return hash_grouped_reduce(
         scored, "source", _topk, scored.count(),

@@ -599,7 +599,7 @@ def test_scaled_group_count():
 def test_small_grouped_reduce_calls_reducer_once(ray_session):
     """An input of ≤ ``target_rows_per_group`` rows is one group, so
     ``hash_grouped_reduce`` calls its reducer once over every key."""
-    import pandas as pd
+    import pyarrow.compute as pc
     import ray.data as rd
 
     from dude_ray.partitioning import hash_grouped_reduce
@@ -609,13 +609,53 @@ def test_small_grouped_reduce_calls_reducer_once(ray_session):
         "k": pa.array(np.arange(n) % 997, type=pa.int64()),
         "v": pa.array(np.ones(n), type=pa.float64())}))
 
-    def one_row(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n_rows": [len(df)],
-                             "n_keys": [df["k"].nunique()]})
+    def one_row(t: pa.Table) -> pa.Table:
+        return pa.table({"n_rows": [len(t)],
+                         "n_keys": [pc.count_distinct(t["k"]).as_py()]})
 
     rows = hash_grouped_reduce(ds, "k", one_row, n_rows=n,
-                               target_rows_per_group=n).take_all()
+                               target_rows_per_group=n,
+                               out_cols=("n_rows", "n_keys")).take_all()
     assert rows == [{"n_rows": n, "n_keys": 997}]
+
+
+def test_grouped_reduce_arrow_contract(ray_session):
+    """``hash_grouped_reduce`` hands its reducer each group as a
+    ``pa.Table`` without ``__g`` and emits ``out_cols`` blocks without
+    schema metadata, even from a reducer that returns a table built from
+    pandas; ``group_agg`` counts rows, takes string minima and, with no
+    aggregates, gives the distinct keys of a multi-key table."""
+    import ray
+    import ray.data as rd
+
+    from dude_ray.partitioning import group_agg, hash_grouped_reduce
+
+    t = pa.table({"a": [1, 1, 2, 2, 2, 1],
+                  "b": ["x", "y", "x", "x", "z", "x"],
+                  "s": ["q", "p", "r", "o", "n", "m"]})
+    got = group_agg(t, ["a", "b"], {"n": ([], "count_all"),
+                                    "lo": ("s", "min")})
+    assert got.column_names == ["a", "b", "n", "lo"]
+    assert sorted(zip(*got.to_pydict().values())) == [
+        (1, "x", 2, "m"), (1, "y", 1, "p"), (2, "x", 2, "o"),
+        (2, "z", 1, "n")]
+    distinct = group_agg(t, ["a", "b"])
+    assert distinct.column_names == ["a", "b"]
+    assert sorted(zip(*distinct.to_pydict().values())) == [
+        (1, "x"), (1, "y"), (2, "x"), (2, "z")]
+
+    def via_pandas(g: pa.Table) -> pa.Table:
+        df = g.to_pandas().groupby("a", as_index=False)["b"].nunique()
+        df["cols"] = ",".join(g.column_names)
+        return pa.Table.from_pandas(df, preserve_index=True)
+
+    out = hash_grouped_reduce(rd.from_arrow(t), "a", via_pandas,
+                              n_rows=len(t), target_rows_per_group=1,
+                              out_cols=("a", "b", "cols"))
+    blocks = ray.get(out.to_arrow_refs())
+    assert all(b.schema.metadata is None for b in blocks)
+    assert sorted(r for b in blocks for r in zip(*b.to_pydict().values())) \
+        == [(1, 2, "a,b,s"), (2, 2, "a,b,s")]
 
 
 @pytest.mark.parametrize("how", ["inner", "left semi", "left anti"],

@@ -192,6 +192,95 @@ def test_no_hand_rolled_shuffle_join():
     assert unions == []
 
 
+# Pandas calls a reducer may make and still be only a keyed aggregate:
+# the group-by reductions, and the renames, casts and frame builds
+# around them.
+_PANDAS_AGGS = {"sum", "size", "min", "max", "count", "agg"}
+_PANDAS_PLUMBING = _PANDAS_AGGS | {
+    "groupby", "drop_duplicates", "reset_index", "rename", "astype",
+    "to_numpy", "DataFrame", "Series"}
+
+
+def _hand_rolled_keyed_aggregates(root) -> list[str]:
+    """``file:line`` of every ``hash_grouped_reduce`` reducer under
+    ``root`` that is a pandas keyed aggregate and nothing else: a lambda
+    or a def of straight-line assignments and returns that calls a
+    ``groupby(...)`` sum/size/min/max/count/agg chain or
+    ``drop_duplicates``, and no pandas call beyond renames, casts and
+    frame builds (the job of ``partitioning.group_agg``)."""
+    import ast
+
+    def name(call):
+        f = call.func
+        return f.attr if isinstance(f, ast.Attribute) else getattr(
+            f, "id", None)
+
+    def grouped(node) -> bool:
+        while isinstance(node, (ast.Call, ast.Attribute, ast.Subscript)):
+            if isinstance(node, ast.Call) and name(node) == "groupby":
+                return True
+            node = node.func if isinstance(node, ast.Call) else node.value
+        return False
+
+    def keyed_aggregate(fn) -> bool:
+        if isinstance(fn, ast.Lambda):
+            body = [fn.body]
+        else:
+            body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+            if not all(isinstance(s, (ast.Assign, ast.Return, ast.Expr))
+                       for s in body):
+                return False
+        calls = [n for s in body for n in ast.walk(s)
+                 if isinstance(n, ast.Call)]
+        return (all(name(c) in _PANDAS_PLUMBING for c in calls)
+                and any(name(c) == "drop_duplicates"
+                        or (name(c) in _PANDAS_AGGS
+                            and grouped(c.func.value)) for c in calls))
+
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and name(node) == "hash_grouped_reduce"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            fn = node.args[2] if len(node.args) > 2 else kw.get("reduce_fn")
+            if isinstance(fn, ast.Name):
+                fn = max((d for d in defs if d.name == fn.id
+                          and d.lineno < node.lineno),
+                         key=lambda d: d.lineno, default=None)
+            if fn is not None and keyed_aggregate(fn):
+                found.append(f"{path.relative_to(root)}:{fn.lineno}")
+    return found
+
+
+def test_no_hand_rolled_keyed_aggregate(tmp_path):
+    """A ``hash_grouped_reduce`` reducer that is only a keyed aggregate
+    is a ``partitioning.group_agg`` call: no reducer in dude_ray/ spells
+    it as a pandas ``groupby`` chain or ``drop_duplicates``."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "dude_ray"
+    assert _hand_rolled_keyed_aggregates(root) == []
+    # the scan finds the shapes it forbids, and passes a reducer that
+    # does more than aggregate
+    (tmp_path / "m.py").write_text(
+        "def run(ds):\n"
+        "    def _sum(df):\n"
+        "        out = df.groupby('k', sort=False)['c'].sum().reset_index()\n"
+        "        return out[out['c'] >= 2]\n\n"
+        "    def _top(df):\n"
+        "        return df.groupby('k')['c'].sum().sort_values().head(1)\n\n"
+        "    a = hash_grouped_reduce(ds, 'k', _sum, 1, out_cols=('k', 'c'))\n"
+        "    b = hash_grouped_reduce(ds, 'k', _top, 1, out_cols=('k', 'c'))\n"
+        "    return hash_grouped_reduce(\n"
+        "        ds, 'k', lambda df: df.drop_duplicates('k'), 1,\n"
+        "        out_cols=('k',))\n")
+    assert _hand_rolled_keyed_aggregates(tmp_path) == ["m.py:2", "m.py:12"]
+
+
 # Functions that may still group on the coarsened user bucket outside
 # ``relational.user_timelines``, each with the reason it is not a
 # per-user timeline.
